@@ -5,7 +5,7 @@
 //
 //   cfbench --workload cold_serving|hot_repeat|stream_fmri15 --seed N
 //           --seconds S --trace 0|1 --serve-cli PATH [--workdir DIR]
-//           [--records DIR] [--connections C] [--git-sha SHA]
+//           [--records DIR] [--git-sha SHA]
 //
 // --trace 0 measures the end-to-end metrics with nothing traced. --trace 1
 // runs the workload untraced and then traced for S/2 seconds each, reads the
@@ -60,7 +60,6 @@ struct Args {
   std::string serve_cli;
   std::string workdir = ".bench_build/work";
   std::string records = ".bench_build/records";
-  int connections = 0;  // 0: one per two cores
   std::string git_sha = "unknown";
 };
 
@@ -90,8 +89,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       a->workdir = v;
     } else if (key == "--records") {
       a->records = v;
-    } else if (key == "--connections") {
-      a->connections = std::atoi(v.c_str());
     } else if (key == "--git-sha") {
       a->git_sha = v;
     } else {
@@ -477,9 +474,8 @@ class Runner {
         o.frame = [this, &series](uint64_t i) {
           return DetectFrame(RequestWindows(w_, series, i));
         };
-        o.keep = [](uint64_t i) {
-          return i % kColdSampleEvery == 0 &&
-                 i / kColdSampleEvery < kColdSampleCap;
+        o.keep = [first = o.first_index](uint64_t i) {
+          return KeepColdSample(first, i);
         };
       }
       p.closed = RunClosedLoop(o);
@@ -496,8 +492,9 @@ class Runner {
     return p;
   }
 
-  // Recomputes the served results in process and counts mismatches.
-  uint64_t Verify(const Phase& p) const {
+  // Recomputes the served results in process and counts mismatches;
+  // `checked` receives how many served results were recomputed.
+  uint64_t Verify(const Phase& p, uint64_t* checked) const {
     const int threads =
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     const cf::core::CausalityTransformer& model = *model_;
@@ -523,6 +520,7 @@ class Runner {
         const auto key = std::make_pair(kLaneSource[r.lane], r.window_start);
         if (!SameEdges(r.edges, expect[index.at(key)])) ++bad;
       }
+      *checked = p.open.reports.size();
       return bad;
     }
     std::vector<std::pair<uint64_t, const cf::core::DetectionResult*>> served;
@@ -535,6 +533,7 @@ class Runner {
         served.push_back({index, &result});
       }
     }
+    *checked = served.size();
     ParallelOver(served.size(), threads, [&](size_t i) {
       const cf::Tensor windows =
           RequestWindows(w_, setup_.series[0], served[i].first);
@@ -610,7 +609,9 @@ std::vector<Metric> EndToEnd(const std::vector<double>& setup_times,
 
 // Per-layer metrics of the traced phase: server counter deltas across it
 // (`before`, `after`), client-side spans, and the in-process probes at the
-// workload's geometry. Stream metrics are 0 on the closed-loop workloads.
+// workload's geometry. Stream metrics are 0 on the closed-loop workloads:
+// the result line lists every per-layer metric on every workload, and only
+// end-to-end metrics are held to being non-zero.
 std::vector<Metric> PerLayer(const Workload& w, const Runner& runner,
                              const Phase& plain, const Phase& traced,
                              const Snapshot& before, const Snapshot& after,
@@ -802,9 +803,7 @@ int main(int argc, char** argv) {
   const int cores =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   const bool stream = w->kind == Kind::kStreamFmri15;
-  const int connections =
-      stream ? kStreamLanes
-             : (a.connections > 0 ? a.connections : std::max(1, cores / 2));
+  const int connections = stream ? kStreamLanes : std::max(1, cores / 2);
   const int depth = stream ? 1 : kPipelineDepth;
   // One generator thread per connection; more than one per core would make
   // the generator, not the server, the bottleneck being measured.
@@ -849,8 +848,9 @@ int main(int argc, char** argv) {
   const double peak_rss_mb = server.PeakRssMb();
   server.Stop();
 
-  plain.mismatches = runner.Verify(plain);
-  if (a.trace) traced.mismatches = runner.Verify(traced);
+  uint64_t checked_plain = 0, checked_traced = 0;
+  plain.mismatches = runner.Verify(plain, &checked_plain);
+  if (a.trace) traced.mismatches = runner.Verify(traced, &checked_traced);
   const uint64_t mismatches = plain.mismatches + traced.mismatches;
   const uint64_t attempted =
       std::max<uint64_t>(1, plain.attempted + traced.attempted);
@@ -868,13 +868,13 @@ int main(int argc, char** argv) {
   std::vector<Metric> record = EndToEnd(runner.setup_times(), plain,
                                         plain_seconds, cpu_trace, peak_rss_mb);
   // Printed and recorded, but not in the result line: failed_frac travels as
-  // `failed` / `attempted` (a result metric must never be 0), and the
-  // latency quantiles move with outside load on a shared host by more than
-  // any usable bound (see cfbench/history/).
+  // `failed` / `attempted` (an end-to-end result metric must never be 0),
+  // and latency_p99_ms moves with outside load on a shared host by more
+  // than the largest allowed bound (see cfbench/history/).
   record.push_back(Point("failed_frac", "ratio", failed_frac, attempted));
   std::vector<Metric> e2e;
   for (const Metric& m : record) {
-    if (m.name != "failed_frac" && m.name.rfind("latency_", 0) != 0) {
+    if (m.name != "failed_frac" && m.name != "latency_p99_ms") {
       e2e.push_back(m);
     }
   }
@@ -883,6 +883,10 @@ int main(int argc, char** argv) {
   std::printf("  (%llu of %llu ops failed)\n",
               static_cast<unsigned long long>(failed),
               static_cast<unsigned long long>(attempted));
+  std::printf("  (oracle recomputed %llu untraced + %llu traced served "
+              "results)\n",
+              static_cast<unsigned long long>(checked_plain),
+              static_cast<unsigned long long>(checked_traced));
   if (mismatches > 0) {
     std::printf("ORACLE MISMATCH: %llu served results differ from the "
                 "in-process recompute\n",

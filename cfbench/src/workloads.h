@@ -41,14 +41,25 @@ std::string WorkloadNames();
 // Closed-loop shape (cold_serving, hot_repeat).
 inline constexpr int kPipelineDepth = 32;  ///< requests in flight per conn
 inline constexpr uint64_t kHotBatches = 32;  ///< hot working set, < cache 256
-inline constexpr uint64_t kColdSampleEvery = 16;  ///< oracle sample stride
-inline constexpr size_t kColdSampleCap = 256;     ///< oracle sample bound
+inline constexpr uint64_t kColdSampleEvery = 97;  ///< oracle sample stride
+inline constexpr uint64_t kColdSampleCap = 4096;  ///< oracle sample bound
+
+/// Whether the oracle recomputes cold_serving request `index` of a phase
+/// whose first request is `first`: every kColdSampleEvery-th request of the
+/// phase, up to kColdSampleCap of them. The sample spans ~400k requests, so
+/// it covers a whole phase and every value generation in it.
+inline bool KeepColdSample(uint64_t first, uint64_t index) {
+  const uint64_t n = index - first;
+  return n % kColdSampleEvery == 0 && n / kColdSampleEvery < kColdSampleCap;
+}
 
 // Open-loop shape (stream_fmri15): one append of kStreamStride samples per
 // lane every kStreamPeriodS seconds, i.e. one window per lane per period.
 // Two independent subjects plus a twin give 2 / kStreamPeriodS distinct
 // windows per second, about half of what the server detects at N=15 on a
-// 4-core host, so a healthy server drops nothing.
+// 4-core host, so a healthy server drops nothing. Its ops_per_s is thus the
+// schedule's kStreamLanes / kStreamPeriodS and moves only when windows are
+// dropped or lost; a slower detector shows in latency_p50_ms.
 inline constexpr int64_t kStreamStride = 4;
 inline constexpr double kStreamPeriodS = 0.06;
 inline constexpr int kStreamLanes = 3;

@@ -120,6 +120,23 @@ TEST(Oracle, PerturbedResultTripsTheOracle) {
   EXPECT_FALSE(SameResult(base, cf::core::DetectionResult(4)));  // geometry
 }
 
+// The cold_serving oracle sample is taken relative to each phase and spans
+// it, so a phase starting far into the request sequence (the traced half of
+// a --trace 1 run) is checked through its later value generations too.
+TEST(Oracle, ColdSampleSpansEveryPhase) {
+  for (const uint64_t first : {uint64_t{0}, uint64_t{19001}}) {
+    uint64_t kept = 0, last = 0;
+    for (uint64_t i = first; i < first + 40000; ++i) {
+      if (KeepColdSample(first, i)) {
+        ++kept;
+        last = i - first;
+      }
+    }
+    EXPECT_EQ(kept, 413u);
+    EXPECT_GT(last, 39000u);
+  }
+}
+
 // A port nothing listens on: bind an ephemeral port, then close it.
 uint16_t DeadPort() {
   auto fd = cf::TcpListen(0);

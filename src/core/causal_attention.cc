@@ -39,7 +39,8 @@ Tensor AttentionCombine(const Tensor& attention, const Tensor& value) {
 
   return MakeOp(
       "attention_combine", {attention, value}, out,
-      [attention, value](const Tensor&, const Tensor& cot) {
+      [attention, value](const Tensor&, const Tensor& cot,
+                         const std::vector<bool>&) {
         const int64_t batch = attention.dim(0);
         const int64_t n = attention.dim(1);
         const int64_t steps = value.dim(3);

@@ -66,18 +66,20 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
 
   return MakeOp(
       "multi_kernel_causal_conv", {x, kernel}, out,
-      [x, kernel, shared_kernel](const Tensor&, const Tensor& cot) {
+      [x, kernel, shared_kernel](const Tensor&, const Tensor& cot,
+                                 const std::vector<bool>& needs) {
         const int64_t batch = x.dim(0);
         const int64_t n = x.dim(1);
         const int64_t steps = x.dim(2);
         const int64_t kdim1 = kernel.dim(1);
-        Tensor gx = Tensor::Zeros(x.shape());
-        Tensor gk = Tensor::Zeros(kernel.shape());
+        // The two halves are independent; an unneeded one is skipped.
+        Tensor gx = needs[0] ? Tensor::Zeros(x.shape()) : Tensor();
+        Tensor gk = needs[1] ? Tensor::Zeros(kernel.shape()) : Tensor();
         const float* px = x.data();
         const float* pk = kernel.data();
         const float* pc = cot.data();
-        float* pgx = gx.data();
-        float* pgk = gk.data();
+        float* pgx = needs[0] ? gx.data() : nullptr;
+        float* pgk = needs[1] ? gk.data() : nullptr;
         // Serial over (b, i, j); the grad-kernel buffer is shared across
         // batches so parallelising would race on pgk.
         const std::vector<float> denom = DenomRow(steps);
@@ -85,11 +87,11 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         for (int64_t b = 0; b < batch; ++b) {
           for (int64_t i = 0; i < n; ++i) {
             const float* xrow = px + (b * n + i) * steps;
-            float* gxrow = pgx + (b * n + i) * steps;
+            float* gxrow = pgx ? pgx + (b * n + i) * steps : nullptr;
             for (int64_t j = 0; j < n; ++j) {
               const int64_t kj = shared_kernel ? 0 : j;
               const float* krow = pk + (i * kdim1 + kj) * steps;
-              float* gkrow = pgk + (i * kdim1 + kj) * steps;
+              float* gkrow = pgk ? pgk + (i * kdim1 + kj) * steps : nullptr;
               const float* crow = pc + ((b * n + i) * n + j) * steps;
               const simd::KernelTable& K = simd::Active();
               K.div(crow, denom.data(), cs.data(), steps);
@@ -97,8 +99,8 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
                 const float c = cs[static_cast<size_t>(t)];
                 if (c == 0.0f) continue;
                 // Two contiguous axpys: taps steps-1-t.. pair with x[0..t].
-                K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
+                if (gxrow) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
+                if (gkrow) K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
               }
             }
           }
@@ -154,19 +156,22 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
 
   return MakeOp(
       "grouped_multi_kernel_causal_conv", {x, kernel}, out,
-      [x, kernel, row_groups, shared_kernel](const Tensor&, const Tensor& cot) {
+      [x, kernel, row_groups, shared_kernel](const Tensor&, const Tensor& cot,
+                                             const std::vector<bool>& needs) {
         const int64_t batch = x.dim(0);
         const int64_t n = x.dim(1);
         const int64_t steps = x.dim(2);
         const int64_t kdim2 = kernel.dim(2);
         const int64_t groups = kernel.dim(0);
-        Tensor gx = Tensor::Zeros(x.shape());
-        Tensor gk = Tensor::Zeros(kernel.shape());
+        // The two halves are independent; an unneeded one is skipped (the
+        // detector reads only gk: its input windows carry no gradient).
+        Tensor gx = needs[0] ? Tensor::Zeros(x.shape()) : Tensor();
+        Tensor gk = needs[1] ? Tensor::Zeros(kernel.shape()) : Tensor();
         const float* px = x.data();
         const float* pk = kernel.data();
         const float* pc = cot.data();
-        float* pgx = gx.data();
-        float* pgk = gk.data();
+        float* pgx = needs[0] ? gx.data() : nullptr;
+        float* pgk = needs[1] ? gk.data() : nullptr;
         // Parallel over (group, source) pairs: every gk row (g, i, *) and gx
         // row (b, i) with row_groups[b] == g is touched by exactly one pair,
         // and each group's rows are visited in ascending b — the same
@@ -185,19 +190,20 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
             const int64_t i = gi % n;
             for (const int64_t b : group_rows[static_cast<size_t>(g)]) {
               const float* xrow = px + (b * n + i) * steps;
-              float* gxrow = pgx + (b * n + i) * steps;
+              float* gxrow = pgx ? pgx + (b * n + i) * steps : nullptr;
               for (int64_t j = 0; j < n; ++j) {
                 const int64_t kj = shared_kernel ? 0 : j;
                 const float* krow = pk + ((g * n + i) * kdim2 + kj) * steps;
-                float* gkrow = pgk + ((g * n + i) * kdim2 + kj) * steps;
+                float* gkrow =
+                    pgk ? pgk + ((g * n + i) * kdim2 + kj) * steps : nullptr;
                 const float* crow = pc + ((b * n + i) * n + j) * steps;
                 const simd::KernelTable& K = simd::Active();
                 K.div(crow, denom.data(), cs.data(), steps);
                 for (int64_t t = 0; t < steps; ++t) {
                   const float c = cs[static_cast<size_t>(t)];
                   if (c == 0.0f) continue;
-                  K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                  K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
+                  if (gxrow) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
+                  if (gkrow) K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
                 }
               }
             }
@@ -227,7 +233,8 @@ Tensor ShiftRightDiagonal(const Tensor& conv) {
   }
 
   return MakeOp("shift_right_diagonal", {conv}, out,
-                [batch, n, steps](const Tensor&, const Tensor& cot) {
+                [batch, n, steps](const Tensor&, const Tensor& cot,
+                                  const std::vector<bool>&) {
                   // Adjoint: shift the diagonal cotangent left by one.
                   Tensor g = cot.Clone();
                   float* pg = g.data();

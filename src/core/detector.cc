@@ -14,19 +14,29 @@ namespace core {
 
 namespace {
 
+// Which of the two walks the ablation switches read: the gradient feeds every
+// variant with use_gradient, relevance every variant but "w/o relevance".
+bool NeedsGradient(const DetectorOptions& opts) { return opts.use_gradient; }
+bool NeedsRelevance(const DetectorOptions& opts) {
+  return opts.use_relevance || !opts.use_gradient;
+}
+
 // Combines relevance and gradient into a causal score tensor according to the
-// ablation switches. Undefined inputs are treated as all-zero.
+// ablation switches. Only the inputs the variant needs are read; an undefined
+// one (the walk never reached the tensor) is treated as all-zero.
 Tensor CombineScores(const Tensor& relevance, const Tensor& gradient,
                      const Shape& shape, const DetectorOptions& opts) {
-  const Tensor r = relevance.defined() ? relevance : Tensor::Zeros(shape);
-  const Tensor g = gradient.defined() ? gradient : Tensor::Zeros(shape);
-  if (opts.use_relevance && opts.use_gradient) {
-    return interpret::ModulateByGradient(r, g);
+  auto or_zeros = [&shape](const Tensor& t) {
+    return t.defined() ? t : Tensor::Zeros(shape);
+  };
+  if (!NeedsRelevance(opts)) {
+    return interpret::AbsGradientScore(or_zeros(gradient));
   }
-  if (!opts.use_relevance && opts.use_gradient) {
-    return interpret::AbsGradientScore(g);
+  if (!NeedsGradient(opts)) {
+    return interpret::RectifiedRelevanceScore(or_zeros(relevance));
   }
-  return interpret::RectifiedRelevanceScore(r);
+  return interpret::ModulateByGradient(or_zeros(relevance),
+                                       or_zeros(gradient));
 }
 
 // Mean over batch rows [begin, end) of a [B, N, N] tensor -> [N, N] raw
@@ -161,9 +171,15 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     }
   } else {
     // Full detector: per-target one-hot seeds over every request's rows; one
-    // gradient map + one relevance walk per target serves the whole batch.
-    // The tape's topo order is the same for every target, so walk it once.
-    const std::vector<Tensor> order = ReverseTopoOrder(fwd.prediction);
+    // gradient walk + one relevance walk per target serves the whole batch,
+    // each skipped when the ablation variant discards it. Both walks read
+    // only A and K, so they share one plan of the tape's live part.
+    std::vector<Tensor> wanted = fwd.attention;
+    wanted.push_back(fwd.kernel_groups);
+    const WalkPlan plan = PlanWalk(fwd.prediction, wanted);
+    interpret::RelevanceOptions ropts;
+    ropts.epsilon = options.epsilon;
+    ropts.bias_absorption = options.bias_absorption;
     for (int target = 0; target < n; ++target) {
       Tensor seed = Tensor::Zeros(fwd.prediction.shape());
       {
@@ -174,19 +190,16 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
         }
       }
 
-      const GradientMap grads = [&] {
+      GradientMap grads;
+      if (NeedsGradient(options)) {
         obs::ScopedPhaseTimer timer("backward");
-        return ComputeGradients(fwd.prediction, seed, order);
-      }();
-
-      interpret::RelevanceOptions ropts;
-      ropts.epsilon = options.epsilon;
-      ropts.bias_absorption = options.bias_absorption;
-      const interpret::RelevanceMap relevance = [&] {
+        grads = ComputeGradients(plan, seed);
+      }
+      interpret::RelevanceMap relevance;
+      if (NeedsRelevance(options)) {
         obs::ScopedPhaseTimer timer("relevance");
-        return interpret::PropagateRelevance(fwd.prediction, seed, ropts,
-                                             order);
-      }();
+        relevance = interpret::PropagateRelevance(plan, seed, ropts);
+      }
 
       // Attention scores (S(A)[target]) per request.
       for (const Tensor& a : fwd.attention) {

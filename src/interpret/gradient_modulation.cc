@@ -17,7 +17,8 @@ Tensor ModulateByGradient(const Tensor& relevance, const Tensor& gradient) {
   const float* pr = relevance.data();
   const float* pg = gradient.data();
   float* po = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) {
+  const int64_t n = out.numel();
+  for (int64_t i = 0; i < n; ++i) {
     const float v = std::fabs(pg[i]) * pr[i];
     po[i] = v > 0.0f ? v : 0.0f;
   }
@@ -29,7 +30,8 @@ Tensor AbsGradientScore(const Tensor& gradient) {
   Tensor out = Tensor::Zeros(gradient.shape());
   const float* pg = gradient.data();
   float* po = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) po[i] = std::fabs(pg[i]);
+  const int64_t n = out.numel();
+  for (int64_t i = 0; i < n; ++i) po[i] = std::fabs(pg[i]);
   return out;
 }
 
@@ -38,7 +40,8 @@ Tensor RectifiedRelevanceScore(const Tensor& relevance) {
   Tensor out = Tensor::Zeros(relevance.shape());
   const float* pr = relevance.data();
   float* po = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) {
+  const int64_t n = out.numel();
+  for (int64_t i = 0; i < n; ++i) {
     po[i] = pr[i] > 0.0f ? pr[i] : 0.0f;
   }
   return out;

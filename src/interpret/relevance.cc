@@ -44,62 +44,32 @@ bool IsBiasAdd(const Node& node) {
 
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options) {
-  CF_CHECK(output.defined());
-  return PropagateRelevance(output, seed, options, ReverseTopoOrder(output));
+  return PropagateRelevance(PlanWalk(output), seed, options);
 }
 
-RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
-                                const RelevanceOptions& options,
-                                const std::vector<Tensor>& order) {
-  CF_CHECK(output.defined());
-  // ReverseTopoOrder lists the root first; an order built for a different
-  // output would silently yield a near-empty map (the seed keys off output).
-  CF_CHECK(!order.empty() && order.front().impl() == output.impl())
-      << "order does not belong to output";
-  CF_CHECK(seed.defined());
-  CF_CHECK(seed.shape() == output.shape())
-      << "relevance seed " << seed.shape().ToString() << " vs output "
-      << output.shape().ToString();
-
-  RelevanceMap relevance;
-  relevance[output.impl()] = seed.Clone();
-
-  for (const Tensor& t : order) {
-    const auto it = relevance.find(t.impl());
-    if (it == relevance.end()) continue;
-    const Tensor r_out = it->second;
-    const auto& fn = t.grad_fn();
-    if (fn == nullptr) continue;
-
-    std::vector<Tensor> contributions(fn->inputs.size());
-    if (!options.bias_absorption && IsBiasAdd(*fn)) {
+RelevanceMap PropagateRelevance(const WalkPlan& plan, const Tensor& seed,
+                                const RelevanceOptions& options) {
+  return WalkTape(plan, seed, [&options](const WalkStep& step,
+                                         const Tensor& r_out) {
+    const Node& fn = *step.tensor.grad_fn();
+    std::vector<Tensor> contributions(fn.inputs.size());
+    if (!options.bias_absorption && IsBiasAdd(fn)) {
       // Route everything through the data operand; the bias gets nothing.
-      contributions[0] = ReduceToShape(r_out, fn->inputs[0].shape());
-    } else {
-      // Generic Eq. (17)/(18): R_in = x ⊙ vjp(R_out / f_out).
-      const Tensor s = SafeRatio(r_out, t, options.epsilon);
-      const std::vector<Tensor> cots = fn->vjp(t, s);
-      CF_CHECK_EQ(cots.size(), fn->inputs.size());
-      for (size_t i = 0; i < fn->inputs.size(); ++i) {
-        if (!fn->inputs[i].defined() || !cots[i].defined()) continue;
-        contributions[i] = HadamardRaw(fn->inputs[i], cots[i]);
+      if (step.needs[0]) {
+        contributions[0] = ReduceToShape(r_out, fn.inputs[0].shape());
       }
+      return contributions;
     }
-
-    for (size_t i = 0; i < fn->inputs.size(); ++i) {
-      const Tensor& input = fn->inputs[i];
-      const Tensor& contrib = contributions[i];
-      if (!input.defined() || !contrib.defined()) continue;
-      auto [slot, inserted] = relevance.try_emplace(input.impl(), Tensor());
-      if (inserted) {
-        slot->second = contrib.Clone();
-      } else {
-        simd::Active().accumulate(slot->second.data(), contrib.data(),
-                                  contrib.numel());
-      }
+    // Generic Eq. (17)/(18): R_in = x ⊙ vjp(R_out / f_out).
+    const Tensor s = SafeRatio(r_out, step.tensor, options.epsilon);
+    const std::vector<Tensor> cots = fn.vjp(step.tensor, s, step.needs);
+    CF_CHECK_EQ(cots.size(), fn.inputs.size());
+    for (size_t i = 0; i < fn.inputs.size(); ++i) {
+      if (!step.needs[i] || !cots[i].defined()) continue;
+      contributions[i] = HadamardRaw(fn.inputs[i], cots[i]);
     }
-  }
-  return relevance;
+    return contributions;
+  });
 }
 
 Tensor RelevanceOf(const RelevanceMap& map, const Tensor& t) {

@@ -50,17 +50,17 @@ using RelevanceMap = std::unordered_map<internal::TensorImpl*, Tensor>;
 
 /// Runs RRP from `output` seeded with `seed` (same shape; typically the
 /// one-hot row selection of Fig. 6a). Returns the relevance of every tensor
-/// reached on the tape, including leaf parameters such as the causal
-/// convolution kernels.
+/// the full walk reaches (see PlanWalk): intermediates and every leaf that
+/// requires grad, such as the causal convolution kernels. An input window
+/// receives relevance only when marked requires_grad.
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options = {});
 
-/// As above, but walks a caller-supplied ReverseTopoOrder(output) instead of
-/// recomputing it — for callers (the detector's per-target loop) that reuse
-/// one tape order across many seeds.
-RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
-                                const RelevanceOptions& options,
-                                const std::vector<Tensor>& order);
+/// As above, over a plan from PlanWalk(output, ...) — for callers (the
+/// detector's per-target loop) that reuse one plan across many seeds and
+/// read only the plan's wanted tensors.
+RelevanceMap PropagateRelevance(const WalkPlan& plan, const Tensor& seed,
+                                const RelevanceOptions& options = {});
 
 /// Looks up the relevance of `t`, or an undefined Tensor when none reached it.
 Tensor RelevanceOf(const RelevanceMap& map, const Tensor& t);

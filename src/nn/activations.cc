@@ -36,7 +36,8 @@ Tensor Clamp(const Tensor& x, float lo, float hi) {
     po[i] = px[i] < lo ? lo : (px[i] > hi ? hi : px[i]);
   }
   return MakeOp("clamp", {x}, out,
-                [x, lo, hi](const Tensor&, const Tensor& cot) {
+                [x, lo, hi](const Tensor&, const Tensor& cot,
+                            const std::vector<bool>&) {
                   Tensor g = Tensor::Zeros(x.shape());
                   const float* px = x.data();
                   const float* pc = cot.data();

@@ -56,8 +56,8 @@ Tensor CausalConv1d(const Tensor& x, const Tensor& weight, const Tensor& bias,
   if (bias.defined()) inputs.push_back(bias);
   return MakeOp(
       "causal_conv1d", inputs, out,
-      [x, weight, bias, dilation, groups, shift](const Tensor&,
-                                                 const Tensor& cot) {
+      [x, weight, bias, dilation, groups, shift](
+          const Tensor&, const Tensor& cot, const std::vector<bool>&) {
         const int64_t batch = x.dim(0);
         const int64_t c_in = x.dim(1);
         const int64_t steps = x.dim(2);

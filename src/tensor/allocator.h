@@ -26,8 +26,9 @@
 
 namespace causalformer {
 
-/// Where a buffer's memory lives. CPU only today; the tag is the seam a
-/// GPU/accelerator backend plugs into (ROADMAP item 2).
+/// Where a buffer's memory lives. CPU only; the tag is the seam a GPU or
+/// accelerator backend would plug into. None is planned: ROADMAP.md drops
+/// the CUDA and oneDNN backends, which need hardware or a download.
 enum class DeviceTag { kCpu };
 
 /// Alignment of every tensor buffer in bytes: one cache line, which also

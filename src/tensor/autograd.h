@@ -13,22 +13,24 @@
 /// Define-by-run reverse-mode automatic differentiation.
 ///
 /// Each differentiable op calls MakeOp() with a vector-Jacobian-product (VJP)
-/// closure: given the op's output value and an output cotangent, the closure
-/// returns one cotangent per input (an undefined Tensor marks a
-/// non-differentiable input). RunBackward() walks the tape in reverse
-/// topological order and accumulates gradients into every tensor that
-/// requires them — including intermediates, which the causality detector
-/// reads (attention matrices) for gradient modulation.
+/// closure: given the op's output value, an output cotangent and which inputs
+/// need one, the closure returns one cotangent per input (an undefined Tensor
+/// marks an input that gets none). A WalkPlan lists the part of the tape a
+/// reverse walk must visit; RunBackward() walks the full plan and accumulates
+/// gradients into every tensor that requires them — including intermediates.
 ///
-/// The same tape drives regression relevance propagation: Eq. (17) of the
-/// paper, R_in = x ⊙ (∂f/∂x)ᵀ s with s = R_out / f_out, reuses exactly these
-/// VJP closures (see interpret/relevance.h).
+/// The same tape and plans drive regression relevance propagation: Eq. (17)
+/// of the paper, R_in = x ⊙ (∂f/∂x)ᵀ s with s = R_out / f_out, reuses exactly
+/// these VJP closures (see interpret/relevance.h).
 
 namespace causalformer {
 
-/// VJP: (output value, output cotangent) -> cotangent per input.
-using VjpFn =
-    std::function<std::vector<Tensor>(const Tensor& out, const Tensor& cot)>;
+/// VJP: (output value, output cotangent, needs) -> cotangent per input.
+/// `needs` holds one flag per input (PyTorch's needs_input_grad); a VJP may
+/// skip the work for an input whose flag is false and return an undefined
+/// Tensor in its place.
+using VjpFn = std::function<std::vector<Tensor>(
+    const Tensor& out, const Tensor& cot, const std::vector<bool>& needs)>;
 
 /// A recorded op on the tape, owned by its output tensor.
 struct Node {
@@ -48,14 +50,52 @@ Tensor MakeOp(const std::string& name, std::vector<Tensor> inputs, Tensor out,
 /// of the data-flow DAG). `root` is first.
 std::vector<Tensor> ReverseTopoOrder(const Tensor& root);
 
-/// Runs reverse-mode accumulation from `root` seeded with `seed` (same shape
-/// as `root`). Gradients are accumulated into impl->grad of every tensor with
-/// requires_grad — leaves and intermediates alike.
-void RunBackward(const Tensor& root, const Tensor& seed);
+/// One tensor a reverse walk delivers a cotangent to.
+struct WalkStep {
+  Tensor tensor;
+  /// One flag per input of tensor.grad_fn(): whether the walk needs that
+  /// input's cotangent. Empty when the walk does not run this tensor's VJP:
+  /// a leaf, or a wanted tensor with nothing wanted below it.
+  std::vector<bool> needs;
+  /// Whether the walk's result keeps this tensor's cotangent. A pruned walk
+  /// drops an intermediate's cotangent as soon as its VJP has consumed it.
+  bool keep = true;
+};
+
+/// The live part of the tape under `root`, root first: each step precedes
+/// the steps of its inputs, in ReverseTopoOrder(root) order.
+struct WalkPlan {
+  Tensor root;
+  std::vector<WalkStep> steps;
+};
+
+/// Plans a reverse walk from `root` for a caller that reads the cotangents of
+/// `wanted` only.
+///
+/// With `wanted` empty this is the full walk: an input is needed when it
+/// requires grad or has a grad_fn, and the result keeps every cotangent.
+/// Otherwise the plan keeps only the nodes whose VJP feeds a path to a wanted
+/// tensor, flags only the inputs on such a path, and the result holds the
+/// wanted tensors alone. Every consumer of a kept node is itself kept, in
+/// the same relative order, so each wanted cotangent sums the same terms in
+/// the same order as under the full walk: the two agree bit for bit.
+WalkPlan PlanWalk(const Tensor& root, const std::vector<Tensor>& wanted = {});
 
 /// Gradient per tape tensor, keyed by tensor identity (same convention as
 /// interpret::RelevanceMap).
 using GradientMap = std::unordered_map<internal::TensorImpl*, Tensor>;
+
+/// A walk's per-node rule: given a step whose tensor has a grad_fn and that
+/// tensor's complete cotangent, returns one contribution per grad_fn input
+/// (undefined for none; flags false in step.needs are ignored).
+using WalkRule =
+    std::function<std::vector<Tensor>(const WalkStep& step, const Tensor& cot)>;
+
+/// The one reverse walk: seeds plan.root with a copy of `seed`, then visits
+/// the plan's steps in order, summing each rule contribution into its input's
+/// entry. Returns the entries of the steps marked keep.
+GradientMap WalkTape(const WalkPlan& plan, const Tensor& seed,
+                     const WalkRule& rule);
 
 /// Pure variant of RunBackward: returns the cotangent of every tensor reached
 /// on the tape instead of accumulating into shared impl->grad buffers. Because
@@ -64,14 +104,17 @@ using GradientMap = std::unordered_map<internal::TensorImpl*, Tensor>;
 /// concurrently — the property the serving layer's detector relies on.
 GradientMap ComputeGradients(const Tensor& root, const Tensor& seed);
 
-/// As above, but walks a caller-supplied ReverseTopoOrder(root) instead of
-/// recomputing it — for callers (RunBackward) that need the order themselves
-/// and would otherwise traverse the tape twice.
-GradientMap ComputeGradients(const Tensor& root, const Tensor& seed,
-                             const std::vector<Tensor>& order);
+/// As above, over a plan from PlanWalk — for callers that walk one tape many
+/// times (the detector, once per target) or read only a few tensors.
+GradientMap ComputeGradients(const WalkPlan& plan, const Tensor& seed);
 
 /// Looks up the gradient of `t`, or an undefined Tensor when none reached it.
 Tensor GradientOf(const GradientMap& map, const Tensor& t);
+
+/// Runs reverse-mode accumulation from `root` seeded with `seed` (same shape
+/// as `root`). Gradients are accumulated into impl->grad of every tensor with
+/// requires_grad — leaves and intermediates alike.
+void RunBackward(const Tensor& root, const Tensor& seed);
 
 }  // namespace causalformer
 

@@ -88,6 +88,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
       }
     }
   }
+  const std::vector<int64_t>& od = out_shape.dims();
   int64_t oa = 0, ob = 0;
   for (int64_t i = 0; i < n; ++i) {
     o[i] = fn(pa[oa], pb[ob]);
@@ -96,9 +97,9 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
       ++idx[d];
       oa += sa[d];
       ob += sb[d];
-      if (idx[d] < out_shape[d]) break;
-      oa -= sa[d] * out_shape[d];
-      ob -= sb[d] * out_shape[d];
+      if (idx[d] < od[d]) break;
+      oa -= sa[d] * od[d];
+      ob -= sb[d] * od[d];
       idx[d] = 0;
     }
   }
@@ -115,7 +116,8 @@ Tensor UnaryOp(const std::string& name, const Tensor& x,
   const int64_t n = x.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(px[i]);
   return MakeOp(name, {x}, out,
-                [x, dfn_xy](const Tensor& y, const Tensor& cot) {
+                [x, dfn_xy](const Tensor& y, const Tensor& cot,
+                            const std::vector<bool>&) {
                   Tensor gx = Tensor::Empty(x.shape());
                   const float* px = x.data();
                   const float* py = y.data();
@@ -134,11 +136,13 @@ Tensor UnaryOp(const std::string& name, const Tensor& x,
 Tensor ScaleOp(const std::string& name, const Tensor& x, float c) {
   Tensor out = Tensor::Empty(x.shape());
   simd::Active().scale(c, x.data(), out.data(), x.numel());
-  return MakeOp(name, {x}, out, [c](const Tensor& y, const Tensor& cot) {
-    Tensor gx = Tensor::Empty(cot.shape());
-    simd::Active().scale(c, cot.data(), gx.data(), cot.numel());
-    return std::vector<Tensor>{gx};
-  });
+  return MakeOp(name, {x}, out,
+                [c](const Tensor&, const Tensor& cot,
+                    const std::vector<bool>&) {
+                  Tensor gx = Tensor::Empty(cot.shape());
+                  simd::Active().scale(c, cot.data(), gx.data(), cot.numel());
+                  return std::vector<Tensor>{gx};
+                });
 }
 
 }  // namespace
@@ -159,6 +163,7 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
       so[nd - i] = stro[target.ndim() - i];
     }
   }
+  const std::vector<int64_t>& td = t.shape().dims();
   const int64_t n = t.numel();
   int64_t oo = 0;
   for (int64_t i = 0; i < n; ++i) {
@@ -166,8 +171,8 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
     for (int d = nd - 1; d >= 0; --d) {
       ++idx[d];
       oo += so[d];
-      if (idx[d] < t.shape()[d]) break;
-      oo -= so[d] * t.shape()[d];
+      if (idx[d] < td[d]) break;
+      oo -= so[d] * td[d];
       idx[d] = 0;
     }
   }
@@ -177,50 +182,80 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kAdd,
                                [](float x, float y) { return x + y; });
-  return MakeOp("add", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
-    return std::vector<Tensor>{ReduceToShape(cot, a.shape()),
-                               ReduceToShape(cot, b.shape())};
-  });
+  return MakeOp("add", {a, b}, out,
+                [a, b](const Tensor&, const Tensor& cot,
+                       const std::vector<bool>& needs) {
+                  std::vector<Tensor> grads(2);
+                  if (needs[0]) grads[0] = ReduceToShape(cot, a.shape());
+                  if (needs[1]) grads[1] = ReduceToShape(cot, b.shape());
+                  return grads;
+                });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kSub,
                                [](float x, float y) { return x - y; });
-  return MakeOp("sub", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
-    Tensor gb = Tensor::Empty(cot.shape());
-    simd::Active().scale(-1.0f, cot.data(), gb.data(), cot.numel());
-    return std::vector<Tensor>{ReduceToShape(cot, a.shape()),
-                               ReduceToShape(gb, b.shape())};
-  });
+  return MakeOp("sub", {a, b}, out,
+                [a, b](const Tensor&, const Tensor& cot,
+                       const std::vector<bool>& needs) {
+                  std::vector<Tensor> grads(2);
+                  if (needs[0]) grads[0] = ReduceToShape(cot, a.shape());
+                  if (needs[1]) {
+                    Tensor gb = Tensor::Empty(cot.shape());
+                    simd::Active().scale(-1.0f, cot.data(), gb.data(),
+                                         cot.numel());
+                    grads[1] = ReduceToShape(gb, b.shape());
+                  }
+                  return grads;
+                });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kMul,
                                [](float x, float y) { return x * y; });
-  return MakeOp("mul", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
-    Tensor ga_full = BroadcastBinary(cot, b, BinKind::kMul,
-                                     [](float c, float y) { return c * y; });
-    Tensor gb_full = BroadcastBinary(cot, a, BinKind::kMul,
-                                     [](float c, float x) { return c * x; });
-    return std::vector<Tensor>{ReduceToShape(ga_full, a.shape()),
-                               ReduceToShape(gb_full, b.shape())};
-  });
+  return MakeOp("mul", {a, b}, out,
+                [a, b](const Tensor&, const Tensor& cot,
+                       const std::vector<bool>& needs) {
+                  auto times = [](float c, float v) { return c * v; };
+                  std::vector<Tensor> grads(2);
+                  if (needs[0]) {
+                    grads[0] = ReduceToShape(
+                        BroadcastBinary(cot, b, BinKind::kMul, times),
+                        a.shape());
+                  }
+                  if (needs[1]) {
+                    grads[1] = ReduceToShape(
+                        BroadcastBinary(cot, a, BinKind::kMul, times),
+                        b.shape());
+                  }
+                  return grads;
+                });
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kDiv,
                                [](float x, float y) { return x / y; });
-  return MakeOp("div", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
-    Tensor ga_full = BroadcastBinary(cot, b, BinKind::kDiv,
-                                     [](float c, float y) { return c / y; });
-    Tensor tmp = BroadcastBinary(
-        a, b, BinKind::kGeneric,
-        [](float x, float y) { return -x / (y * y); });
-    Tensor gb_full = BroadcastBinary(cot, tmp, BinKind::kMul,
-                                     [](float c, float t) { return c * t; });
-    return std::vector<Tensor>{ReduceToShape(ga_full, a.shape()),
-                               ReduceToShape(gb_full, b.shape())};
-  });
+  return MakeOp("div", {a, b}, out,
+                [a, b](const Tensor&, const Tensor& cot,
+                       const std::vector<bool>& needs) {
+                  std::vector<Tensor> grads(2);
+                  if (needs[0]) {
+                    grads[0] = ReduceToShape(
+                        BroadcastBinary(cot, b, BinKind::kDiv,
+                                        [](float c, float y) { return c / y; }),
+                        a.shape());
+                  }
+                  if (needs[1]) {
+                    Tensor tmp = BroadcastBinary(
+                        a, b, BinKind::kGeneric,
+                        [](float x, float y) { return -x / (y * y); });
+                    grads[1] = ReduceToShape(
+                        BroadcastBinary(cot, tmp, BinKind::kMul,
+                                        [](float c, float t) { return c * t; }),
+                        b.shape());
+                  }
+                  return grads;
+                });
 }
 
 Tensor Neg(const Tensor& x) { return ScaleOp("neg", x, -1.0f); }

@@ -95,35 +95,43 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                  /*transpose_a=*/false, /*transpose_b=*/false);
   }
 
-  return MakeOp("matmul", {a, b}, out, [a, b, plan](const Tensor&,
-                                                    const Tensor& cot) {
+  return MakeOp("matmul", {a, b}, out, [a, b, plan](
+                                           const Tensor&, const Tensor& cot,
+                                           const std::vector<bool>& needs) {
     // dA = cot @ B^T, dB = A^T @ cot; broadcast batches reduce by summation.
     obs::ScopedPhaseTimer timer("kernel.matmul", /*kernel=*/true);
     const bool a_batched = plan.a_bstride != 0;
     const bool b_batched = plan.b_bstride != 0;
 
-    Tensor ga_full =
-        Tensor::Empty(a_batched ? a.shape()
-                                : Shape({plan.batch, plan.m, plan.k}));
-    MatMulKernel(cot.data(), b.data(), ga_full.data(), plan.batch, plan.m,
-                 plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
-                 plan.m * plan.k, /*transpose_a=*/false, /*transpose_b=*/true);
-    Tensor ga = a_batched || plan.batch == 1
-                    ? (a_batched ? ga_full : Reshape(ga_full, a.shape()))
-                    : ReduceToShape(
-                          ga_full, Shape({1, plan.m, plan.k}));
-    if (!a_batched && plan.batch > 1) ga = Reshape(ga, a.shape());
+    Tensor ga;
+    if (needs[0]) {
+      Tensor ga_full =
+          Tensor::Empty(a_batched ? a.shape()
+                                  : Shape({plan.batch, plan.m, plan.k}));
+      MatMulKernel(cot.data(), b.data(), ga_full.data(), plan.batch, plan.m,
+                   plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
+                   plan.m * plan.k, /*transpose_a=*/false,
+                   /*transpose_b=*/true);
+      ga = a_batched || plan.batch == 1
+               ? (a_batched ? ga_full : Reshape(ga_full, a.shape()))
+               : ReduceToShape(ga_full, Shape({1, plan.m, plan.k}));
+      if (!a_batched && plan.batch > 1) ga = Reshape(ga, a.shape());
+    }
 
-    Tensor gb_full =
-        Tensor::Empty(b_batched ? b.shape()
-                                : Shape({plan.batch, plan.k, plan.n}));
-    MatMulKernel(a.data(), cot.data(), gb_full.data(), plan.batch, plan.k,
-                 plan.m, plan.n, plan.a_bstride, plan.m * plan.n,
-                 plan.k * plan.n, /*transpose_a=*/true, /*transpose_b=*/false);
-    Tensor gb = b_batched || plan.batch == 1
-                    ? (b_batched ? gb_full : Reshape(gb_full, b.shape()))
-                    : ReduceToShape(gb_full, Shape({1, plan.k, plan.n}));
-    if (!b_batched && plan.batch > 1) gb = Reshape(gb, b.shape());
+    Tensor gb;
+    if (needs[1]) {
+      Tensor gb_full =
+          Tensor::Empty(b_batched ? b.shape()
+                                  : Shape({plan.batch, plan.k, plan.n}));
+      MatMulKernel(a.data(), cot.data(), gb_full.data(), plan.batch, plan.k,
+                   plan.m, plan.n, plan.a_bstride, plan.m * plan.n,
+                   plan.k * plan.n, /*transpose_a=*/true,
+                   /*transpose_b=*/false);
+      gb = b_batched || plan.batch == 1
+               ? (b_batched ? gb_full : Reshape(gb_full, b.shape()))
+               : ReduceToShape(gb_full, Shape({1, plan.k, plan.n}));
+      if (!b_batched && plan.batch > 1) gb = Reshape(gb, b.shape());
+    }
 
     return std::vector<Tensor>{ga, gb};
   });

@@ -44,10 +44,12 @@ Tensor Sum(const Tensor& x) {
   const float* p = x.data();
   for (int64_t i = 0; i < x.numel(); ++i) acc += p[i];
   Tensor out = Tensor::Scalar(static_cast<float>(acc));
-  return MakeOp("sum", {x}, out, [x](const Tensor&, const Tensor& cot) {
-    Tensor g = Tensor::Full(x.shape(), cot.item());
-    return std::vector<Tensor>{g};
-  });
+  return MakeOp("sum", {x}, out,
+                [x](const Tensor&, const Tensor& cot,
+                    const std::vector<bool>&) {
+                  Tensor g = Tensor::Full(x.shape(), cot.item());
+                  return std::vector<Tensor>{g};
+                });
 }
 
 Tensor Sum(const Tensor& x, int axis, bool keepdim) {
@@ -69,7 +71,8 @@ Tensor Sum(const Tensor& x, int axis, bool keepdim) {
     }
   }
   return MakeOp("sum_axis", {x}, out,
-                [x, ax, outer, len, inner](const Tensor&, const Tensor& cot) {
+                [x, ax, outer, len, inner](const Tensor&, const Tensor& cot,
+                                           const std::vector<bool>&) {
                   Tensor g = Tensor::Empty(x.shape());
                   const float* pc = cot.data();
                   float* pg = g.data();

@@ -21,11 +21,14 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
       << "Reshape " << x.shape().ToString() << " -> " << shape.ToString();
   Tensor out = Tensor::FromVector(
       shape, std::vector<float>(x.data(), x.data() + x.numel()));
-  return MakeOp("reshape", {x}, out, [x](const Tensor&, const Tensor& cot) {
-    Tensor g = Tensor::FromVector(
-        x.shape(), std::vector<float>(cot.data(), cot.data() + cot.numel()));
-    return std::vector<Tensor>{g};
-  });
+  return MakeOp("reshape", {x}, out,
+                [x](const Tensor&, const Tensor& cot,
+                    const std::vector<bool>&) {
+                  Tensor g = Tensor::FromVector(
+                      x.shape(),
+                      std::vector<float>(cot.data(), cot.data() + cot.numel()));
+                  return std::vector<Tensor>{g};
+                });
 }
 
 Tensor Transpose(const Tensor& x, int dim0, int dim1) {
@@ -52,13 +55,14 @@ Tensor Transpose(const Tensor& x, int dim0, int dim1) {
     for (int d = nd - 1; d >= 0; --d) {
       ++idx[d];
       src += perm_strides[d];
-      if (idx[d] < out_shape[d]) break;
-      src -= perm_strides[d] * out_shape[d];
+      if (idx[d] < out_dims[d]) break;
+      src -= perm_strides[d] * out_dims[d];
       idx[d] = 0;
     }
   }
   return MakeOp("transpose", {x}, out,
-                [d0, d1](const Tensor&, const Tensor& cot) {
+                [d0, d1](const Tensor&, const Tensor& cot,
+                         const std::vector<bool>&) {
                   // Gradient of a transpose is the same transpose. The
                   // cotangent never requires grad, so no tape node is added.
                   return std::vector<Tensor>{Transpose(cot, d0, d1)};
@@ -87,7 +91,8 @@ Tensor Slice(const Tensor& x, int axis, int64_t start, int64_t end) {
   }
   return MakeOp(
       "slice", {x}, out,
-      [x, outer, inner, len, out_len, start](const Tensor&, const Tensor& cot) {
+      [x, outer, inner, len, out_len, start](const Tensor&, const Tensor& cot,
+                                             const std::vector<bool>&) {
         Tensor g = Tensor::Zeros(x.shape());
         const float* pc = cot.data();
         float* pg = g.data();
@@ -136,8 +141,9 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   for (const auto& p : parts) part_lens.push_back(p.shape()[ax]);
 
   return MakeOp("concat", parts, out,
-                [parts, part_lens, outer, inner, total](const Tensor&,
-                                                        const Tensor& cot) {
+                [parts, part_lens, outer, inner, total](
+                    const Tensor&, const Tensor& cot,
+                    const std::vector<bool>&) {
                   std::vector<Tensor> grads;
                   grads.reserve(parts.size());
                   const float* pc = cot.data();
@@ -191,7 +197,8 @@ Tensor TileBatch(const Tensor& x, int64_t count) {
     std::memcpy(po + c * inner, px, static_cast<size_t>(inner) * sizeof(float));
   }
   return MakeOp("tile_batch", {x}, out,
-                [x, count, inner](const Tensor&, const Tensor& cot) {
+                [x, count, inner](const Tensor&, const Tensor& cot,
+                                  const std::vector<bool>&) {
                   Tensor g = Tensor::Zeros(x.shape());
                   float* pg = g.data();
                   const float* pc = cot.data();

@@ -85,7 +85,8 @@ Tensor Softmax(const Tensor& x, int axis) {
 
   return MakeOp(
       "softmax", {x}, out,
-      [outer, inner, len](const Tensor& y, const Tensor& cot) {
+      [outer, inner, len](const Tensor& y, const Tensor& cot,
+                          const std::vector<bool>&) {
         // dX = y * (cot - sum(cot * y, axis)).
         obs::ScopedPhaseTimer timer("kernel.softmax", /*kernel=*/true);
         Tensor g = Tensor::Empty(y.shape());

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/causal_conv.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -136,6 +141,94 @@ TEST(AutogradTest, LongChainDeepGraph) {
   for (int i = 0; i < 2000; ++i) y = AddScalar(y, 0.001f);
   Sum(y).Backward();
   EXPECT_FLOAT_EQ(x.grad().at({0}), 1.0f);
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(WalkPlanTest, PrunedPlanStopsAtWantedTensor) {
+  Rng rng(5);
+  Tensor x = Tensor::Randn(Shape{2, 3}, &rng, true);
+  Tensor w = Tensor::Randn(Shape{3, 4}, &rng, true);
+  Tensor mid = MatMul(x, w);
+  Tensor y = Scale(Tanh(mid), 2.0f);
+  const Tensor seed = Tensor::Randn(y.shape(), &rng);
+
+  const WalkPlan plan = PlanWalk(y, {mid});
+  // Root first; mid is the last step and its matmul never runs, so neither
+  // x nor w appears in the plan.
+  ASSERT_EQ(plan.steps.size(), 3u);
+  EXPECT_EQ(plan.steps.front().tensor.impl(), y.impl());
+  EXPECT_EQ(plan.steps.back().tensor.impl(), mid.impl());
+  EXPECT_TRUE(plan.steps.back().needs.empty());
+  EXPECT_TRUE(plan.steps.back().keep);
+  for (const WalkStep& step : plan.steps) {
+    EXPECT_NE(step.tensor.impl(), x.impl());
+    EXPECT_NE(step.tensor.impl(), w.impl());
+  }
+
+  const GradientMap pruned = ComputeGradients(plan, seed);
+  const GradientMap full = ComputeGradients(y, seed);
+  EXPECT_EQ(pruned.size(), 1u);  // intermediates are dropped once consumed
+  EXPECT_TRUE(SameBits(GradientOf(pruned, mid), GradientOf(full, mid)));
+  EXPECT_FALSE(GradientOf(pruned, x).defined());
+  EXPECT_TRUE(GradientOf(full, x).defined());
+}
+
+TEST(WalkPlanTest, FullPlanFlagsOnlyInputsThatCarryGradients) {
+  Tensor a = Tensor::Ones(Shape{2, 2}).set_requires_grad(true);
+  Tensor data = Tensor::Ones(Shape{2, 2});  // plain input, no gradient
+  Tensor y = Mul(a, data);
+  const WalkPlan plan = PlanWalk(y);
+  ASSERT_EQ(plan.steps.size(), 2u);  // y and a; never the plain input
+  EXPECT_EQ(plan.steps[0].needs, (std::vector<bool>{true, false}));
+  EXPECT_EQ(plan.steps[1].tensor.impl(), a.impl());
+}
+
+// Runs out's vjp once with every input flagged and once with input `skip`
+// unflagged: the skipped cotangent must be undefined and the others
+// unchanged bit for bit.
+void ExpectVjpSkipsInput(const Tensor& out, size_t skip) {
+  SCOPED_TRACE(out.grad_fn()->op + " skip=" + std::to_string(skip));
+  Rng rng(9);
+  const Tensor cot = Tensor::Randn(out.shape(), &rng);
+  const Node& fn = *out.grad_fn();
+  const std::vector<bool> all(fn.inputs.size(), true);
+  std::vector<bool> some = all;
+  some[skip] = false;
+  const std::vector<Tensor> full = fn.vjp(out, cot, all);
+  const std::vector<Tensor> part = fn.vjp(out, cot, some);
+  ASSERT_EQ(part.size(), fn.inputs.size());
+  for (size_t i = 0; i < part.size(); ++i) {
+    if (i == skip) {
+      EXPECT_FALSE(part[i].defined());
+    } else {
+      EXPECT_TRUE(SameBits(part[i], full[i]));
+    }
+  }
+}
+
+TEST(WalkPlanTest, VjpsSkipUnneededInputs) {
+  Rng rng(7);
+  // Batched lhs against a shared rhs, and broadcast right operands, so the
+  // skipped halves include batch and broadcast reductions.
+  Tensor a = Tensor::Randn(Shape{3, 2, 4}, &rng, true);
+  Tensor b = Tensor::Randn(Shape{4, 5}, &rng, true);
+  Tensor row = Tensor::Randn(Shape{4}, &rng, true);
+  for (size_t skip : {0u, 1u}) {
+    ExpectVjpSkipsInput(MatMul(a, b), skip);
+    ExpectVjpSkipsInput(Add(a, row), skip);
+    ExpectVjpSkipsInput(Mul(a, row), skip);
+  }
+
+  Tensor x = Tensor::Randn(Shape{3, 2, 5}, &rng, true);
+  Tensor kernel = Tensor::Randn(Shape{2, 2, 2, 5}, &rng, true);
+  const Tensor conv =
+      core::GroupedMultiKernelCausalConv(x, kernel, {0, 1, 1}, false);
+  for (size_t skip : {0u, 1u}) ExpectVjpSkipsInput(conv, skip);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/causalformer.h"
 #include "core/detector.h"
 #include "data/synthetic.h"
 #include "data/windowing.h"
 #include "graph/metrics.h"
+#include "tensor/simd.h"
 
 namespace causalformer {
 namespace {
@@ -176,6 +179,95 @@ TEST(DetectorTest, MaxWindowsLimitsInterpretationBatch) {
   opt.max_windows = 2;  // tiny interpretation batch must still work
   const DetectionResult res = cf.Discover(opt);
   EXPECT_EQ(res.graph.num_series(), 2);
+}
+
+// FNV-1a over the raw bits of every score, delay and edge of each result.
+uint64_t HashResults(const std::vector<DetectionResult>& results) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* p, size_t bytes) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < bytes; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const DetectionResult& r : results) {
+    const int n = r.scores.num_series();
+    for (int from = 0; from < n; ++from) {
+      for (int to = 0; to < n; ++to) {
+        const double s = r.scores.at(from, to);
+        mix(&s, sizeof(s));
+        mix(&r.delays[from][to], sizeof(int));
+      }
+    }
+    for (const CausalEdge& e : r.graph.edges()) {
+      mix(&e.from, sizeof(e.from));
+      mix(&e.to, sizeof(e.to));
+      mix(&e.delay, sizeof(e.delay));
+      mix(&e.score, sizeof(e.score));
+    }
+  }
+  return h;
+}
+
+// The scalar kernel table reproduces the seed's arithmetic, so the batched
+// detector's scalar output is pinned end to end: two requests of different
+// window counts, through each Table 3 detector variant. The constants were
+// recorded before the tape walks were pruned; any change to the walks, the
+// vjps or the scoring that moves a single bit fails here. They assume an
+// IEEE-754 host whose libm expf matches glibc's.
+TEST(DetectorTest, ScalarOutputIsPinnedPerVariant) {
+  core::ModelOptions mopt;
+  mopt.num_series = 4;
+  mopt.window = 8;
+  mopt.d_model = 16;
+  mopt.d_qk = 16;
+  mopt.heads = 2;
+  mopt.d_ffn = 16;
+  Rng rng(41);
+  core::CausalityTransformer model(mopt, &rng);
+  // Nonzero biases, so the bias-absorption variant takes a different path.
+  Rng brng(42);
+  for (auto& [name, p] : model.NamedParameters()) {
+    if (name.rfind("b_", 0) != 0 && name.find("bias") == std::string::npos) {
+      continue;
+    }
+    for (int64_t i = 0; i < p.numel(); ++i) {
+      p.data()[i] = 0.1f * static_cast<float>(brng.Normal());
+    }
+  }
+  Rng wrng(43);
+  const std::vector<Tensor> requests = {Tensor::Randn(Shape{3, 4, 8}, &wrng),
+                                        Tensor::Randn(Shape{5, 4, 8}, &wrng)};
+
+  struct Variant {
+    const char* name;
+    DetectorOptions options;
+    uint64_t expected;
+  };
+  std::vector<Variant> variants(5);
+  variants[0] = {"full", {}, 0x9c17936f7ac833cfull};
+  variants[1] = {"w/o relevance", {}, 0x5338e1187de8ff07ull};
+  variants[1].options.use_relevance = false;
+  variants[2] = {"w/o gradient", {}, 0x0dbe21e82c63c41dull};
+  variants[2].options.use_gradient = false;
+  variants[3] = {"w/o bias", {}, 0xf53e31ccd5a78504ull};
+  variants[3].options.bias_absorption = false;
+  variants[4] = {"w/o interpretation", {}, 0x8dec09f1fb56352aull};
+  variants[4].options.use_interpretation = false;
+
+  const simd::IsaLevel saved = simd::ActiveLevel();
+  simd::SetLevelForTesting(simd::IsaLevel::kScalar);
+  std::vector<uint64_t> got;
+  for (const Variant& v : variants) {
+    got.push_back(HashResults(
+        core::DetectCausalGraphBatched(model, requests, v.options)));
+  }
+  simd::SetLevelForTesting(saved);
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_EQ(got[i], variants[i].expected)
+        << variants[i].name << ": 0x" << std::hex << got[i];
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/causality_transformer.h"
 #include "interpret/relevance.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 /// Integration coverage for the paper's central mechanism: regression
 /// relevance propagation through the *entire* causality-aware transformer —
@@ -154,6 +158,71 @@ TEST(FullModelRelevanceTest, RepeatedPropagationIsDeterministic) {
   for (int64_t i = 0; i < a.numel(); ++i) {
     EXPECT_EQ(a.data()[i], b.data()[i]);
   }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// The detector walks a plan pruned to the attention matrices and the grouped
+// kernels. On a grouped forward of two requests with different window
+// counts, every gradient and relevance it reads must equal the full walk's
+// bit for bit, at every kernel table and in both bias-absorption modes.
+TEST(WalkPlanTest, PrunedPlanMatchesFullWalkBitForBit) {
+  std::vector<simd::IsaLevel> levels;
+  for (const simd::IsaLevel level :
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+        simd::IsaLevel::kNeon}) {
+    if (simd::TableForLevel(level) != nullptr) levels.push_back(level);
+  }
+  const simd::IsaLevel saved = simd::ActiveLevel();
+  Rng rng(13);
+  CausalityTransformer model(TinyOptions(), &rng);
+  const Tensor x = Tensor::Randn(Shape{8, 3, 6}, &rng);
+  const std::vector<int> row_groups = {0, 0, 0, 1, 1, 1, 1, 1};
+
+  for (const simd::IsaLevel level : levels) {
+    simd::SetLevelForTesting(level);
+    const ForwardResult fwd = model.ForwardGrouped(x, row_groups, 2);
+    std::vector<Tensor> wanted = fwd.attention;
+    wanted.push_back(fwd.kernel_groups);
+    const WalkPlan full = PlanWalk(fwd.prediction);
+    const WalkPlan pruned = PlanWalk(fwd.prediction, wanted);
+
+    // Only the nodes on a path to A or K run their vjp. Per head: the
+    // attention combination, its W_O weighting and (past the first head) the
+    // head sum; then the shift and the grouped convolution; plus the seven
+    // nodes of the output, FFN and LeakyReLU layers.
+    int live = 0;
+    for (const WalkStep& step : pruned.steps) live += !step.needs.empty();
+    EXPECT_EQ(live, 14);
+
+    for (const bool absorb : {true, false}) {
+      interpret::RelevanceOptions ropts;
+      ropts.bias_absorption = absorb;
+      for (int64_t target = 0; target < 3; ++target) {
+        SCOPED_TRACE(std::string(simd::LevelName(level)) + " absorb=" +
+                     std::to_string(absorb) + " target=" +
+                     std::to_string(target));
+        const Tensor seed = OneHotSeed(fwd.prediction.shape(), target);
+        const GradientMap g_full = ComputeGradients(full, seed);
+        const GradientMap g_pruned = ComputeGradients(pruned, seed);
+        const RelevanceMap r_full = PropagateRelevance(full, seed, ropts);
+        const RelevanceMap r_pruned = PropagateRelevance(pruned, seed, ropts);
+        // A pruned walk hands back the wanted tensors and nothing else.
+        EXPECT_EQ(g_pruned.size(), wanted.size());
+        EXPECT_EQ(r_pruned.size(), wanted.size());
+        for (const Tensor& w : wanted) {
+          EXPECT_TRUE(SameBits(GradientOf(g_pruned, w), GradientOf(g_full, w)));
+          EXPECT_TRUE(
+              SameBits(RelevanceOf(r_pruned, w), RelevanceOf(r_full, w)));
+        }
+      }
+    }
+  }
+  simd::SetLevelForTesting(saved);
 }
 
 }  // namespace

@@ -98,6 +98,7 @@
 #include "serve/server.h"
 #include "stream/sharded_scheduler.h"
 #include "stream/window_scheduler.h"
+#include "tensor/allocator.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -680,6 +681,12 @@ int RunNetServe(const CliOptions& opts) {
            " hits=" + std::to_string(s.dedup.hits) +
            " failed_fanins=" + std::to_string(s.dedup.failed_fanins) +
            " open=" + std::to_string(s.dedup.in_flight) + "\n";
+    const cf::ArenaTotals arenas = cf::TotalArenaStats();
+    out += "arena: live=" + std::to_string(arenas.arenas) +
+           " pooled_bytes=" + std::to_string(arenas.stats.pooled_bytes) +
+           " outstanding=" + std::to_string(arenas.stats.outstanding) +
+           " parent_allocs=" + std::to_string(arenas.stats.parent_allocs) +
+           " parent_frees=" + std::to_string(arenas.stats.parent_frees) + "\n";
     out += engine.DebugString();
     return out;
   });

@@ -22,7 +22,8 @@ Tensor AttentionCombine(const Tensor& attention, const Tensor& value) {
     const float* pa = attention.data();
     const float* pv = value.data();
     float* po = out.data();
-    ParallelFor(batch * n, /*grain=*/4, [&](int64_t begin, int64_t end) {
+    const int64_t item_cost = n * steps;  // one output row: n axpys
+    ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
       for (int64_t bi = begin; bi < end; ++bi) {
         const int64_t b = bi / n;
         const int64_t i = bi % n;

@@ -11,6 +11,12 @@ namespace core {
 
 namespace {
 
+// Multiply-adds of one (batch row, source) causal conv item: n output rows,
+// each a triangle of dots of length 1, 2, ..., steps.
+int64_t ConvItemCost(int64_t n, int64_t steps) {
+  return n * steps * (steps + 1) / 2;
+}
+
 // The per-step averaging denominators [1, 2, ..., steps]. Dividing a whole
 // row at once through K.div replaces `steps` serial scalar divisions with a
 // vectorized pass; IEEE division is elementwise-exact, so the results are
@@ -42,7 +48,8 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
     const float* pk = kernel.data();
     float* po = out.data();
     const std::vector<float> denom = DenomRow(steps);
-    ParallelFor(batch * n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+    const int64_t item_cost = ConvItemCost(n, steps);
+    ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
       for (int64_t bi = begin; bi < end; ++bi) {
         const int64_t b = bi / n;
         const int64_t i = bi % n;
@@ -134,7 +141,8 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
     const float* pk = kernel.data();
     float* po = out.data();
     const std::vector<float> denom = DenomRow(steps);
-    ParallelFor(batch * n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+    const int64_t item_cost = ConvItemCost(n, steps);
+    ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
       for (int64_t bi = begin; bi < end; ++bi) {
         const int64_t b = bi / n;
         const int64_t i = bi % n;
@@ -183,7 +191,12 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
           group_rows[static_cast<size_t>(row_groups[b])].push_back(b);
         }
         const std::vector<float> denom = DenomRow(steps);
-        ParallelFor(groups * n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+        // One (group, source) item walks that group's rows, two axpy halves
+        // each; rows are spread evenly across groups on average.
+        const int64_t halves = (needs[0] ? 1 : 0) + (needs[1] ? 1 : 0);
+        const int64_t item_cost = (batch + groups - 1) / groups * halves *
+                                  ConvItemCost(n, steps);
+        ParallelFor(groups * n, item_cost, [&](int64_t begin, int64_t end) {
           std::vector<float> cs(static_cast<size_t>(steps));
           for (int64_t gi = begin; gi < end; ++gi) {
             const int64_t g = gi / n;

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "tensor/allocator.h"
 
 namespace causalformer {
 namespace obs {
@@ -84,6 +85,9 @@ ProcessMetrics::ProcessMetrics(MetricsRegistry* registry)
       cpu_seconds_(registry->GetGauge("cf_process_cpu_seconds_total")),
       open_fds_(registry->GetGauge("cf_process_open_fds")),
       uptime_seconds_(registry->GetGauge("cf_process_uptime_seconds")),
+      arena_pooled_bytes_(registry->GetGauge("cf_arena_pooled_bytes")),
+      arena_outstanding_blocks_(
+          registry->GetGauge("cf_arena_outstanding_blocks")),
       start_seconds_(MonotonicSeconds()) {
   Update();
 }
@@ -94,6 +98,10 @@ void ProcessMetrics::Update() {
   const int64_t fds = ReadOpenFds();
   if (fds >= 0) open_fds_->Set(static_cast<double>(fds));
   uptime_seconds_->Set(MonotonicSeconds() - start_seconds_);
+  const ArenaTotals arenas = TotalArenaStats();
+  arena_pooled_bytes_->Set(static_cast<double>(arenas.stats.pooled_bytes));
+  arena_outstanding_blocks_->Set(
+      static_cast<double>(arenas.stats.outstanding));
 }
 
 }  // namespace obs

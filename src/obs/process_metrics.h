@@ -4,13 +4,15 @@
 #include <cstdint>
 
 /// \file
-/// Process-level resource gauges read from `/proc/self`.
+/// Process-level resource gauges read from `/proc/self`, plus the tensor
+/// arenas' share of memory.
 ///
 /// The serving metrics (docs/observability.md) cover what the code does;
 /// these cover what it costs the machine: resident memory, consumed CPU
 /// time, open file descriptors and uptime. They are the four series every
 /// capacity dashboard starts with, and they come for free from procfs —
-/// no allocation, four tiny reads.
+/// no allocation, four tiny reads. The two arena gauges say how much of
+/// the resident memory the per-thread tensor arenas hold.
 ///
 /// Registered series (all gauges, updated by Update()):
 ///
@@ -19,7 +21,11 @@
 ///    process start (a monotonic total, exposed as a gauge because it is
 ///    sampled, not incremented);
 ///  * `cf_process_open_fds`           — open descriptors in /proc/self/fd;
-///  * `cf_process_uptime_seconds`     — wall seconds since construction.
+///  * `cf_process_uptime_seconds`     — wall seconds since construction;
+///  * `cf_arena_pooled_bytes`         — bytes parked in the free lists of
+///    every live ArenaAllocator (TotalArenaStats());
+///  * `cf_arena_outstanding_blocks`   — arena blocks currently handed out
+///    to live tensors.
 ///
 /// The wire server refreshes the gauges on every kMetrics scrape, so
 /// `serve_cli metrics --connect` and Prometheus always see current
@@ -31,9 +37,9 @@ namespace obs {
 class Gauge;
 class MetricsRegistry;
 
-/// Samples /proc/self into four process gauges. Thread-safe (Update()
-/// takes no locks beyond the registry's own); one per process, owned
-/// next to the Observability bundle.
+/// Samples /proc/self and the arena totals into six gauges. Thread-safe
+/// (Update() takes the registry's locks and the arena list's); one per
+/// process, owned next to the Observability bundle.
 class ProcessMetrics {
  public:
   /// Registers the gauges in `registry` (not owned; must outlive this
@@ -45,8 +51,9 @@ class ProcessMetrics {
   ProcessMetrics(const ProcessMetrics&) = delete;             ///< not copyable
   ProcessMetrics& operator=(const ProcessMetrics&) = delete;  ///< not copyable
 
-  /// Re-reads /proc/self and refreshes all four gauges. Cheap (three
-  /// procfs reads and one directory scan); called per metrics scrape.
+  /// Re-reads /proc/self and the arena totals and refreshes every gauge.
+  /// Cheap (three procfs reads, one directory scan, one pass over the live
+  /// arenas); called per metrics scrape.
   void Update();
 
   /// Current resident set size in bytes (0 when procfs is unreadable).
@@ -62,6 +69,8 @@ class ProcessMetrics {
   Gauge* cpu_seconds_;
   Gauge* open_fds_;
   Gauge* uptime_seconds_;
+  Gauge* arena_pooled_bytes_;
+  Gauge* arena_outstanding_blocks_;
   double start_seconds_;  ///< monotonic construction instant
 };
 

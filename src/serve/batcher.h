@@ -52,8 +52,10 @@
 /// Batches execute on dedicated executor threads (not on the global
 /// ThreadPool): a pool worker running a batch would force every nested
 /// ParallelFor in the tensor kernels to run inline, serialising the maths.
-/// From an executor thread the kernels fan out across the whole pool, and
-/// the per-call latch in ParallelFor makes concurrent executors safe.
+/// From an executor thread a kernel large enough to split fans out across
+/// the whole pool (serving-size kernels run inline on the executor), and
+/// the per-call latch in ParallelFor makes concurrent executors safe. Each
+/// executor allocates from its own DetectArena().
 
 namespace causalformer {
 namespace serve {

@@ -234,6 +234,13 @@ void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
   // context) attribute to the batch's first traced request.
   ScopedLogTraceId log_trace(leader_trace_id);
 
+  // Before the detect, so a test hook can hold this batch mid-execution.
+  if (options_.detect_observer_for_testing) {
+    for (const auto& item : items) {
+      options_.detect_observer_for_testing(item.key);
+    }
+  }
+
   std::vector<Tensor> window_batches;
   window_batches.reserve(items.size());
   for (const auto& item : items) window_batches.push_back(item.request.windows);
@@ -299,9 +306,6 @@ void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
   }
 
   for (size_t i = 0; i < items.size(); ++i) {
-    if (options_.detect_observer_for_testing) {
-      options_.detect_observer_for_testing(items[i].key);
-    }
     auto shared =
         std::make_shared<const core::DetectionResult>(std::move(results[i]));
     // Cache fill before Resolve: once followers (and the leader) see the

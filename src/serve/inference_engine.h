@@ -62,9 +62,11 @@ struct EngineOptions {
   /// (ScoreCacheOptions::clock_for_testing). Null uses steady_clock.
   std::function<double()> cache_clock_for_testing;
   /// Test seam: invoked once per request the detector actually computes
-  /// (inside the batch executor, per batch item), with the request's cache
-  /// key. The concurrency harness counts these to prove dedup: invocations
-  /// must equal unique keys, never submissions. Null in production.
+  /// (inside the batch executor, per batch item, before the batch's detect
+  /// runs and inside its log/trace context), with the request's cache key.
+  /// The concurrency harness counts these to prove dedup — invocations must
+  /// equal unique keys, never submissions — and blocks in it to hold a
+  /// batch mid-execution. Null in production.
   std::function<void(const CacheKey&)> detect_observer_for_testing;
   /// Observability bundle (metrics + traces + clock), not owned; must
   /// outlive the engine. Null turns every instrumentation site into a

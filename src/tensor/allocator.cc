@@ -1,10 +1,28 @@
 #include "tensor/allocator.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/logging.h"
 
 namespace causalformer {
+
+namespace {
+
+// Every live ArenaAllocator, for the summed arena gauges. Leaked, so an
+// arena destroyed during static teardown (kept alive by a static tensor)
+// still finds it.
+struct ArenaList {
+  std::mutex mu;
+  std::vector<const ArenaAllocator*> arenas;
+};
+
+ArenaList& LiveArenas() {
+  static ArenaList* list = new ArenaList();
+  return *list;
+}
+
+}  // namespace
 
 // ---- CpuAllocator ------------------------------------------------------------
 
@@ -32,9 +50,21 @@ const std::shared_ptr<Allocator>& CpuAllocator::Global() {
 ArenaAllocator::ArenaAllocator(std::shared_ptr<Allocator> parent)
     : parent_(std::move(parent)) {
   CF_CHECK(parent_ != nullptr);
+  ArenaList& list = LiveArenas();
+  std::lock_guard<std::mutex> lock(list.mu);
+  list.arenas.push_back(this);
 }
 
-ArenaAllocator::~ArenaAllocator() { Reset(); }
+ArenaAllocator::~ArenaAllocator() {
+  {
+    // Leave the list first, so a concurrent scrape never reads a dying arena.
+    ArenaList& list = LiveArenas();
+    std::lock_guard<std::mutex> lock(list.mu);
+    list.arenas.erase(
+        std::find(list.arenas.begin(), list.arenas.end(), this));
+  }
+  Reset();
+}
 
 int ArenaAllocator::ClassIndex(size_t bytes) {
   // Smallest power-of-two class (>= 64B) that holds `bytes`.
@@ -67,10 +97,19 @@ void* ArenaAllocator::Allocate(size_t bytes) {
 
 void ArenaAllocator::Deallocate(void* ptr, size_t bytes) {
   const int cls = ClassIndex(bytes == 0 ? 1 : bytes);
-  std::lock_guard<std::mutex> lock(mu_);
-  --stats_.outstanding;
-  free_[static_cast<size_t>(cls)].push_back(ptr);
-  stats_.pooled_bytes += static_cast<int64_t>(ClassBytes(cls));
+  const int64_t cls_bytes = static_cast<int64_t>(ClassBytes(cls));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --stats_.outstanding;
+    if (stats_.pooled_bytes + cls_bytes <= kArenaMaxPooledBytes) {
+      free_[static_cast<size_t>(cls)].push_back(ptr);
+      stats_.pooled_bytes += cls_bytes;
+      return;
+    }
+    ++stats_.parent_frees;
+  }
+  // The pool is at its cap: the block goes home instead of parking.
+  parent_->Deallocate(ptr, static_cast<size_t>(cls_bytes));
 }
 
 DeviceTag ArenaAllocator::device() const { return parent_->device(); }
@@ -138,9 +177,26 @@ ScopedAllocator::ScopedAllocator(std::shared_ptr<Allocator> alloc) {
 ScopedAllocator::~ScopedAllocator() { t_current = std::move(prev_); }
 
 const std::shared_ptr<ArenaAllocator>& DetectArena() {
-  static const std::shared_ptr<ArenaAllocator>* instance =
-      new std::shared_ptr<ArenaAllocator>(std::make_shared<ArenaAllocator>());
-  return *instance;
+  thread_local const std::shared_ptr<ArenaAllocator> arena =
+      std::make_shared<ArenaAllocator>();
+  return arena;
+}
+
+ArenaTotals TotalArenaStats() {
+  ArenaTotals totals;
+  ArenaList& list = LiveArenas();
+  std::lock_guard<std::mutex> lock(list.mu);
+  for (const ArenaAllocator* arena : list.arenas) {
+    const ArenaStats s = arena->stats();
+    ++totals.arenas;
+    totals.stats.allocs += s.allocs;
+    totals.stats.pool_hits += s.pool_hits;
+    totals.stats.parent_allocs += s.parent_allocs;
+    totals.stats.parent_frees += s.parent_frees;
+    totals.stats.outstanding += s.outstanding;
+    totals.stats.pooled_bytes += s.pooled_bytes;
+  }
+  return totals;
 }
 
 // ---- TensorBuffer ------------------------------------------------------------

@@ -16,13 +16,16 @@
 ///
 /// Every Tensor owns a TensorBuffer obtained from an Allocator. The default
 /// allocator is a process-wide aligned CPU allocator; hot paths (the batched
-/// detector, the trainer) install an ArenaAllocator via ScopedAllocator so
-/// the per-request batch tensors are recycled through size-class free lists
-/// and steady-state serving performs zero mallocs on the detect path.
+/// detector, the trainer) install their thread's DetectArena() via
+/// ScopedAllocator so the per-request batch tensors are recycled through
+/// size-class free lists and steady-state serving performs zero mallocs on
+/// the detect path. Each thread has its own arena, so concurrent executors
+/// never share an allocator lock.
 ///
 /// Buffers keep a shared_ptr to the allocator they came from, so a buffer may
 /// be released from any thread and at any time after its allocating scope
-/// ended — the allocator outlives its last buffer by construction.
+/// ended — it returns to the arena that allocated it, and the allocator
+/// outlives its last buffer by construction.
 
 namespace causalformer {
 
@@ -70,11 +73,20 @@ class CpuAllocator : public Allocator {
   static const std::shared_ptr<Allocator>& Global();
 };
 
+/// Cap on the bytes one ArenaAllocator keeps parked in its free lists
+/// (32 MiB). A release that would push the pool past it goes to the parent
+/// allocator instead, so an arena's memory stays bounded. It never binds on
+/// the serving path: the warm detect working set is about 0.7 MiB at the
+/// cold serving geometry, 2.7 MiB for a full 256-window batch and 5 MiB at
+/// the paper-like geometry (N=15, T=16, d=32, 32 windows).
+constexpr int64_t kArenaMaxPooledBytes = int64_t{32} << 20;
+
 /// Counters exposed by ArenaAllocator::stats().
 struct ArenaStats {
   int64_t allocs = 0;         ///< Allocate() calls served
   int64_t pool_hits = 0;      ///< served from a free list (no parent call)
   int64_t parent_allocs = 0;  ///< blocks obtained from the parent allocator
+  int64_t parent_frees = 0;   ///< releases sent to the parent (pool at cap)
   int64_t outstanding = 0;    ///< blocks currently handed out
   int64_t pooled_bytes = 0;   ///< bytes parked in free lists
 };
@@ -83,8 +95,10 @@ struct ArenaStats {
 /// free list per class. A released block parks in its class list and the next
 /// same-class request reuses it, so a steady-state workload that allocates
 /// recurring tensor geometries (the serving detect path) stops calling the
-/// parent allocator entirely after warm-up. Thread-safe: blocks may be
-/// allocated and released from different threads.
+/// parent allocator entirely after warm-up. Parked bytes are capped at
+/// kArenaMaxPooledBytes; releases past the cap free to the parent.
+/// Thread-safe: blocks may be allocated and released from different threads
+/// (each arena has its own mutex, uncontended when one thread owns it).
 class ArenaAllocator : public Allocator {
  public:
   explicit ArenaAllocator(
@@ -160,9 +174,24 @@ class ScopedAllocator {
   std::shared_ptr<Allocator> prev_;
 };
 
-/// The process-wide arena the detector and trainer install on their hot
-/// paths: per-request batch tensors of recurring geometry recycle through it.
+/// The calling thread's arena, which the detector and trainer install on
+/// their hot paths: per-request batch tensors of recurring geometry recycle
+/// through it. Created on the thread's first call; each thread gets its own,
+/// so the serving executors allocate without contending. The thread holds
+/// one reference until it exits; buffers still out keep the arena alive.
 const std::shared_ptr<ArenaAllocator>& DetectArena();
+
+/// Counters summed over every live ArenaAllocator (the per-thread detect
+/// arenas and any other), with how many there are.
+struct ArenaTotals {
+  int64_t arenas = 0;  ///< live ArenaAllocator instances
+  ArenaStats stats;    ///< their counters, summed field by field
+};
+
+/// Snapshot of ArenaTotals for metrics and debug state. Takes the mutex of
+/// the live-arena list, which is otherwise touched only when an arena is
+/// created or destroyed, plus each arena's own mutex in turn.
+ArenaTotals TotalArenaStats();
 
 /// A contiguous float32 block owned by an Allocator. Not copyable; Tensor
 /// handles share one buffer through shared_ptr.

@@ -14,9 +14,40 @@ namespace {
 // std::function per element. kGeneric keeps the scalar closure.
 enum class BinKind { kGeneric, kAdd, kSub, kMul, kDiv };
 
-// Applies fn(a_i, b_i) with NumPy broadcasting. Fast paths: identical shapes
-// and scalar operands (vectorized for the arithmetic kinds); general path
-// walks output indices with stride-0 for broadcast dimensions.
+// The kernel-table entry of an arithmetic kind (not kGeneric).
+using ArithKernel = void (*)(const float*, const float*, float*, int64_t);
+ArithKernel KernelFor(const simd::KernelTable& K, BinKind kind) {
+  switch (kind) {
+    case BinKind::kAdd:
+      return K.add;
+    case BinKind::kSub:
+      return K.sub;
+    case BinKind::kMul:
+      return K.mul;
+    default:
+      return K.div;
+  }
+}
+
+// True when b broadcasts along a's leading dims only: b's shape, less any
+// leading 1s, equals a's trailing dims (a bias [d] against [B, T, d], a mask
+// [N, N] against [B, N, N]). The output then has a's layout, and b repeats
+// every b.numel() elements.
+bool TrailingBroadcast(const Shape& a, const Shape& b) {
+  int lead = 0;
+  while (lead < b.ndim() && b[lead] == 1) ++lead;
+  const int core = b.ndim() - lead;
+  if (core > a.ndim()) return false;
+  for (int i = 0; i < core; ++i) {
+    if (b[lead + i] != a[a.ndim() - core + i]) return false;
+  }
+  return true;
+}
+
+// Applies fn(a_i, b_i) with NumPy broadcasting. Fast paths: identical shapes,
+// scalar operands and a trailing-broadcast b (vectorized for the arithmetic
+// kinds); general path walks output indices with stride-0 for broadcast
+// dimensions.
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
                        const std::function<float(float, float)>& fn) {
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
@@ -28,23 +59,11 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   const simd::KernelTable& K = simd::Active();
 
   if (a.shape() == b.shape()) {
-    switch (kind) {
-      case BinKind::kAdd:
-        K.add(pa, pb, o, n);
-        return out;
-      case BinKind::kSub:
-        K.sub(pa, pb, o, n);
-        return out;
-      case BinKind::kMul:
-        K.mul(pa, pb, o, n);
-        return out;
-      case BinKind::kDiv:
-        K.div(pa, pb, o, n);
-        return out;
-      case BinKind::kGeneric:
-        break;
+    if (kind != BinKind::kGeneric) {
+      KernelFor(K, kind)(pa, pb, o, n);
+    } else {
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], pb[i]);
     }
-    for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], pb[i]);
     return out;
   }
   if (a.numel() == 1) {
@@ -70,6 +89,14 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
     } else {
       for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], vb);
     }
+    return out;
+  }
+  if (kind != BinKind::kGeneric && TrailingBroadcast(a.shape(), b.shape())) {
+    // One kernel call per repeat of b; each element still gets exactly
+    // fn(a_i, b_j), so the result equals the general path's bit for bit.
+    const ArithKernel kernel = KernelFor(K, kind);
+    const int64_t m = b.numel();
+    for (int64_t off = 0; off < n; off += m) kernel(pa + off, pb, o + off, m);
     return out;
   }
 
@@ -106,10 +133,11 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   return out;
 }
 
-// Elementwise unary with VJP dX = dfn(x, y) * cot.
-Tensor UnaryOp(const std::string& name, const Tensor& x,
-               const std::function<float(float)>& fn,
-               const std::function<float(float, float)>& dfn_xy) {
+// Elementwise unary with VJP dX = dfn(x, y) * cot. The element functions are
+// template parameters, so both loops inline them instead of making an
+// indirect call per element.
+template <typename Fn, typename DFn>
+Tensor UnaryOp(const std::string& name, const Tensor& x, Fn fn, DFn dfn_xy) {
   Tensor out = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* po = out.data();

@@ -19,7 +19,8 @@ void MatMulKernel(const float* a, const float* b, float* c, int64_t batch,
                   bool transpose_b) {
   const simd::KernelTable& K = simd::Active();
   const int64_t rows_total = batch * m;
-  ParallelFor(rows_total, /*grain=*/256, [&](int64_t begin, int64_t end) {
+  const int64_t row_cost = k * n;  // one output row: n length-k dots
+  ParallelFor(rows_total, row_cost, [&](int64_t begin, int64_t end) {
     for (int64_t r = begin; r < end; ++r) {
       const int64_t bi = r / m;
       const int64_t i = r % m;

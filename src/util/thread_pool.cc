@@ -10,9 +10,17 @@
 namespace causalformer {
 namespace {
 // True on pool worker threads; ParallelFor then runs inline to avoid a
-// worker blocking in Wait() on tasks that only it could run.
+// worker blocking in a latch wait on tasks that only it could run.
 thread_local bool t_in_worker = false;
 }  // namespace
+
+// 2^18 multiply-adds is a few tens of microseconds of arithmetic: enough to
+// amortize a queue push and a worker wake-up. At 2^15 the matmuls of a
+// 16-request serving batch (N=4, T=8, d=16) still split, and concurrent
+// executors contend on the pool queue; at 2^18 no serving-geometry kernel
+// splits (up to 256 windows per batch) while the paper-like detect (N=15,
+// T=16, d=32, 32 windows) still fans out its causal convolutions.
+const int64_t kMinTaskWork = int64_t{1} << 18;
 
 ThreadPool::ThreadPool(int num_threads) {
   CF_CHECK_GT(num_threads, 0);
@@ -39,14 +47,8 @@ void ThreadPool::Schedule(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push(std::move(task));
-    ++pending_;
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -61,11 +63,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --pending_;
-      if (pending_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -84,11 +81,9 @@ ThreadPool& ThreadPool::Global() {
 
 namespace {
 
-// Per-call completion latch. ParallelFor used to rely on ThreadPool::Wait(),
-// which blocks on the pool-wide pending count: with two concurrent callers
-// (e.g. the serving layer detecting on several models at once) each Wait()
-// also waited for the *other* caller's tasks, and under a continuous request
-// stream could block indefinitely. Each call now tracks only its own chunks.
+// Per-call completion latch: each ParallelFor call waits for its own chunks
+// only, so concurrent callers (the serving layer's executors detecting at
+// once) never wait on each other's tasks.
 struct Latch {
   std::mutex mu;
   std::condition_variable cv;
@@ -108,19 +103,23 @@ struct Latch {
 
 }  // namespace
 
-void ParallelFor(int64_t n, int64_t grain,
+void ParallelFor(int64_t n, int64_t item_cost,
                  const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
+  // Items one task needs to reach kMinTaskWork, and how many such tasks the
+  // range holds (computed by division, so huge costs cannot overflow).
+  const int64_t cost = std::max<int64_t>(item_cost, 1);
+  const int64_t min_items = (kMinTaskWork + cost - 1) / cost;
+  const int64_t tasks = n / min_items;
   ThreadPool& pool = ThreadPool::Global();
   const int workers = pool.num_threads();
   // Nested calls (a pool task fanning out again) run inline: every worker
   // blocking in a latch wait on tasks only it could run would deadlock.
-  if (t_in_worker || workers <= 1 || n <= grain) {
+  if (t_in_worker || workers <= 1 || tasks < 2) {
     fn(0, n);
     return;
   }
-  const int64_t max_chunks = (n + grain - 1) / grain;
-  const int64_t chunks = std::min<int64_t>(workers, max_chunks);
+  const int64_t chunks = std::min<int64_t>(workers, tasks);
   const int64_t chunk_size = (n + chunks - 1) / chunks;
   Latch latch(chunks - 1);
   for (int64_t c = 1; c < chunks; ++c) {

@@ -100,6 +100,47 @@ TEST(ArenaAllocatorTest, CrossThreadAllocAndFree) {
   EXPECT_EQ(stats.outstanding, 0);
 }
 
+TEST(ArenaAllocatorTest, FreesPastTheCapGoToTheParent) {
+  auto tracking = std::make_shared<TrackingAllocator>();
+  ArenaAllocator arena(tracking);
+  constexpr size_t kBlock = size_t{1} << 20;  // 1 MiB: exactly one class
+  const int64_t fit = kArenaMaxPooledBytes / static_cast<int64_t>(kBlock);
+  std::vector<void*> blocks;
+  for (int64_t i = 0; i < fit + 2; ++i) {
+    blocks.push_back(arena.Allocate(kBlock));
+  }
+  for (void* p : blocks) arena.Deallocate(p, kBlock);
+  // The pool fills to the cap; the two releases past it reach the parent.
+  const ArenaStats stats = arena.stats();
+  EXPECT_EQ(stats.pooled_bytes, kArenaMaxPooledBytes);
+  EXPECT_EQ(stats.parent_frees, 2);
+  EXPECT_EQ(stats.outstanding, 0);
+  EXPECT_EQ(tracking->deallocate_calls(), 2);
+  // Pooled blocks still serve the next requests without a parent call.
+  void* again = arena.Allocate(kBlock);
+  EXPECT_EQ(tracking->allocate_calls(), fit + 2);
+  arena.Deallocate(again, kBlock);
+}
+
+TEST(ArenaAllocatorTest, TotalsTrackLiveArenas) {
+  const ArenaTotals before = TotalArenaStats();
+  {
+    ArenaAllocator arena;
+    void* held = arena.Allocate(256);
+    void* parked = arena.Allocate(1024);
+    arena.Deallocate(parked, 1024);
+    const ArenaTotals during = TotalArenaStats();
+    EXPECT_EQ(during.arenas, before.arenas + 1);
+    EXPECT_EQ(during.stats.outstanding, before.stats.outstanding + 1);
+    EXPECT_EQ(during.stats.pooled_bytes, before.stats.pooled_bytes + 1024);
+    arena.Deallocate(held, 256);
+  }
+  // A destroyed arena leaves the totals.
+  const ArenaTotals after = TotalArenaStats();
+  EXPECT_EQ(after.arenas, before.arenas);
+  EXPECT_EQ(after.stats.pooled_bytes, before.stats.pooled_bytes);
+}
+
 TEST(ScopedAllocatorTest, InstallsAndRestoresPerThread) {
   auto arena = std::make_shared<ArenaAllocator>();
   EXPECT_EQ(CurrentAllocator()->name(), "cpu");
@@ -148,6 +189,47 @@ TEST(ArenaAllocatorTest, BufferMayOutliveScopeAndFreeLater) {
   survivor = Tensor();
   EXPECT_EQ(arena->stats().outstanding, 0);
   EXPECT_GT(arena->stats().pooled_bytes, 0);
+}
+
+TEST(DetectArenaTest, EachThreadGetsItsOwnArena) {
+  ArenaAllocator* here = DetectArena().get();
+  EXPECT_EQ(DetectArena().get(), here);  // stable within a thread
+  std::shared_ptr<ArenaAllocator> other;
+  std::thread([&other] { other = DetectArena(); }).join();
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other.get(), here);
+}
+
+TEST(DetectArenaTest, CrossThreadFreeReturnsToOwningArena) {
+  // Thread A allocates from its arena and exits; the outstanding block keeps
+  // that arena alive.
+  std::shared_ptr<ArenaAllocator> arena_a;
+  Tensor block;
+  std::thread([&] {
+    arena_a = DetectArena();
+    ScopedAllocator guard(DetectArena());
+    block = Tensor::Empty(Shape{1000});  // 4000 bytes: the 4 KiB class
+  }).join();
+  ASSERT_EQ(arena_a->stats().outstanding, 1);
+
+  // Thread B releases it: the block parks in A's pool, not B's.
+  std::shared_ptr<ArenaAllocator> arena_b;
+  std::thread([&] {
+    arena_b = DetectArena();
+    block = Tensor();
+  }).join();
+  EXPECT_NE(arena_b, arena_a);
+  EXPECT_EQ(arena_b->stats().pooled_bytes, 0);
+  const ArenaStats a = arena_a->stats();
+  EXPECT_EQ(a.outstanding, 0);
+  EXPECT_EQ(a.pooled_bytes, 4096);
+  EXPECT_EQ(a.parent_frees, 0);
+
+  // A's next same-class request reuses the block.
+  void* again = arena_a->Allocate(4000);
+  EXPECT_EQ(arena_a->stats().pool_hits, 1);
+  EXPECT_EQ(arena_a->stats().parent_allocs, 1);
+  arena_a->Deallocate(again, 4000);
 }
 
 // The tentpole acceptance test: after a warm-up request, a steady-state

@@ -15,6 +15,7 @@
 #include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "tensor/allocator.h"
 #include "util/rng.h"
 
 // The observability core: histogram bucket math against hand-computed
@@ -541,6 +542,8 @@ TEST(ProcessMetricsTest, RegistersAndUpdatesGauges) {
   EXPECT_NE(text.find("cf_process_cpu_seconds_total"), std::string::npos);
   EXPECT_NE(text.find("cf_process_open_fds"), std::string::npos);
   EXPECT_NE(text.find("cf_process_uptime_seconds"), std::string::npos);
+  EXPECT_NE(text.find("cf_arena_pooled_bytes"), std::string::npos);
+  EXPECT_NE(text.find("cf_arena_outstanding_blocks"), std::string::npos);
   EXPECT_GT(registry.GetGauge("cf_process_rss_bytes")->Value(), 0.0);
 
   // Uptime moves with time; RSS tracks a deliberate allocation upward
@@ -550,6 +553,15 @@ TEST(ProcessMetricsTest, RegistersAndUpdatesGauges) {
   process.Update();
   EXPECT_GE(registry.GetGauge("cf_process_uptime_seconds")->Value(), uptime0);
   EXPECT_GT(registry.GetGauge("cf_process_open_fds")->Value(), 0.0);
+
+  // The arena gauges follow the live arenas' totals: a block parked in a
+  // fresh arena's pool shows up at the next Update().
+  const double pooled0 = registry.GetGauge("cf_arena_pooled_bytes")->Value();
+  ArenaAllocator arena;
+  arena.Deallocate(arena.Allocate(4096), 4096);
+  process.Update();
+  EXPECT_GE(registry.GetGauge("cf_arena_pooled_bytes")->Value(),
+            pooled0 + 4096);
 }
 
 }  // namespace

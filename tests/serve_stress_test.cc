@@ -18,7 +18,6 @@
 #include "serve/model_registry.h"
 #include "serve/score_cache.h"
 #include "serve_test_util.h"
-#include "util/thread_pool.h"
 
 // The serving-layer concurrency/stress harness: K threads hammer one
 // InferenceEngine with identical and near-identical (epsilon-perturbed)
@@ -28,18 +27,17 @@
 // bit-identical scores. The leader-error, engine-teardown and
 // unload-while-parked fan-in paths are exercised explicitly. Timing is
 // controlled, not raced: testutil::Barrier lines submitters up on one
-// instant, testutil::PoolHostage freezes detection so submissions provably
+// instant, testutil::DetectGate freezes detection so submissions provably
 // overlap in flight, and testutil::ScriptedClock makes TTL expiry a scripted
-// event. Run under ThreadSanitizer in CI (the `tsan` job) with
-// CF_NUM_THREADS=4.
+// event. Run under ThreadSanitizer in CI (the `tsan` job).
 
 namespace causalformer {
 namespace serve {
 namespace {
 
 using testutil::Barrier;
+using testutil::DetectGate;
 using testutil::ExpectSameDetection;
-using testutil::PoolHostage;
 using testutil::RandomWindows;
 using testutil::ScriptedClock;
 using testutil::TinyModel;
@@ -93,15 +91,13 @@ bool SpinUntil(Pred predicate,
 }
 
 TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;  // no cache: only in-flight dedup can coalesce
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
   constexpr int kThreads = 8;
@@ -109,7 +105,7 @@ TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
 
   // Freeze detection so every submission provably overlaps in flight, then
   // release K submitters through one barrier.
-  PoolHostage hostage;
+  gate.Close();
   Barrier barrier(kThreads);
   std::vector<std::future<DiscoveryResponse>> futures(kThreads);
   std::vector<std::thread> clients;
@@ -130,7 +126,7 @@ TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
   EXPECT_EQ(parked.hits, static_cast<uint64_t>(kThreads - 1));
   EXPECT_EQ(parked.in_flight, 1u);
 
-  hostage.Release();
+  gate.Release();
   std::vector<DiscoveryResponse> responses;
   for (auto& f : futures) responses.push_back(f.get());
 
@@ -157,15 +153,13 @@ TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
 }
 
 TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
   constexpr int kThreads = 6;
@@ -173,7 +167,7 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
 
   // Thread t perturbs either its options epsilon or one window value by the
   // smallest representable step — work the detector must NOT coalesce.
-  PoolHostage hostage;
+  gate.Close();
   Barrier barrier(kThreads);
   std::vector<std::future<DiscoveryResponse>> futures(kThreads);
   std::vector<std::thread> clients;
@@ -202,7 +196,7 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
   EXPECT_EQ(engine.dedup_stats().leaders, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(engine.dedup_stats().hits, 0u);
 
-  hostage.Release();
+  gate.Release();
   for (auto& f : futures) {
     const DiscoveryResponse r = f.get();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -259,18 +253,17 @@ TEST(ServeStressTest, FollowersFanInOnLeaderError) {
 // it. Every caller — leader and followers alike — must resolve with the same
 // deterministic shutdown error; nobody hangs on a dead leader.
 TEST(ServeStressTest, EngineTeardownFailsParkedFollowersDeterministically) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;
   opts.batcher.max_in_flight_batches = 1;  // one stuck batch blocks the queue
+  opts.detect_observer_for_testing = gate.hook();
   auto engine = std::make_unique<InferenceEngine>(&registry, opts);
 
-  PoolHostage hostage;
-  // Occupy the sole executor with an unrelated query, stuck on the pool.
+  gate.Close();
+  // Occupy the sole executor with an unrelated query, held at the gate.
   DiscoveryRequest occupier;
   occupier.model = "m";
   occupier.windows = RandomWindows(1, 910);
@@ -291,14 +284,14 @@ TEST(ServeStressTest, EngineTeardownFailsParkedFollowersDeterministically) {
 
   // Tear the engine down on a side thread: its batcher marks shutdown and
   // orphans the queued leader immediately, then blocks joining the stuck
-  // executor until the hostage releases. The sleep biases the race heavily
+  // executor until the gate releases. The sleep biases the race heavily
   // toward the orphan path, but on a crawling host (TSan CI) the executor
   // may still win and run the leader's batch — so the hard assertion is
   // the consistency contract, not which path won: nobody hangs, and the
   // leader and every parked follower observe the *same* outcome.
   std::thread teardown([&] { engine.reset(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  hostage.Release();
+  gate.Release();
   teardown.join();
 
   // The occupier was mid-execution and completes normally.
@@ -326,18 +319,16 @@ TEST(ServeStressTest, EngineTeardownFailsParkedFollowersDeterministically) {
 // followers fan in on that pinned result — same 3-series scores, no
 // NotFound, no geometry abort against the 5-series successor.
 TEST(ServeStressTest, UnloadWhileParkedFollowersGetPinnedModelResult) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
-  PoolHostage hostage;
+  gate.Close();
   constexpr int kCallers = 5;
   const Tensor windows = RandomWindows(2, 912);
   std::vector<std::future<DiscoveryResponse>> futures;
@@ -357,7 +348,7 @@ TEST(ServeStressTest, UnloadWhileParkedFollowersGetPinnedModelResult) {
                   .Register("m", std::make_unique<core::CausalityTransformer>(
                                      TinyModelOptions(5, 12), &rng))
                   .ok());
-  hostage.Release();
+  gate.Release();
 
   std::vector<DiscoveryResponse> responses;
   for (auto& f : futures) responses.push_back(f.get());
@@ -374,18 +365,16 @@ TEST(ServeStressTest, UnloadWhileParkedFollowersGetPinnedModelResult) {
 // coalesce in flight. Detector invocations stay at exactly two (initial fill
 // + one re-lead).
 TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   ScriptedClock clock(100.0);
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 16;
   opts.cache_ttl_seconds = 10.0;
   opts.cache_clock_for_testing = clock.fn();
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
   DiscoveryRequest request;
@@ -398,7 +387,7 @@ TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
   clock.Advance(11.0);  // scripted expiry: the entry is now stale
 
   constexpr int kThreads = 6;
-  PoolHostage hostage;
+  gate.Close();
   Barrier barrier(kThreads);
   std::vector<std::future<DiscoveryResponse>> futures(kThreads);
   std::vector<std::thread> clients;
@@ -410,7 +399,7 @@ TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
     });
   }
   for (auto& c : clients) c.join();
-  hostage.Release();
+  gate.Release();
   for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
 
   // One expiry-triggered recompute total, not one per caller.
@@ -425,17 +414,16 @@ TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
 // interleaving, which single-queue head-grouping could only do by scanning
 // past incompatible traffic.
 TEST(ServeStressTest, InterleavedOptionSetsFormHomogeneousFullBatches) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;
   opts.batcher.max_in_flight_batches = 1;
+  opts.detect_observer_for_testing = gate.hook();
   InferenceEngine engine(&registry, opts);
 
-  PoolHostage hostage;
+  gate.Close();
   DiscoveryRequest occupier;
   occupier.model = "m";
   occupier.windows = RandomWindows(1, 920);
@@ -462,7 +450,7 @@ TEST(ServeStressTest, InterleavedOptionSetsFormHomogeneousFullBatches) {
   // occupier.
   EXPECT_EQ(engine.batcher_stats().shape_buckets, 2);
 
-  hostage.Release();
+  gate.Release();
   for (auto& f : set_a) {
     const DiscoveryResponse r = f.get();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -704,22 +692,20 @@ TEST(ServeStressTest, WindowsSaturatedBatchesCountAsFullOccupancy) {
 // unique keys, and every response carries the right scores for *its* window
 // (spot-checked against a fresh engine).
 TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;  // dedup only; no cache assistance
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 6;
   const Tensor hot = RandomWindows(2, 960);
 
-  PoolHostage hostage;
+  gate.Close();
   Barrier barrier(kThreads);
   std::vector<std::vector<std::future<DiscoveryResponse>>> futures(kThreads);
   std::vector<std::thread> clients;
@@ -740,7 +726,7 @@ TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
     });
   }
   for (auto& c : clients) c.join();
-  hostage.Release();
+  gate.Release();
 
   std::shared_ptr<const core::DetectionResult> hot_result;
   for (int t = 0; t < kThreads; ++t) {
@@ -788,30 +774,28 @@ TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
 // the hot window's scores are checked bit-identical against an unsharded
 // single-engine oracle.
 TEST(ServeStressTest, ShardedPoolDedupsPerShardAndMatchesSingleEngineOracle) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   std::mutex keys_mu;
   std::vector<CacheKey> computed_keys;
   EnginePoolOptions popts;
   popts.num_shards = 4;
   popts.engine.cache_capacity = 0;  // dedup only; no cache assistance
   popts.engine.detect_observer_for_testing =
-      [&, hook = counter.hook()](const CacheKey& key) {
+      gate.hook([&, hook = counter.hook()](const CacheKey& key) {
         hook(key);
         std::lock_guard<std::mutex> lock(keys_mu);
         computed_keys.push_back(key);
-      };
+      });
   EnginePool pool(&registry, popts);
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 6;
   const Tensor hot = RandomWindows(2, 975);
 
-  PoolHostage hostage;
+  gate.Close();
   Barrier barrier(kThreads);
   std::vector<std::vector<std::future<DiscoveryResponse>>> futures(kThreads);
   std::vector<std::thread> clients;
@@ -832,7 +816,7 @@ TEST(ServeStressTest, ShardedPoolDedupsPerShardAndMatchesSingleEngineOracle) {
     });
   }
   for (auto& c : clients) c.join();
-  hostage.Release();
+  gate.Release();
 
   std::shared_ptr<const core::DetectionResult> hot_result;
   for (int t = 0; t < kThreads; ++t) {
@@ -894,21 +878,19 @@ TEST(ServeStressTest, ShardedPoolDedupsPerShardAndMatchesSingleEngineOracle) {
 
 // Dedup off (the bench baseline): identical concurrent queries all compute.
 TEST(ServeStressTest, DedupDisabledComputesEverySubmission) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   DetectCounter counter;
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;
   opts.dedup_in_flight = false;
-  opts.detect_observer_for_testing = counter.hook();
+  opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
   constexpr int kThreads = 4;
   const Tensor windows = RandomWindows(2, 970);
-  PoolHostage hostage;
+  gate.Close();
   std::vector<std::future<DiscoveryResponse>> futures;
   for (int t = 0; t < kThreads; ++t) {
     DiscoveryRequest request;
@@ -916,7 +898,7 @@ TEST(ServeStressTest, DedupDisabledComputesEverySubmission) {
     request.windows = windows;
     futures.push_back(engine.SubmitAsync(std::move(request)));
   }
-  hostage.Release();
+  gate.Release();
   for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
   // One key, but every submission computed (they coalesce into batches, so
   // the *batch* count may be lower — the invocation count is per request).

@@ -18,14 +18,13 @@
 #include "serve/model_registry.h"
 #include "serve/score_cache.h"
 #include "serve_test_util.h"
-#include "util/thread_pool.h"
 
 namespace causalformer {
 namespace serve {
 namespace {
 
+using testutil::DetectGate;
 using testutil::ExpectSameDetection;
-using testutil::PoolHostage;
 using testutil::RandomWindows;
 using testutil::TinyModel;
 using testutil::TinyModelOptions;
@@ -336,15 +335,17 @@ TEST(InferenceEngineTest, UnloadDropsCacheAndRejectsFutureQueries) {
 }
 
 // Coalesced micro-batches must answer exactly what one-at-a-time requests
-// answer. Block the global pool so submissions pile up, then compare every
-// batched response against a fresh sequential run (caching disabled so each
-// run computes).
+// answer. Hold detection so submissions pile up, then compare every batched
+// response against a fresh sequential run (caching disabled so each run
+// computes).
 TEST(InferenceEngineTest, BatchedResultsMatchSequential) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
+  DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 0;  // force full computation on every submit
   opts.batcher.max_in_flight_batches = 1;
+  opts.detect_observer_for_testing = gate.hook();
   InferenceEngine engine(&registry, opts);
 
   constexpr int kRequests = 6;
@@ -353,9 +354,9 @@ TEST(InferenceEngineTest, BatchedResultsMatchSequential) {
     windows.push_back(RandomWindows(2 + (i % 3), 100 + i));
   }
 
-  // Hold every pool worker hostage so all submissions queue behind the first
-  // batch and must coalesce.
-  PoolHostage hostage;
+  // Hold the first batch at the gate so all submissions queue behind it and
+  // must coalesce.
+  gate.Close();
 
   std::vector<std::future<DiscoveryResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
@@ -364,7 +365,7 @@ TEST(InferenceEngineTest, BatchedResultsMatchSequential) {
     request.windows = windows[i];
     futures.push_back(engine.SubmitAsync(std::move(request)));
   }
-  hostage.Release();
+  gate.Release();
 
   std::vector<DiscoveryResponse> batched;
   for (auto& f : futures) batched.push_back(f.get());
@@ -414,18 +415,16 @@ TEST(InferenceEngineTest, ConcurrentSubmittersAllComplete) {
 }
 
 TEST(InferenceEngineTest, HotSwapWhileQueuedRunsOnPinnedModel) {
-  // A 1-worker pool runs kernels inline (ParallelFor's workers<=1 branch), so
-  // requests would finish before the swap and nothing racy is exercised.
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests queued";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
-  InferenceEngine engine(&registry);
+  DetectGate gate;
+  EngineOptions opts;
+  opts.detect_observer_for_testing = gate.hook();
+  InferenceEngine engine(&registry, opts);
 
-  // Hold every pool worker hostage so the executor's kernels cannot finish
-  // and submissions stay queued while the model is swapped underneath them.
-  PoolHostage hostage;
+  // Hold detection so the executing batch cannot finish and submissions
+  // stay queued while the model is swapped underneath them.
+  gate.Close();
 
   std::vector<std::future<DiscoveryResponse>> futures;
   for (int i = 0; i < 6; ++i) {
@@ -443,7 +442,7 @@ TEST(InferenceEngineTest, HotSwapWhileQueuedRunsOnPinnedModel) {
                                      TinyModelOptions(5, 12), &rng))
                   .ok());
 
-  hostage.Release();
+  gate.Release();
 
   // Every queued request was validated against the old 3-series handle and
   // must execute on it: not fail NotFound after the unload, and never reach
@@ -457,16 +456,15 @@ TEST(InferenceEngineTest, HotSwapWhileQueuedRunsOnPinnedModel) {
 }
 
 TEST(InferenceEngineTest, HotSwapDoesNotServeStaleCachedScores) {
-  // See HotSwapWhileQueuedRunsOnPinnedModel: the hostage trick needs workers.
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests queued";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel(1)).ok());
-  InferenceEngine engine(&registry);
+  DetectGate gate;
+  EngineOptions opts;
+  opts.detect_observer_for_testing = gate.hook();
+  InferenceEngine engine(&registry, opts);
 
-  // Hostage the pool so the request is still queued when the swap happens.
-  PoolHostage hostage;
+  // Hold detection so the request is still in flight when the swap happens.
+  gate.Close();
 
   DiscoveryRequest request;
   request.model = "m";
@@ -477,7 +475,7 @@ TEST(InferenceEngineTest, HotSwapDoesNotServeStaleCachedScores) {
   ASSERT_TRUE(engine.UnloadModel("m").ok());
   ASSERT_TRUE(registry.Register("m", TinyModel(2)).ok());
 
-  hostage.Release();
+  gate.Release();
 
   // The queued request runs on the pinned old model and fills the cache —
   // after UnloadModel already erased "m".

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -17,10 +18,9 @@
 #include "serve/engine_pool.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 // Shared fixtures of the serving-layer tests (serve_test, serve_stress_test,
-// stream_test, shard_fault_test): tiny models, the pool-hostage
+// stream_test, wire_test, shard_fault_test): tiny models, the DetectGate
 // dispatch-timing lever, the FailpointShard kill/drain-mid-batch
 // choreography, and the deterministic concurrency primitives (Barrier,
 // ScriptedClock) the stress harness is built on.
@@ -66,70 +66,88 @@ inline void ExpectSameDetection(const core::DetectionResult& a,
   EXPECT_EQ(a.graph.ToString(), b.graph.ToString());
 }
 
-// Parks every global ThreadPool worker until Release() (or destruction), so
-// detection kernels cannot progress and engine submissions stay queued — the
-// lever the batching, hot-swap and dedup tests use to control dispatch
-// timing. Releasing in the destructor keeps workers from blocking forever on
-// dead stack state when a test assertion fails mid-scope; the destructor also
-// waits for every hostage to leave the wait before the primitives go away.
-class PoolHostage {
+// The dispatch-timing lever of the batching, hot-swap, dedup and fault
+// tests. Installed through hook() as the engine's
+// detect_observer_for_testing, it counts every request the detector is about
+// to compute and, while closed, parks the executor before the detect runs:
+// the batch sits mid-execution and everything submitted after it stays
+// queued, in flight, or parked as a dedup follower until Release(). The gate
+// starts open; Close() arms it. It must outlive the engine it is installed
+// in, and so it is destroyed after that engine: a held detect therefore
+// waits at most kMaxHold, then fails the test and opens the gate, so an
+// assertion that returns while the gate is closed cannot hang the engine's
+// destructor (which joins its executors).
+class DetectGate {
  public:
-  PoolHostage() : hostages_(ThreadPool::Global().num_threads()) {
-    for (int i = 0; i < hostages_; ++i) {
-      ThreadPool::Global().Schedule([this] {
-        ++blocked_;
-        {
-          std::unique_lock<std::mutex> lock(mu_);
-          cv_.wait(lock, [this] { return release_; });
-        }
-        ++exited_;
-      });
-    }
-    while (blocked_.load() < hostages_) std::this_thread::yield();
+  static constexpr std::chrono::seconds kMaxHold{60};
+
+  // The observer to install. `then`, when set, runs after the gate lets the
+  // detect through (a counting or recording hook of the test's own).
+  std::function<void(const CacheKey&)> hook(
+      std::function<void(const CacheKey&)> then = nullptr) {
+    return [this, then = std::move(then)](const CacheKey& key) {
+      Pass();
+      if (then) then(key);
+    };
   }
 
-  ~PoolHostage() {
-    Release();
-    while (exited_.load() < hostages_) std::this_thread::yield();
+  // Holds every detect that reaches the gate from now until Release().
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
   }
 
+  // Lets the held detects (and every later one) run.
   void Release() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      release_ = true;
+      closed_ = false;
     }
     cv_.notify_all();
   }
 
+  // Requests that reached the gate, held or not.
+  int arrivals() const { return arrivals_.load(); }
+
  private:
-  const int hostages_;
+  void Pass() {
+    ++arrivals_;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!cv_.wait_for(lock, kMaxHold, [this] { return !closed_; })) {
+      ADD_FAILURE() << "DetectGate held a detect for " << kMaxHold.count()
+                    << " s without Release(); opening it";
+      closed_ = false;
+    }
+  }
+
   std::mutex mu_;
   std::condition_variable cv_;
-  bool release_ = false;
-  std::atomic<int> blocked_{0};
-  std::atomic<int> exited_{0};
+  bool closed_ = false;
+  std::atomic<int> arrivals_{0};
 };
 
 // Fault-injection choreography for one EnginePool shard: wedge the shard
-// mid-batch (a PoolHostage holds every detector kernel, so an executing
-// batch cannot finish), then kill or drain it on a helper thread — both
-// block inside the engine teardown until the kernels are released, which is
-// exactly the window the fault tests assert in (followers parked, queue
-// pending, ring already re-homed). Destruction releases the kernels and
-// joins the helper, so a failing assertion mid-scene cannot hang the test.
+// mid-batch (the pool's engines share `gate`, installed in their options;
+// this closes it, so an executing batch cannot finish), then kill or drain it
+// on a helper thread — both block inside the engine teardown until the
+// detects are released, which is exactly the window the fault tests assert
+// in (followers parked, queue pending, ring already re-homed). Destruction
+// releases the gate and joins the helper, so a failing assertion mid-scene
+// cannot hang the test.
 class FailpointShard {
  public:
-  FailpointShard(EnginePool* pool, size_t shard)
-      : pool_(pool), shard_(shard),
-        hostage_(std::make_unique<PoolHostage>()) {}
+  FailpointShard(EnginePool* pool, size_t shard, DetectGate* gate)
+      : pool_(pool), shard_(shard), gate_(gate) {
+    gate_->Close();
+  }
 
   ~FailpointShard() {
-    ReleaseKernels();
+    Release();
     Join();
   }
 
   // Submits through the shard's pinned frontend and blocks until the shard
-  // reports an executing batch — stuck on the hostaged kernels.
+  // reports an executing batch — held at the gate.
   std::future<DiscoveryResponse> SubmitStuck(DiscoveryRequest request) {
     auto future =
         pool_->shard_frontend(shard_)->SubmitAsync(std::move(request));
@@ -145,8 +163,8 @@ class FailpointShard {
   }
 
   // Launches KillShard/DrainShard on the helper thread. It blocks in the
-  // engine teardown (kill) or the quiesce poll (drain) until the kernels
-  // are released; the ring re-homes the shard's keys immediately though —
+  // engine teardown (kill) or the quiesce poll (drain) until the gate is
+  // released; the ring re-homes the shard's keys immediately though —
   // spin on pool()->router().is_live(shard()) turning false to sequence.
   void KillAsync() {
     StartOp([this] { return pool_->KillShard(shard_); });
@@ -156,9 +174,7 @@ class FailpointShard {
   }
 
   // Lets the wedged batch (and everything queued behind it) run.
-  void ReleaseKernels() {
-    if (hostage_ != nullptr) hostage_->Release();
-  }
+  void Release() { gate_->Release(); }
 
   // Waits for the pending kill/drain and returns its Status.
   Status Join() {
@@ -177,7 +193,7 @@ class FailpointShard {
 
   EnginePool* pool_;
   const size_t shard_;
-  std::unique_ptr<PoolHostage> hostage_;
+  DetectGate* gate_;
   std::thread op_;
   Status status_;
 };

@@ -10,22 +10,22 @@
 #include "serve/engine_pool.h"
 #include "serve/model_registry.h"
 #include "serve_test_util.h"
-#include "util/thread_pool.h"
 
 // Shard fault-injection suite: kill and drain an EnginePool shard *mid-batch*
-// — executing batch wedged on hostaged kernels, a dedup leader queued behind
+// — executing batch held at a DetectGate, a dedup leader queued behind
 // it with followers parked on its InFlightTable — and prove the failure
 // contract: every caller resolves (errors, never hangs), the ring re-homes
 // the dead shard's key space immediately, drain completes with zero client
 // errors, and a restarted shard comes back cold (generation-keyed cache, so
 // a stale score can never be served). The choreography lever is
 // testutil::FailpointShard; timing is controlled, not raced. Runs under
-// ThreadSanitizer in CI (the `tsan` job) with CF_NUM_THREADS=4.
+// ThreadSanitizer in CI (the `tsan` job).
 
 namespace causalformer {
 namespace serve {
 namespace {
 
+using testutil::DetectGate;
 using testutil::ExpectSameDetection;
 using testutil::FailpointShard;
 using testutil::RandomWindows;
@@ -71,14 +71,14 @@ DiscoveryRequest Query(uint64_t seed, int64_t b = 1) {
 // so pool submissions land on the survivor and succeed; and the pinned
 // frontend rejects immediately while the slot is down.
 TEST(ShardFaultTest, KillMidBatchResolvesEveryCallerAndReroutes) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to wedge a batch mid-execute";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
-  EnginePool pool(&registry, FaultPoolOptions());
+  DetectGate gate;
+  EnginePoolOptions popts = FaultPoolOptions();
+  popts.engine.detect_observer_for_testing = gate.hook();
+  EnginePool pool(&registry, popts);
 
-  FailpointShard fp(&pool, 0);
+  FailpointShard fp(&pool, 0, &gate);
   auto executing = fp.SubmitStuck(Query(500));
 
   // A distinct leader queues behind the wedged batch; three duplicates park
@@ -101,12 +101,12 @@ TEST(ShardFaultTest, KillMidBatchResolvesEveryCallerAndReroutes) {
       pool.shard_frontend(0)->SubmitAsync(Query(502)).get();
   EXPECT_EQ(direct.status.code(), StatusCode::kFailedPrecondition);
   // ...while a pool submission routes to the survivor (it completes once
-  // the kernels are released; routing is checked now, the result later).
+  // the gate is released; routing is checked now, the result later).
   auto rerouted = pool.SubmitAsync(Query(503));
   EXPECT_EQ(pool.shard_stats()[1].routed, 1u);
   EXPECT_EQ(pool.shard_stats()[0].routed, 0u);
 
-  fp.ReleaseKernels();
+  fp.Release();
   EXPECT_TRUE(fp.Join().ok());
 
   // The wedged batch was mid-execution: it completes normally.
@@ -138,14 +138,14 @@ TEST(ShardFaultTest, KillMidBatchResolvesEveryCallerAndReroutes) {
 // followers all complete through the normal path with ZERO client errors,
 // and only then is the engine destroyed.
 TEST(ShardFaultTest, DrainMidBatchCompletesEveryCallerWithZeroErrors) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to wedge a batch mid-execute";
-  }
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
-  EnginePool pool(&registry, FaultPoolOptions());
+  DetectGate gate;
+  EnginePoolOptions popts = FaultPoolOptions();
+  popts.engine.detect_observer_for_testing = gate.hook();
+  EnginePool pool(&registry, popts);
 
-  FailpointShard fp(&pool, 0);
+  FailpointShard fp(&pool, 0, &gate);
   auto executing = fp.SubmitStuck(Query(510));
   auto leader = pool.shard_frontend(0)->SubmitAsync(Query(511, 2));
   std::vector<std::future<DiscoveryResponse>> followers;
@@ -161,7 +161,7 @@ TEST(ShardFaultTest, DrainMidBatchCompletesEveryCallerWithZeroErrors) {
   auto rerouted = pool.SubmitAsync(Query(512));
   EXPECT_EQ(pool.shard_stats()[1].routed, 1u);
 
-  fp.ReleaseKernels();
+  fp.Release();
   EXPECT_TRUE(fp.Join().ok());
 
   // Zero errors on the graceful path: everything the shard had accepted

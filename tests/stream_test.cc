@@ -16,7 +16,6 @@
 #include "stream/ring_series.h"
 #include "stream/window_scheduler.h"
 #include "tensor/tensor.h"
-#include "util/thread_pool.h"
 
 namespace causalformer {
 namespace stream {
@@ -555,17 +554,12 @@ TEST(StreamWireTest, EndToEndOverTcp) {
 // as StreamStats::windows_deduped, the per-report `deduped` flag and the
 // AppendSamplesOk `deduped_windows` counter.
 TEST_F(SchedulerTest, IdenticalWindowsAcrossStreamsDedupInFlight) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold windows in flight";
-  }
-  // Count what the detector actually computes; disable the cache so only
-  // in-flight dedup can coalesce the twin stream.
-  std::atomic<int> computed{0};
+  // The gate counts what the detector actually computes; disable the cache
+  // so only in-flight dedup can coalesce the twin stream.
+  serve::testutil::DetectGate gate;
   serve::EngineOptions eopts;
   eopts.cache_capacity = 0;
-  eopts.detect_observer_for_testing = [&](const serve::CacheKey&) {
-    ++computed;
-  };
+  eopts.detect_observer_for_testing = gate.hook();
   serve::InferenceEngine engine(&registry(), eopts);
   WindowScheduler scheduler(&engine);
 
@@ -579,7 +573,7 @@ TEST_F(SchedulerTest, IdenticalWindowsAcrossStreamsDedupInFlight) {
   // stream, identical content across the two streams.
   const Tensor series = RandomSeries(3, 24, 77);
 
-  serve::testutil::PoolHostage hostage;
+  gate.Close();
   ASSERT_TRUE(scheduler.Append("a", series).ok());
   const auto b_ack = scheduler.AppendSamples("b", series);  // wire adapter
   ASSERT_TRUE(b_ack.ok());
@@ -587,10 +581,10 @@ TEST_F(SchedulerTest, IdenticalWindowsAcrossStreamsDedupInFlight) {
 
   // All 9 of a's windows are in flight; all 9 of b's parked on them.
   EXPECT_EQ(engine.dedup_stats().hits, 9u);
-  hostage.Release();
+  gate.Release();
   scheduler.Flush();
 
-  EXPECT_EQ(computed.load(), 9);  // b's feed cost zero detection passes
+  EXPECT_EQ(gate.arrivals(), 9);  // b's feed cost zero detection passes
   const auto a_stats = *scheduler.GetStats("a");
   const auto b_stats = *scheduler.GetStats("b");
   EXPECT_EQ(a_stats.windows_completed, 9u);

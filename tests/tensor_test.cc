@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -110,6 +113,64 @@ TEST(OpsTest, BroadcastScalarOperand) {
   Tensor s = Tensor::Scalar(2.0f);
   Tensor c = Mul(a, s);
   EXPECT_EQ(c.at({2}), 6.0f);
+}
+
+// Elementwise reference for a op b under NumPy broadcasting: maps each output
+// element to its a and b elements through right-aligned indices.
+Tensor BroadcastReference(const Tensor& a, const Tensor& b,
+                          const std::function<float(float, float)>& op) {
+  const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
+  Tensor out = Tensor::Zeros(out_shape);
+  const int nd = out_shape.ndim();
+  const auto offset = [nd](const Shape& s, const std::vector<int64_t>& idx) {
+    int64_t off = 0;
+    for (int d = 0; d < s.ndim(); ++d) {
+      const size_t out_d = static_cast<size_t>(nd - s.ndim() + d);
+      off = off * s[d] + (s[d] == 1 ? 0 : idx[out_d]);
+    }
+    return off;
+  };
+  std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
+  for (int64_t i = 0; i < out_shape.numel(); ++i) {
+    int64_t rest = i;
+    for (int d = nd - 1; d >= 0; --d) {
+      idx[static_cast<size_t>(d)] = rest % out_shape[d];
+      rest /= out_shape[d];
+    }
+    out.data()[i] = op(a.data()[offset(a.shape(), idx)],
+                       b.data()[offset(b.shape(), idx)]);
+  }
+  return out;
+}
+
+TEST(OpsTest, BroadcastMatchesElementwiseReferenceBitForBit) {
+  // b broadcast along a's leading dims (the bias and mask shapes), with and
+  // without leading 1s, plus a middle-axis broadcast that takes the general
+  // path: every arithmetic op must equal the scalar reference exactly.
+  Rng rng(5);
+  const Tensor a = Tensor::Randn(Shape{3, 4, 5}, &rng);
+  for (const Shape& b_shape : {Shape{5}, Shape{1, 5}, Shape{4, 5},
+                               Shape{1, 4, 5}, Shape{1, 1, 4, 5},
+                               Shape{4, 1}}) {
+    Tensor b = Tensor::Randn(b_shape, &rng);
+    for (int64_t i = 0; i < b.numel(); ++i) {
+      b.data()[i] += b.data()[i] < 0 ? -0.5f : 0.5f;  // keep Div finite
+    }
+    const std::vector<std::pair<Tensor, Tensor>> cases = {
+        {Add(a, b), BroadcastReference(a, b, std::plus<float>())},
+        {Sub(a, b), BroadcastReference(a, b, std::minus<float>())},
+        {Mul(a, b), BroadcastReference(a, b, std::multiplies<float>())},
+        {Div(a, b), BroadcastReference(a, b, std::divides<float>())}};
+    for (size_t op = 0; op < cases.size(); ++op) {
+      const Tensor& got = cases[op].first;
+      const Tensor& want = cases[op].second;
+      ASSERT_EQ(got.shape(), want.shape()) << b_shape.ToString();
+      for (int64_t i = 0; i < got.numel(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i])
+            << "op " << op << " b " << b_shape.ToString() << " at " << i;
+      }
+    }
+  }
 }
 
 TEST(OpsTest, UnaryFunctions) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/rng.h"
@@ -159,19 +164,80 @@ TEST(TableTest, MarkdownShape) {
   EXPECT_NE(md.find("|---|---|"), std::string::npos);
 }
 
+// The chunks one ParallelFor call ran: (begin, end, thread) per fn call.
+struct Chunk {
+  int64_t begin;
+  int64_t end;
+  std::thread::id thread;
+};
+
+std::vector<Chunk> RecordChunks(int64_t n, int64_t item_cost) {
+  std::mutex mu;
+  std::vector<Chunk> chunks;
+  ParallelFor(n, item_cost, [&](int64_t b, int64_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.push_back({b, e, std::this_thread::get_id()});
+  });
+  return chunks;
+}
+
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(1000, 10, [&](int64_t b, int64_t e) {
+  ParallelFor(1000, kMinTaskWork / 8, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPoolTest, WorkBelowThresholdRunsInlineOnCaller) {
+  // Below two tasks' worth of kMinTaskWork nothing is queued: one fn(0, n)
+  // on the calling thread, however many items or workers there are.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [n, cost] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, kMinTaskWork * 64},  // one item never splits
+           {2, kMinTaskWork - 1},   // just under two tasks
+           {4096, 1},               // many tiny items
+           {64, (2 * kMinTaskWork - 1) / 64}}) {
+    const std::vector<Chunk> chunks = RecordChunks(n, cost);
+    ASSERT_EQ(chunks.size(), 1u) << "n=" << n << " cost=" << cost;
+    EXPECT_EQ(chunks[0].begin, 0);
+    EXPECT_EQ(chunks[0].end, n);
+    EXPECT_EQ(chunks[0].thread, caller);
+  }
+}
+
+TEST(ThreadPoolTest, WorkAboveThresholdIsSplit) {
+  const int workers = ThreadPool::Global().num_threads();
+  if (workers <= 1) GTEST_SKIP() << "a one-worker pool never splits";
+  for (const auto& [n, cost] : std::vector<std::pair<int64_t, int64_t>>{
+           {2, kMinTaskWork},       // exactly two tasks
+           {8, kMinTaskWork},       // more tasks than workers
+           {1000, kMinTaskWork / 8}}) {
+    std::vector<Chunk> chunks = RecordChunks(n, cost);
+    const int64_t tasks = n / ((kMinTaskWork + cost - 1) / cost);
+    EXPECT_EQ(static_cast<int64_t>(chunks.size()),
+              std::min<int64_t>(workers, tasks))
+        << "n=" << n << " cost=" << cost;
+    // The chunks tile [0, n), each worth at least one task, and the caller
+    // runs the first one itself.
+    std::sort(chunks.begin(), chunks.end(),
+              [](const Chunk& x, const Chunk& y) { return x.begin < y.begin; });
+    int64_t next = 0;
+    for (const Chunk& c : chunks) {
+      EXPECT_EQ(c.begin, next);
+      EXPECT_GE((c.end - c.begin) * cost, kMinTaskWork);
+      next = c.end;
+    }
+    EXPECT_EQ(next, n);
+    EXPECT_EQ(chunks.front().thread, std::this_thread::get_id());
+  }
+}
+
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   std::atomic<int64_t> total{0};
-  ParallelFor(8, 1, [&](int64_t b, int64_t e) {
+  ParallelFor(8, kMinTaskWork, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
-      ParallelFor(100, 10, [&](int64_t bb, int64_t ee) {
+      ParallelFor(100, kMinTaskWork, [&](int64_t bb, int64_t ee) {
         total.fetch_add(ee - bb);
       });
     }
@@ -182,11 +248,11 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 TEST(ThreadPoolTest, DeeplyNestedParallelForRunsInline) {
   // Detector-under-serving shape: pool task -> matmul -> ParallelFor again.
   std::atomic<int64_t> total{0};
-  ParallelFor(4, 1, [&](int64_t b, int64_t e) {
+  ParallelFor(4, kMinTaskWork, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
-      ParallelFor(4, 1, [&](int64_t bb, int64_t ee) {
+      ParallelFor(4, kMinTaskWork, [&](int64_t bb, int64_t ee) {
         for (int64_t j = bb; j < ee; ++j) {
-          ParallelFor(10, 1,
+          ParallelFor(10, kMinTaskWork,
                       [&](int64_t bbb, int64_t eee) { total += eee - bbb; });
         }
       });
@@ -196,10 +262,10 @@ TEST(ThreadPoolTest, DeeplyNestedParallelForRunsInline) {
 }
 
 TEST(ThreadPoolTest, ConcurrentCallersDoNotWaitOnEachOther) {
-  // Regression: ParallelFor used to block in ThreadPool::Wait() until the
-  // pool-wide pending count hit zero, so one caller's completion depended on
-  // every other thread's tasks. Hammer the pool from many threads at once;
-  // each call must see exactly its own range, and all must terminate.
+  // Each call tracks only its own chunks with a per-call latch, so one
+  // caller's completion never depends on another thread's tasks. Hammer the
+  // pool from many threads at once with calls big enough to split; each
+  // call must see exactly its own range, and all must terminate.
   constexpr int kThreads = 8;
   constexpr int kIterations = 50;
   std::vector<std::thread> threads;
@@ -208,7 +274,7 @@ TEST(ThreadPoolTest, ConcurrentCallersDoNotWaitOnEachOther) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &sums] {
       for (int it = 0; it < kIterations; ++it) {
-        ParallelFor(64, 4, [&sums, t](int64_t b, int64_t e) {
+        ParallelFor(64, kMinTaskWork, [&sums, t](int64_t b, int64_t e) {
           for (int64_t i = b; i < e; ++i) sums[t] += i;
         });
       }
@@ -222,7 +288,7 @@ TEST(ThreadPoolTest, ConcurrentCallersDoNotWaitOnEachOther) {
 
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   bool called = false;
-  ParallelFor(0, 1, [&](int64_t, int64_t) { called = true; });
+  ParallelFor(0, kMinTaskWork, [&](int64_t, int64_t) { called = true; });
   EXPECT_FALSE(called);
 }
 

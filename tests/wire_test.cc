@@ -24,7 +24,6 @@
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/socket.h"
-#include "util/thread_pool.h"
 
 #include "serve_test_util.h"
 
@@ -1641,6 +1640,7 @@ class WireObsLoopbackTest : public ::testing::Test {
     ASSERT_TRUE(registry_.Register("m", TinyModel()).ok());
     EngineOptions eopts;
     eopts.obs = &obs_;
+    eopts.detect_observer_for_testing = gate_.hook();
     engine_ = std::make_unique<InferenceEngine>(&registry_, eopts);
     WireServerOptions sopts;
     sopts.obs = &obs_;
@@ -1651,6 +1651,7 @@ class WireObsLoopbackTest : public ::testing::Test {
 
   obs::Observability obs_;
   ModelRegistry registry_;
+  testutil::DetectGate gate_;
   std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<WireServer> server_;
   WireClient client_;
@@ -1741,9 +1742,6 @@ TEST_F(WireObsLoopbackTest, DetectTraceCoversPipelineWithoutGaps) {
 }
 
 TEST_F(WireObsLoopbackTest, DedupFollowerTraceLinksLeader) {
-  if (ThreadPool::Global().num_threads() <= 1) {
-    GTEST_SKIP() << "needs a multi-worker pool to hold requests in flight";
-  }
   WireClient follower;
   ASSERT_TRUE(follower.Connect("127.0.0.1", server_->port()).ok());
 
@@ -1754,12 +1752,12 @@ TEST_F(WireObsLoopbackTest, DedupFollowerTraceLinksLeader) {
 
   // Freeze detection so the identical second request provably overlaps the
   // first in flight and parks as a dedup follower.
-  testutil::PoolHostage hostage;
+  gate_.Close();
   ASSERT_TRUE(client_.SendFrame(wire::MessageType::kDetect, payload).ok());
   while (engine_->dedup_stats().in_flight < 1) std::this_thread::yield();
   ASSERT_TRUE(follower.SendFrame(wire::MessageType::kDetect, payload).ok());
   while (engine_->dedup_stats().hits < 1) std::this_thread::yield();
-  hostage.Release();
+  gate_.Release();
 
   auto leader_frame = client_.RecvFrame();
   ASSERT_TRUE(leader_frame.ok()) << leader_frame.status().ToString();

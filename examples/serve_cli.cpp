@@ -93,10 +93,8 @@
 #include "obs/process_metrics.h"
 #include "obs/profiler.h"
 #include "serve/client.h"
-#include "serve/engine_pool.h"
 #include "serve/inference_engine.h"
 #include "serve/server.h"
-#include "stream/sharded_scheduler.h"
 #include "stream/window_scheduler.h"
 #include "tensor/allocator.h"
 #include "util/csv.h"
@@ -119,10 +117,6 @@ struct CliOptions {
   std::string model_name = "default";  // registry name to query/stream against
   std::string stream_name = "cli";     // stream mode: server-side stream name
   int port = 0;            // netserve mode: listen port (0 = ephemeral)
-  // netserve: engine shards behind the one listener. 1 keeps the classic
-  // single-engine server (and its unlabeled metric series); >1 routes
-  // Detects by cache-key ring hash across independent engines.
-  int shards = 1;
   bool allow_admin = true; // netserve mode: accept LoadModel/UnloadModel
   int queries = 120;  // selftest query count
   int64_t stride = 1;  // stream mode: samples between detection windows
@@ -166,7 +160,7 @@ void Usage() {
                "  serve_cli --checkpoint <ck.cfpm> --csv <data.csv> "
                "[--replay <queries.txt>] [model flags]\n"
                "  serve_cli serve --port <N> --checkpoint <ck.cfpm> "
-               "[--shards N] [--no-admin] [--cache-ttl SECONDS] "
+               "[--no-admin] [--cache-ttl SECONDS] "
                "[--slow-request MS] [--dump-dir DIR] [model flags]\n"
                "  serve_cli query --connect <host:port> --csv <data.csv> "
                "[--replay <queries.txt>] [--model name]\n"
@@ -245,10 +239,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       int64_t v;
       if (!next(&v) || v < 0 || v > 65535) return false;
       opts->port = static_cast<int>(v);
-    } else if (arg == "--shards") {
-      int64_t v;
-      if (!next(&v) || v < 1 || v > 64) return false;
-      opts->shards = static_cast<int>(v);
     } else if (arg == "--no-admin") {
       opts->allow_admin = false;
     } else if (arg == "--dump-dir" && i + 1 < argc) {
@@ -640,20 +630,15 @@ int RunNetServe(const CliOptions& opts) {
   if (const cf::Status pst = profiler.Start(); !pst.ok()) {
     CF_LOG(kWarning) << "profiler disabled: " << pst.ToString();
   }
-  // The engine pool: N independent engines (each with its own score cache,
-  // in-flight table and micro-batcher) behind one ring router. --shards 1
-  // (the default) degenerates to the classic single-engine server — same
-  // unlabeled metric series, one shard row in Stats.
-  cf::serve::EnginePoolOptions popts;
-  popts.num_shards = static_cast<size_t>(opts.shards);
-  popts.engine.cache_ttl_seconds = opts.cache_ttl;
-  popts.engine.obs = &obs;
-  cf::serve::EnginePool engine(&registry, popts);
-  // The streaming scheduler front-ends the pool (one inner scheduler per
-  // shard, streams pinned by ring identity); it shares each shard's
-  // micro-batcher and score cache with one-shot Detect traffic and must
-  // outlive the server.
-  cf::stream::ShardedWindowScheduler scheduler(&engine, &obs);
+  // One engine (score cache, in-flight table, micro-batcher with the
+  // default adaptive in-flight batches) serves every Detect and stream.
+  cf::serve::EngineOptions eopts;
+  eopts.cache_ttl_seconds = opts.cache_ttl;
+  eopts.obs = &obs;
+  cf::serve::InferenceEngine engine(&registry, eopts);
+  // The streaming scheduler shares the engine's micro-batcher and score
+  // cache with one-shot Detect traffic and must outlive the server.
+  cf::stream::WindowScheduler scheduler(&engine, &obs);
 
   // The flight recorder sees the whole stack: the obs bundle (logs,
   // metrics, traces) plus live engine/batcher/scheduler/server state.
@@ -687,7 +672,6 @@ int RunNetServe(const CliOptions& opts) {
            " outstanding=" + std::to_string(arenas.stats.outstanding) +
            " parent_allocs=" + std::to_string(arenas.stats.parent_allocs) +
            " parent_frees=" + std::to_string(arenas.stats.parent_frees) + "\n";
-    out += engine.DebugString();
     return out;
   });
   recorder.AddStateProvider(
@@ -724,10 +708,10 @@ int RunNetServe(const CliOptions& opts) {
   InstallSignalHandler(SIGTERM, OnServeSignal);
   InstallSignalHandler(SIGUSR1, OnServeSignal);
   std::printf(
-      "serving '%s' on port %u (N=%lld, T=%lld, shards=%d, streaming on)%s\n",
+      "serving '%s' on port %u (N=%lld, T=%lld, streaming on)%s\n",
       opts.checkpoint.c_str(), server.port(),
       static_cast<long long>(mopt.num_series),
-      static_cast<long long>(mopt.window), opts.shards,
+      static_cast<long long>(mopt.window),
       opts.allow_admin ? "" : " [admin frames disabled]");
   std::fflush(stdout);
 
@@ -938,20 +922,6 @@ int RunQuery(const CliOptions& opts) {
           static_cast<unsigned long long>(remote->server_connections),
           static_cast<unsigned long long>(remote->server_frames),
           static_cast<unsigned long long>(remote->server_wire_errors));
-      for (const auto& shard : remote->shards) {
-        std::printf(
-            "  shard %u: %s routed=%llu restarts=%llu cache %llu/%llu "
-            "size=%llu dedup=%llu batches=%llu\n",
-            shard.shard,
-            shard.live ? "up" : (shard.draining ? "draining" : "down"),
-            static_cast<unsigned long long>(shard.routed),
-            static_cast<unsigned long long>(shard.restarts),
-            static_cast<unsigned long long>(shard.cache_hits),
-            static_cast<unsigned long long>(shard.cache_misses),
-            static_cast<unsigned long long>(shard.cache_size),
-            static_cast<unsigned long long>(shard.dedup_hits),
-            static_cast<unsigned long long>(shard.batch_batches));
-      }
       continue;
     }
     if (cmd == "metrics") {

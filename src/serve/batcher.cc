@@ -53,9 +53,7 @@ MicroBatcher::MicroBatcher(const BatcherOptions& options, ExecuteFn execute)
   admitted_ = options_.max_in_flight_batches;
   executors_.reserve(options_.max_in_flight_batches);
   for (int i = 0; i < options_.max_in_flight_batches; ++i) {
-    std::string name = "cf-exec";
-    if (!options_.thread_label.empty()) name += "-" + options_.thread_label;
-    name += "-" + std::to_string(i);
+    const std::string name = "cf-exec-" + std::to_string(i);
     executors_.emplace_back([this, name] {
       obs::RegisterProfilingThread(name.c_str());
       ExecutorLoop();
@@ -245,8 +243,6 @@ MicroBatcher::Stats MicroBatcher::stats() const {
   Stats s = stats_;
   s.in_flight_limit = admitted_;
   s.shape_buckets = static_cast<int>(buckets_.size());
-  s.queued = queued_;
-  s.active_batches = active_;
   return s;
 }
 

@@ -112,11 +112,6 @@ struct BatcherOptions {
   /// Batch fill fraction at or below which a dispatch shrinks it by one
   /// (never below one executor per pending shape bucket).
   double shrink_occupancy = 0.25;
-  /// Label spliced into the executor threads' profiling names:
-  /// `cf-exec-<label>-<i>` (empty → `cf-exec-<i>`). The engine pool sets
-  /// it to the shard index so profiles attribute samples to the right
-  /// shard's executor lane (obs/profiler.h).
-  std::string thread_label;
 };
 
 /// The adaptive micro-batching queue between the engine and the detector.
@@ -161,11 +156,6 @@ class MicroBatcher {
     int shape_buckets = 0;    ///< buckets holding pending requests (gauge)
     uint64_t limit_grows = 0;    ///< admission-limit increments so far
     uint64_t limit_shrinks = 0;  ///< admission-limit decrements so far
-    /// Requests queued but not yet collected into a batch (gauge). With
-    /// active_batches, the quiescence signal a graceful shard drain polls:
-    /// both zero means nothing is pending inside this batcher.
-    size_t queued = 0;
-    int active_batches = 0;  ///< batches executing right now (gauge)
   };
   /// Snapshot of the batching counters.
   Stats stats() const;

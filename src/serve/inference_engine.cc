@@ -43,17 +43,6 @@ ScoreCacheOptions CacheOptions(const EngineOptions& options) {
   return cache;
 }
 
-// The executor threads spawn inside the MicroBatcher's constructor, so the
-// shard label must ride into BatcherOptions before the member initializer
-// runs; profiles then attribute samples to `cf-exec-<shard>-<i>` lanes.
-BatcherOptions BatcherOptionsFor(const EngineOptions& options) {
-  BatcherOptions batcher = options.batcher;
-  if (batcher.thread_label.empty()) {
-    batcher.thread_label = options.metrics_shard_label;
-  }
-  return batcher;
-}
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(ModelRegistry* registry,
@@ -61,53 +50,36 @@ InferenceEngine::InferenceEngine(ModelRegistry* registry,
     : registry_(registry),
       options_(options),
       cache_(CacheOptions(options)),
-      batcher_(BatcherOptionsFor(options),
+      batcher_(options.batcher,
                [this](std::vector<BatchItem> items) {
                  ExecuteBatch(std::move(items));
                }) {
   CF_CHECK(registry != nullptr);
   if (options_.obs != nullptr) {
     obs::MetricsRegistry& metrics = options_.obs->metrics();
-    // A sharded engine splices its slot label into every series it owns, so
-    // N shards sharing one bundle stay separable; unsharded engines (empty
-    // label) keep the historical names byte-for-byte.
-    const std::string& shard = options_.metrics_shard_label;
-    const auto series = [&shard](const char* base) {
-      return shard.empty() ? std::string(base)
-                           : std::string(base) + "{shard=\"" + shard + "\"}";
-    };
-    const auto labeled = [&shard](std::string base_with_labels) {
-      if (shard.empty()) return base_with_labels;
-      base_with_labels.insert(base_with_labels.size() - 1,
-                              ",shard=\"" + shard + "\"");
-      return base_with_labels;
-    };
-    obs_.requests = metrics.GetCounter(series("serve_requests_total"));
-    obs_.cache_hits = metrics.GetCounter(series("serve_cache_hits_total"));
-    obs_.dedup_followers =
-        metrics.GetCounter(series("serve_dedup_followers_total"));
-    obs_.batches = metrics.GetCounter(series("serve_batches_total"));
+    obs_.requests = metrics.GetCounter("serve_requests_total");
+    obs_.cache_hits = metrics.GetCounter("serve_cache_hits_total");
+    obs_.dedup_followers = metrics.GetCounter("serve_dedup_followers_total");
+    obs_.batches = metrics.GetCounter("serve_batches_total");
     obs_.request_latency =
-        metrics.GetHistogram(series("serve_request_latency_seconds"));
-    obs_.queue_wait = metrics.GetHistogram(series("serve_queue_wait_seconds"));
+        metrics.GetHistogram("serve_request_latency_seconds");
+    obs_.queue_wait = metrics.GetHistogram("serve_queue_wait_seconds");
     obs::HistogramOptions occupancy;
     occupancy.min_value = 1.0;  // batch sizes, not seconds
     occupancy.growth = 2.0;
     occupancy.num_buckets = 12;
     obs_.batch_occupancy =
-        metrics.GetHistogram(series("serve_batch_occupancy"), occupancy);
+        metrics.GetHistogram("serve_batch_occupancy", occupancy);
     for (const char* phase : {"forward", "backward", "relevance", "cluster"}) {
-      obs_.phase_hists.emplace_back(
-          phase,
-          metrics.GetHistogram(labeled(std::string("detect_phase_seconds{"
-                                                   "phase=\"") +
-                                       phase + "\"}")));
+      const std::string series =
+          std::string("detect_phase_seconds{phase=\"") + phase + "\"}";
+      obs_.phase_hists.emplace_back(phase, metrics.GetHistogram(series));
     }
     for (const char* kernel : {"matmul", "softmax"}) {
-      obs_.phase_hists.emplace_back(
-          std::string("kernel.") + kernel,
-          metrics.GetHistogram(labeled(
-              std::string("kernel_seconds{kernel=\"") + kernel + "\"}")));
+      const std::string series =
+          std::string("kernel_seconds{kernel=\"") + kernel + "\"}";
+      obs_.phase_hists.emplace_back(std::string("kernel.") + kernel,
+                                    metrics.GetHistogram(series));
     }
   }
 }

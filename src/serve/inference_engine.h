@@ -12,7 +12,6 @@
 
 #include "obs/observability.h"
 #include "serve/batcher.h"
-#include "serve/engine_frontend.h"
 #include "serve/inflight.h"
 #include "serve/model_registry.h"
 #include "serve/score_cache.h"
@@ -74,25 +73,25 @@ struct EngineOptions {
   /// and `cache_clock_for_testing` is null, the cache TTL also reads the
   /// bundle's clock, so one injected clock drives expiry and spans alike.
   obs::Observability* obs = nullptr;
-  /// Shard label spliced into every engine metric series (e.g.
-  /// `serve_requests_total{shard="0"}`), so a pool's shards stay separable
-  /// in one metrics registry. Empty (the default, and what a 1-shard pool
-  /// configures) keeps the unsharded series names — existing dashboards and
-  /// the CI scrape greps see no change until a deployment actually shards.
-  std::string metrics_shard_label;
+};
+
+/// One point-in-time snapshot of every engine counter family — cache,
+/// batcher and in-flight dedup — taken for stats endpoints and tests.
+struct EngineStats {
+  ScoreCache::Stats cache;       ///< score-cache counters
+  MicroBatcher::Stats batcher;   ///< micro-batcher counters
+  InFlightTable::Stats dedup;    ///< in-flight dedup counters
 };
 
 /// The long-lived service object answering discovery queries.
-/// (EngineStats — the counter snapshot this engine reports — lives in
-/// serve/engine_frontend.h with the interface that exposes it.)
-class InferenceEngine : public EngineFrontend {
+class InferenceEngine {
  public:
   /// `registry` must outlive the engine.
   explicit InferenceEngine(ModelRegistry* registry,
                            const EngineOptions& options = {});
   /// Drains the batcher (rejecting queued work, fanning followers in on the
   /// rejection) before members go away.
-  ~InferenceEngine() override = default;
+  ~InferenceEngine() = default;
 
   InferenceEngine(const InferenceEngine&) = delete;             ///< not copyable
   InferenceEngine& operator=(const InferenceEngine&) = delete;  ///< not copyable
@@ -101,24 +100,24 @@ class InferenceEngine : public EngineFrontend {
   /// rejections and cache hits resolve immediately, dedup followers resolve
   /// with their leader, misses resolve when the request's micro-batch
   /// completes.
-  std::future<DiscoveryResponse> SubmitAsync(DiscoveryRequest request) override;
+  std::future<DiscoveryResponse> SubmitAsync(DiscoveryRequest request);
+
+  /// Convenience synchronous wrapper around SubmitAsync.
+  DiscoveryResponse Discover(DiscoveryRequest request) {
+    return SubmitAsync(std::move(request)).get();
+  }
 
   /// Unloads `name` from the registry and drops its cached scores.
-  Status UnloadModel(const std::string& name) override;
-
-  /// Drops `name`'s cached scores without touching the registry. The lever
-  /// an EnginePool uses on an unload: the shared registry entry is dropped
-  /// once, then every shard's private cache is purged through here.
-  void EraseCachedModel(const std::string& name) { cache_.EraseModel(name); }
+  Status UnloadModel(const std::string& name);
 
   /// Eagerly drops cached results older than the configured TTL, returning
   /// how many were dropped (0 when no TTL is set). TTL expiry is otherwise
   /// lazy — a dead stream's windows are never Get() again, so the streaming
   /// layer calls this when a stream closes.
-  size_t PruneExpiredCache() override { return cache_.PruneExpired(); }
+  size_t PruneExpiredCache() { return cache_.PruneExpired(); }
 
   /// The registry this engine validates queries against.
-  ModelRegistry& registry() override { return *registry_; }
+  ModelRegistry& registry() { return *registry_; }
   /// Snapshot of the score-cache counters.
   ScoreCache::Stats cache_stats() const { return cache_.stats(); }
   /// Snapshot of the micro-batcher counters.
@@ -126,7 +125,7 @@ class InferenceEngine : public EngineFrontend {
   /// Snapshot of the in-flight dedup counters.
   InFlightTable::Stats dedup_stats() const { return inflight_.stats(); }
   /// One snapshot of every counter family.
-  EngineStats stats() const override;
+  EngineStats stats() const;
 
  private:
   /// Metric handles resolved once at construction (stable pointers into the

@@ -82,7 +82,7 @@ struct WireServer::Pending {
   bool close_after = false;
 };
 
-WireServer::WireServer(EngineFrontend* engine,
+WireServer::WireServer(InferenceEngine* engine,
                        const WireServerOptions& options)
     : engine_(engine), options_(options) {
   CF_CHECK(engine != nullptr);
@@ -313,23 +313,7 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         model.window = info.options.window;
         msg.models.push_back(std::move(model));
       }
-      // Per-shard rows (protocol v6): empty for an unsharded engine, one
-      // per slot for a pool — dead slots included, so an operator's stats
-      // view shows the hole a kill left.
-      for (const ShardStatsRow& row : engine_->shard_stats()) {
-        wire::StatsResultMsg::Shard shard;
-        shard.shard = row.shard;
-        shard.live = row.live;
-        shard.draining = row.draining;
-        shard.routed = row.routed;
-        shard.restarts = row.restarts;
-        shard.cache_hits = row.engine.cache.hits;
-        shard.cache_misses = row.engine.cache.misses;
-        shard.cache_size = row.engine.cache.size;
-        shard.dedup_hits = row.engine.dedup.hits;
-        shard.batch_batches = row.engine.batcher.batches;
-        msg.shards.push_back(shard);
-      }
+      // msg.shards stays empty: the v6 shard table goes out as zero rows.
       PushReady(conn, MessageType::kStatsResult, wire::EncodeStatsResult(msg));
       return true;
     }

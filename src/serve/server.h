@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "obs/observability.h"
-#include "serve/engine_frontend.h"
+#include "serve/inference_engine.h"
 #include "serve/wire.h"
 #include "util/status.h"
 
@@ -92,10 +92,7 @@ struct WireServerOptions {
   obs::Profiler* profiler = nullptr;
 };
 
-/// A TCP server bridging wire-protocol clients onto one EngineFrontend —
-/// a bare InferenceEngine or a sharded EnginePool; the server cannot tell
-/// the difference and the protocol does not change (shard rows simply
-/// appear in StatsResult when the frontend reports them).
+/// A TCP server bridging wire-protocol clients onto one InferenceEngine.
 ///
 /// Lifecycle: construct, Start(), serve until Stop() (or destruction). The
 /// engine — and through it the registry — must outlive the server.
@@ -109,7 +106,7 @@ class WireServer {
   };
 
   /// Binds the server to `engine`; no sockets are opened until Start().
-  WireServer(EngineFrontend* engine, const WireServerOptions& options = {});
+  WireServer(InferenceEngine* engine, const WireServerOptions& options = {});
   /// Stops the server (idempotent with Stop()).
   ~WireServer();
 
@@ -154,7 +151,7 @@ class WireServer {
   /// Encodes one resolved engine response (result or error frame).
   static std::vector<uint8_t> EncodeResponse(const DiscoveryResponse& response);
 
-  EngineFrontend* engine_;
+  InferenceEngine* engine_;
   WireServerOptions options_;
   /// Mirrored wire counters (stable pointers into the bundle's registry,
   /// resolved at construction; all null when observability is off).

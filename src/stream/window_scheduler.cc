@@ -49,7 +49,7 @@ WindowScheduler::Stream::Stream(std::string stream_name, StreamConfig cfg,
       drift(config.drift),
       next_end(config.window) {}
 
-WindowScheduler::WindowScheduler(serve::EngineFrontend* engine,
+WindowScheduler::WindowScheduler(serve::InferenceEngine* engine,
                                  obs::Observability* obs)
     : engine_(engine), obs_(obs) {
   CF_CHECK(engine != nullptr);

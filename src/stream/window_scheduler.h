@@ -15,7 +15,7 @@
 #include "core/detector.h"
 #include "graph/causal_graph.h"
 #include "obs/observability.h"
-#include "serve/engine_frontend.h"
+#include "serve/inference_engine.h"
 #include "serve/stream_backend.h"
 #include "stream/drift.h"
 #include "stream/ring_series.h"
@@ -113,13 +113,12 @@ struct StreamReport {
 /// same streams over TCP.
 class WindowScheduler : public serve::StreamBackend {
  public:
-  /// A scheduler submitting through `engine` — a bare InferenceEngine or
-  /// one shard of an EnginePool (must outlive the scheduler). `obs`
-  /// (optional, not owned, must outlive the scheduler) enables per-stream
-  /// metrics: an append→graph latency histogram
+  /// A scheduler submitting through `engine` (must outlive the scheduler).
+  /// `obs` (optional, not owned, must outlive the scheduler) enables
+  /// per-stream metrics: an append→graph latency histogram
   /// (`stream_append_to_graph_seconds{stream="…"}`) plus drift-event and
   /// regime-change counters, resolved per stream at Open().
-  explicit WindowScheduler(serve::EngineFrontend* engine,
+  explicit WindowScheduler(serve::InferenceEngine* engine,
                            obs::Observability* obs = nullptr);
   /// Stops the completion thread; in-flight detections finish in the engine
   /// but their reports are dropped.
@@ -209,7 +208,7 @@ class WindowScheduler : public serve::StreamBackend {
   /// The named stream, or NotFound. Holds mu_.
   StatusOr<std::shared_ptr<Stream>> FindLocked(const std::string& name) const;
 
-  serve::EngineFrontend* engine_;
+  serve::InferenceEngine* engine_;
   obs::Observability* obs_;
 
   mutable std::mutex mu_;  // guards streams_ and every Stream's state

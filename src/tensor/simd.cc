@@ -18,14 +18,10 @@ IsaLevel DetectBestLevel() {
     return IsaLevel::kAvx2;
   }
 #endif
-#ifdef CF_HAVE_NEON
-  // NEON is architecturally guaranteed on AArch64.
-  return IsaLevel::kNeon;
-#endif
   return IsaLevel::kScalar;
 }
 
-// CF_SIMD environment override: off/scalar, avx2, neon, auto (or unset).
+// CF_SIMD environment override: off/scalar, avx2, auto (or unset).
 // Requests for a level that is unavailable fall back to the best available.
 IsaLevel InitialLevel() {
   const IsaLevel best = DetectBestLevel();
@@ -36,23 +32,18 @@ IsaLevel InitialLevel() {
   if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0) {
     return IsaLevel::kScalar;
   }
-  IsaLevel want = best;
-  if (std::strcmp(env, "avx2") == 0) {
-    want = IsaLevel::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    want = IsaLevel::kNeon;
-  } else {
+  if (std::strcmp(env, "avx2") != 0) {
     CF_LOG(kWarning) << "unknown CF_SIMD value '" << env << "', using "
                      << LevelName(best);
     return best;
   }
-  if (TableForLevel(want) == nullptr) {
+  if (TableForLevel(IsaLevel::kAvx2) == nullptr) {
     CF_LOG(kWarning) << "CF_SIMD=" << env
                      << " not available in this build/CPU, using "
                      << LevelName(best);
     return best;
   }
-  return want;
+  return IsaLevel::kAvx2;
 }
 
 struct Dispatch {
@@ -87,8 +78,6 @@ const char* LevelName(IsaLevel level) {
       return "scalar";
     case IsaLevel::kAvx2:
       return "avx2";
-    case IsaLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -104,12 +93,6 @@ const KernelTable* TableForLevel(IsaLevel level) {
       }
 #endif
       return nullptr;
-    case IsaLevel::kNeon:
-#ifdef CF_HAVE_NEON
-      return &NeonKernelTable();
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }

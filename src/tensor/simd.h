@@ -9,15 +9,15 @@
 /// Every primitive exists in a scalar reference form (bit-identical to the
 /// original hand-written loops — the contract the ScoreCache and in-flight
 /// dedup rely on) and, when the build and the CPU allow, in a vectorized form
-/// (AVX2+FMA on x86-64, NEON on ARM). The active implementation is picked
-/// once at startup:
+/// (AVX2+FMA on x86-64). The active implementation is picked once at
+/// startup:
 ///
-///   * compile-time: the CMake option CF_SIMD=auto|avx2|neon|off decides
-///     which backends are built (the `off` build contains only the scalar
-///     table);
+///   * compile-time: the CMake option CF_SIMD=auto|avx2|off decides which
+///     backends are built (the `off` build, and `auto` on anything but
+///     x86-64, contains only the scalar table);
 ///   * runtime: the best built backend the CPU actually supports wins, and
-///     the CF_SIMD environment variable (`off`/`scalar`, `avx2`, `neon`,
-///     `auto`) can force a lower level without rebuilding.
+///     the CF_SIMD environment variable (`off`/`scalar`, `avx2`, `auto`) can
+///     force a lower level without rebuilding.
 ///
 /// Numerics contract: vectorized kernels are bit-identical to the scalar
 /// reference for order-independent operations (elementwise arithmetic,
@@ -33,7 +33,7 @@ namespace causalformer {
 namespace simd {
 
 /// Instruction-set level of a kernel table.
-enum class IsaLevel { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class IsaLevel { kScalar = 0, kAvx2 = 1 };
 
 /// One implementation of every vector primitive. All pointers are non-null.
 struct KernelTable {
@@ -99,7 +99,7 @@ const KernelTable& Active();
 /// Level of the active table.
 IsaLevel ActiveLevel();
 
-/// Human-readable level name: "scalar", "avx2", "neon".
+/// Human-readable level name: "scalar", "avx2".
 const char* LevelName(IsaLevel level);
 
 /// The table for `level`, or nullptr when that backend is not built in or

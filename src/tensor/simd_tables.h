@@ -20,11 +20,6 @@ const KernelTable& ScalarKernelTable();
 const KernelTable& Avx2KernelTable();
 #endif
 
-#ifdef CF_HAVE_NEON
-/// NEON table (simd_neon.cc); NEON is baseline on AArch64.
-const KernelTable& NeonKernelTable();
-#endif
-
 }  // namespace simd
 }  // namespace causalformer
 

@@ -173,8 +173,7 @@ bool SameBits(const Tensor& a, const Tensor& b) {
 TEST(WalkPlanTest, PrunedPlanMatchesFullWalkBitForBit) {
   std::vector<simd::IsaLevel> levels;
   for (const simd::IsaLevel level :
-       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
-        simd::IsaLevel::kNeon}) {
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2}) {
     if (simd::TableForLevel(level) != nullptr) levels.push_back(level);
   }
   const simd::IsaLevel saved = simd::ActiveLevel();

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/detector.h"
-#include "serve/engine_pool.h"
 #include "serve/inference_engine.h"
 #include "serve/inflight.h"
 #include "serve/model_registry.h"
@@ -762,117 +761,6 @@ TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
   check.windows = hot;
   const DiscoveryResponse expected = fresh.Discover(std::move(check));
   ASSERT_TRUE(expected.status.ok());
-  ExpectSameDetection(*hot_result, *expected.result);
-}
-
-// The sharded pool under the mixed identical/unique load: the dedup
-// invariant must survive sharding *because* routing follows the full cache
-// key — identical keys co-locate on one shard, whose in-flight table
-// coalesces them exactly as an unsharded engine would. Proven two ways:
-// globally (detector invocations == unique keys) and per shard (each
-// shard's dedup leader count == the unique keys the ring assigns it), then
-// the hot window's scores are checked bit-identical against an unsharded
-// single-engine oracle.
-TEST(ServeStressTest, ShardedPoolDedupsPerShardAndMatchesSingleEngineOracle) {
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
-  DetectCounter counter;
-  DetectGate gate;
-  std::mutex keys_mu;
-  std::vector<CacheKey> computed_keys;
-  EnginePoolOptions popts;
-  popts.num_shards = 4;
-  popts.engine.cache_capacity = 0;  // dedup only; no cache assistance
-  popts.engine.detect_observer_for_testing =
-      gate.hook([&, hook = counter.hook()](const CacheKey& key) {
-        hook(key);
-        std::lock_guard<std::mutex> lock(keys_mu);
-        computed_keys.push_back(key);
-      });
-  EnginePool pool(&registry, popts);
-
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 6;
-  const Tensor hot = RandomWindows(2, 975);
-
-  gate.Close();
-  Barrier barrier(kThreads);
-  std::vector<std::vector<std::future<DiscoveryResponse>>> futures(kThreads);
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      barrier.Wait();
-      for (int round = 0; round < kRounds; ++round) {
-        DiscoveryRequest request;
-        request.model = "m";
-        request.windows =
-            (round % 2 == 0)
-                ? hot
-                : RandomWindows(2, 976 + static_cast<uint64_t>(t * kRounds +
-                                                               round));
-        futures[static_cast<size_t>(t)].push_back(
-            pool.SubmitAsync(std::move(request)));
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  gate.Release();
-
-  std::shared_ptr<const core::DetectionResult> hot_result;
-  for (int t = 0; t < kThreads; ++t) {
-    for (int round = 0; round < kRounds; ++round) {
-      const DiscoveryResponse r =
-          futures[static_cast<size_t>(t)][static_cast<size_t>(round)].get();
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      if (round % 2 == 0) {
-        // Duplicates of the hot window share ONE result object: they all
-        // landed on the hot key's shard and coalesced there.
-        if (hot_result == nullptr) {
-          hot_result = r.result;
-        } else {
-          EXPECT_EQ(r.result.get(), hot_result.get());
-        }
-      }
-    }
-  }
-
-  // Global invariant, exactly as in the unsharded run above.
-  const int unique = 1 + kThreads * (kRounds / 2);
-  EXPECT_EQ(counter.total(), unique);
-  EXPECT_EQ(counter.unique_keys(), static_cast<size_t>(unique));
-
-  // Per-shard invariant: a shard led exactly one in-flight computation per
-  // unique key the ring routed to it, and the rows add up to the whole —
-  // nothing computed twice, nothing computed on the wrong shard.
-  std::vector<uint64_t> expected_leaders(popts.num_shards, 0);
-  {
-    std::lock_guard<std::mutex> lock(keys_mu);
-    for (const CacheKey& key : computed_keys) {
-      ++expected_leaders[pool.router().RouteKey(key)];
-    }
-  }
-  const auto rows = pool.shard_stats();
-  uint64_t total_routed = 0;
-  for (size_t s = 0; s < rows.size(); ++s) {
-    EXPECT_EQ(rows[s].engine.dedup.leaders, expected_leaders[s])
-        << "shard " << s;
-    EXPECT_EQ(rows[s].engine.dedup.in_flight, 0u) << "shard " << s;
-    total_routed += rows[s].routed;
-  }
-  EXPECT_EQ(total_routed, static_cast<uint64_t>(kThreads * kRounds));
-  EXPECT_EQ(pool.stats().dedup.leaders, static_cast<uint64_t>(unique));
-
-  // Bit-identical against the unsharded oracle: sharding changed placement,
-  // never arithmetic.
-  ModelRegistry fresh_registry;
-  ASSERT_TRUE(fresh_registry.Register("m", TinyModel()).ok());
-  InferenceEngine fresh(&fresh_registry);
-  DiscoveryRequest check;
-  check.model = "m";
-  check.windows = hot;
-  const DiscoveryResponse expected = fresh.Discover(std::move(check));
-  ASSERT_TRUE(expected.status.ok());
-  ASSERT_NE(hot_result, nullptr);
   ExpectSameDetection(*hot_result, *expected.result);
 }
 

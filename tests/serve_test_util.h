@@ -7,23 +7,20 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "core/causality_transformer.h"
 #include "core/detector.h"
-#include "serve/engine_pool.h"
+#include "serve/inference_engine.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
 // Shared fixtures of the serving-layer tests (serve_test, serve_stress_test,
-// stream_test, wire_test, shard_fault_test): tiny models, the DetectGate
-// dispatch-timing lever, the FailpointShard kill/drain-mid-batch
-// choreography, and the deterministic concurrency primitives (Barrier,
-// ScriptedClock) the stress harness is built on.
+// stream_test, wire_test): tiny models, the DetectGate dispatch-timing lever,
+// and the deterministic concurrency primitives (Barrier, ScriptedClock) the
+// stress harness is built on.
 
 namespace causalformer {
 namespace serve {
@@ -66,7 +63,7 @@ inline void ExpectSameDetection(const core::DetectionResult& a,
   EXPECT_EQ(a.graph.ToString(), b.graph.ToString());
 }
 
-// The dispatch-timing lever of the batching, hot-swap, dedup and fault
+// The dispatch-timing lever of the batching, hot-swap, dedup and teardown
 // tests. Installed through hook() as the engine's
 // detect_observer_for_testing, it counts every request the detector is about
 // to compute and, while closed, parks the executor before the detect runs:
@@ -124,78 +121,6 @@ class DetectGate {
   std::condition_variable cv_;
   bool closed_ = false;
   std::atomic<int> arrivals_{0};
-};
-
-// Fault-injection choreography for one EnginePool shard: wedge the shard
-// mid-batch (the pool's engines share `gate`, installed in their options;
-// this closes it, so an executing batch cannot finish), then kill or drain it
-// on a helper thread — both block inside the engine teardown until the
-// detects are released, which is exactly the window the fault tests assert
-// in (followers parked, queue pending, ring already re-homed). Destruction
-// releases the gate and joins the helper, so a failing assertion mid-scene
-// cannot hang the test.
-class FailpointShard {
- public:
-  FailpointShard(EnginePool* pool, size_t shard, DetectGate* gate)
-      : pool_(pool), shard_(shard), gate_(gate) {
-    gate_->Close();
-  }
-
-  ~FailpointShard() {
-    Release();
-    Join();
-  }
-
-  // Submits through the shard's pinned frontend and blocks until the shard
-  // reports an executing batch — held at the gate.
-  std::future<DiscoveryResponse> SubmitStuck(DiscoveryRequest request) {
-    auto future =
-        pool_->shard_frontend(shard_)->SubmitAsync(std::move(request));
-    WaitExecuting();
-    return future;
-  }
-
-  // Spins until the shard's batcher reports at least one executing batch.
-  void WaitExecuting() {
-    while (pool_->shard_stats()[shard_].engine.batcher.active_batches < 1) {
-      std::this_thread::yield();
-    }
-  }
-
-  // Launches KillShard/DrainShard on the helper thread. It blocks in the
-  // engine teardown (kill) or the quiesce poll (drain) until the gate is
-  // released; the ring re-homes the shard's keys immediately though —
-  // spin on pool()->router().is_live(shard()) turning false to sequence.
-  void KillAsync() {
-    StartOp([this] { return pool_->KillShard(shard_); });
-  }
-  void DrainAsync() {
-    StartOp([this] { return pool_->DrainShard(shard_); });
-  }
-
-  // Lets the wedged batch (and everything queued behind it) run.
-  void Release() { gate_->Release(); }
-
-  // Waits for the pending kill/drain and returns its Status.
-  Status Join() {
-    if (op_.joinable()) op_.join();
-    return status_;
-  }
-
-  EnginePool* pool() { return pool_; }
-  size_t shard() const { return shard_; }
-
- private:
-  void StartOp(std::function<Status()> fn) {
-    ASSERT_FALSE(op_.joinable()) << "one kill/drain at a time";
-    op_ = std::thread([this, fn = std::move(fn)] { status_ = fn(); });
-  }
-
-  EnginePool* pool_;
-  const size_t shard_;
-  DetectGate* gate_;
-  std::thread op_;
-  Status status_;
 };
 
 // A reusable (generation-counted) thread barrier: Wait() blocks until

@@ -38,9 +38,6 @@ std::vector<std::pair<std::string, const simd::KernelTable*>> VectorTables() {
   if (const auto* t = simd::TableForLevel(simd::IsaLevel::kAvx2)) {
     tables.emplace_back("avx2", t);
   }
-  if (const auto* t = simd::TableForLevel(simd::IsaLevel::kNeon)) {
-    tables.emplace_back("neon", t);
-  }
   return tables;
 }
 

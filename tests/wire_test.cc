@@ -1433,6 +1433,7 @@ TEST_F(WireLoopbackTest, StatsReportModelsAndTraffic) {
   EXPECT_GE(stats->batch_requests, 1u);
   EXPECT_GE(stats->server_frames, 2u);
   EXPECT_EQ(stats->server_connections, 1u);
+  EXPECT_TRUE(stats->shards.empty());
 }
 
 TEST_F(WireLoopbackTest, LoadAndUnloadOverTheWire) {

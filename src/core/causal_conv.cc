@@ -117,16 +117,15 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
 }
 
 Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
-                                    const std::vector<int>& row_groups,
-                                    bool shared_kernel) {
+                                    const std::vector<int>& row_groups) {
   CF_CHECK_EQ(x.ndim(), 3) << "x must be [B, N, T]";
-  CF_CHECK_EQ(kernel.ndim(), 4) << "grouped kernel must be [G, N, N|1, T]";
+  CF_CHECK_EQ(kernel.ndim(), 4) << "grouped kernel must be [G, N, N, T]";
   const int64_t batch = x.dim(0);
   const int64_t n = x.dim(1);
   const int64_t steps = x.dim(2);
   const int64_t groups = kernel.dim(0);
   CF_CHECK_EQ(kernel.dim(1), n);
-  CF_CHECK_EQ(kernel.dim(2), shared_kernel ? 1 : n);
+  CF_CHECK_EQ(kernel.dim(2), n);
   CF_CHECK_EQ(kernel.dim(3), steps);
   CF_CHECK_EQ(static_cast<int64_t>(row_groups.size()), batch);
   for (const int g : row_groups) {
@@ -134,7 +133,6 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
     CF_CHECK_LT(g, groups);
   }
 
-  const int64_t kdim2 = kernel.dim(2);
   Tensor out = Tensor::Zeros(Shape{batch, n, n, steps});
   {
     const float* px = x.data();
@@ -149,8 +147,7 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         const int64_t g = row_groups[b];
         const float* xrow = px + (b * n + i) * steps;
         for (int64_t j = 0; j < n; ++j) {
-          const int64_t kj = shared_kernel ? 0 : j;
-          const float* krow = pk + ((g * n + i) * kdim2 + kj) * steps;
+          const float* krow = pk + ((g * n + i) * n + j) * steps;
           float* orow = po + ((b * n + i) * n + j) * steps;
           const simd::KernelTable& K = simd::Active();
           for (int64_t t = 0; t < steps; ++t) {
@@ -164,12 +161,11 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
 
   return MakeOp(
       "grouped_multi_kernel_causal_conv", {x, kernel}, out,
-      [x, kernel, row_groups, shared_kernel](const Tensor&, const Tensor& cot,
-                                             const std::vector<bool>& needs) {
+      [x, kernel, row_groups](const Tensor&, const Tensor& cot,
+                              const std::vector<bool>& needs) {
         const int64_t batch = x.dim(0);
         const int64_t n = x.dim(1);
         const int64_t steps = x.dim(2);
-        const int64_t kdim2 = kernel.dim(2);
         const int64_t groups = kernel.dim(0);
         // The two halves are independent; an unneeded one is skipped (the
         // detector reads only gk: its input windows carry no gradient).
@@ -205,10 +201,9 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
               const float* xrow = px + (b * n + i) * steps;
               float* gxrow = pgx ? pgx + (b * n + i) * steps : nullptr;
               for (int64_t j = 0; j < n; ++j) {
-                const int64_t kj = shared_kernel ? 0 : j;
-                const float* krow = pk + ((g * n + i) * kdim2 + kj) * steps;
+                const float* krow = pk + ((g * n + i) * n + j) * steps;
                 float* gkrow =
-                    pgk ? pgk + ((g * n + i) * kdim2 + kj) * steps : nullptr;
+                    pgk ? pgk + ((g * n + i) * n + j) * steps : nullptr;
                 const float* crow = pc + ((b * n + i) * n + j) * steps;
                 const simd::KernelTable& K = simd::Active();
                 K.div(crow, denom.data(), cs.data(), steps);

@@ -29,15 +29,16 @@ namespace core {
 Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
                              bool shared_kernel = false);
 
-/// Grouped variant for batched serving: `kernel` is [G, N, N|1, T] (typically
-/// a TileBatch of the learned kernel) and `row_groups[b]` names the kernel
-/// group of batch row b. Forward values equal the ungrouped op row for row;
-/// the point is the tape: the VJP yields a *per-group* kernel cotangent, so a
-/// batched backward pass recovers, for every request in the batch, exactly
-/// the kernel gradient (and relevance) a standalone run would produce.
+/// Grouped variant for batched serving: `kernel` is [G, N, N, T] (a TileBatch
+/// of the learned kernel; a shared kernel is broadcast across targets first)
+/// and `row_groups[b]` names the kernel group of batch row b. Forward values
+/// equal the ungrouped op row for row; the point is the tape: the VJP yields
+/// a *per-group*, per-target kernel cotangent — output target column j feeds
+/// kernel column j alone — so one batched backward pass recovers, for every
+/// request and target, exactly the kernel gradient (and relevance) a
+/// standalone run seeded for that target would produce.
 Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
-                                    const std::vector<int>& row_groups,
-                                    bool shared_kernel = false);
+                                    const std::vector<int>& row_groups);
 
 /// Right-shifts the diagonal slices X̂[b,i,i,:] by one time slot (Eq. 4).
 Tensor ShiftRightDiagonal(const Tensor& conv);

@@ -68,9 +68,17 @@ ForwardResult CausalityTransformer::ForwardGrouped(
   CF_CHECK_EQ(x.dim(2), options_.window);
   CF_CHECK_GT(num_groups, 0);
 
-  const Tensor kernel_groups = TileBatch(kernel_, num_groups);
-  Tensor conv = GroupedMultiKernelCausalConv(x, kernel_groups, row_groups,
-                                             !options_.multi_kernel);
+  // A shared [N, 1, T] kernel is broadcast across targets first, so each
+  // target's kernel cotangent gets its own column instead of summing into
+  // column 0. x * 1 keeps every bit of x (-0.0 included), so the convolution
+  // sees the same values.
+  Tensor kernel = kernel_;
+  if (!options_.multi_kernel) {
+    const int64_t n = options_.num_series;
+    kernel = Mul(kernel_, Tensor::Ones(Shape{n, n, options_.window}));
+  }
+  const Tensor kernel_groups = TileBatch(kernel, num_groups);
+  Tensor conv = GroupedMultiKernelCausalConv(x, kernel_groups, row_groups);
   ForwardResult result = ForwardFromConv(x, ShiftRightDiagonal(conv));
   result.kernel_groups = kernel_groups;
   return result;

@@ -50,9 +50,10 @@ struct ForwardResult {
   std::vector<Tensor> attention;  ///< per head: [B, N, N] (softmax output)
   Tensor conv;                    ///< [B, N, N, T] after diagonal shift
   /// Grouped forward only: the per-group tiled convolution kernel
-  /// [G, N, N|1, T]. Gradients/relevance of group g come exclusively from
-  /// batch rows assigned to g, which is what lets the batched detector read
-  /// per-request kernel scores out of one shared backward pass.
+  /// [G, N, N, T] (a shared kernel broadcast across targets). Gradients and
+  /// relevance at [g, :, j, :] come exclusively from batch rows assigned to
+  /// g and from target j, which is what lets the batched detector read
+  /// per-request, per-target kernel scores out of one shared backward pass.
   Tensor kernel_groups;
 };
 

@@ -126,109 +126,75 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     obs::ScopedPhaseTimer timer("forward");
     return model.ForwardGrouped(x, row_groups, num_requests);
   }();
-  const bool shared = !mopt.multi_kernel;
-  const int64_t kdim2 = fwd.kernel_groups.dim(2);
 
-  // Tap row of the grouped kernel-score tensor [G, N, N|1, T].
-  auto kernel_row = [&](const Tensor& score_k, int group, int from, int to) {
-    const int64_t kj = shared ? 0 : to;
-    return score_k.data() +
-           ((static_cast<int64_t>(group) * n + from) * kdim2 + kj) * t_window;
-  };
-  auto best_tap = [&](const float* taps) {
-    int64_t best = 0;
-    for (int64_t k = 1; k < t_window; ++k) {
-      if (taps[k] > taps[best]) best = k;
-    }
-    return best;
-  };
-
+  // Causal scores per head S(A) ([B, N, N]) and for the kernels S(K)
+  // ([G, N, N, T]); target i reads row i of each S(A) and column i of S(K).
+  std::vector<Tensor> score_a;
+  Tensor score_k;
   if (!options.use_interpretation) {
     // Ablation "w/o interpretation": attention weights and raw |K| scores.
-    for (const Tensor& a : fwd.attention) {
-      for (int r = 0; r < num_requests; ++r) {
-        const std::vector<double> mean =
-            BatchMeanMatrixRange(a, offsets[r], offsets[r] + counts[r]);
-        for (int to = 0; to < n; ++to) {
-          for (int from = 0; from < n; ++from) {
-            results[r].scores.add(
-                from, to,
-                mean[static_cast<size_t>(to) * n + from] /
-                    static_cast<double>(fwd.attention.size()));
-          }
-        }
-      }
-    }
-    const Tensor abs_k = interpret::AbsGradientScore(fwd.kernel_groups);
-    for (int r = 0; r < num_requests; ++r) {
-      for (int to = 0; to < n; ++to) {
-        for (int from = 0; from < n; ++from) {
-          const int64_t best = best_tap(kernel_row(abs_k, r, from, to));
-          results[r].delays[from][to] =
-              DelayFromTap(t_window, best, from == to);
-        }
-      }
-    }
+    score_a = fwd.attention;
+    score_k = interpret::AbsGradientScore(fwd.kernel_groups);
   } else {
-    // Full detector: per-target one-hot seeds over every request's rows; one
-    // gradient walk + one relevance walk per target serves the whole batch,
-    // each skipped when the ablation variant discards it. Both walks read
-    // only A and K, so they share one plan of the tape's live part.
+    // Full detector: one all-ones seed stands for the one-hot seed of every
+    // target at once. No live tape node mixes target series, so the walk
+    // computes each target's row of A and column of K with the same
+    // arithmetic as a walk seeded for that target alone. Each walk is skipped
+    // when the ablation variant discards it; both read only A and K, so they
+    // share one plan of the tape's live part.
     std::vector<Tensor> wanted = fwd.attention;
     wanted.push_back(fwd.kernel_groups);
     const WalkPlan plan = PlanWalk(fwd.prediction, wanted);
-    interpret::RelevanceOptions ropts;
-    ropts.epsilon = options.epsilon;
-    ropts.bias_absorption = options.bias_absorption;
-    for (int target = 0; target < n; ++target) {
-      Tensor seed = Tensor::Zeros(fwd.prediction.shape());
-      {
-        float* ps = seed.data();
-        for (int64_t bi = 0; bi < total_rows; ++bi) {
-          float* row = ps + (bi * n + target) * t_window;
-          for (int64_t t = 0; t < t_window; ++t) row[t] = 1.0f;
-        }
-      }
+    const Tensor seed = Tensor::Ones(fwd.prediction.shape());
+    GradientMap grads;
+    if (NeedsGradient(options)) {
+      obs::ScopedPhaseTimer timer("backward");
+      grads = ComputeGradients(plan, seed);
+    }
+    interpret::RelevanceMap relevance;
+    if (NeedsRelevance(options)) {
+      obs::ScopedPhaseTimer timer("relevance");
+      interpret::RelevanceOptions ropts;
+      ropts.epsilon = options.epsilon;
+      ropts.bias_absorption = options.bias_absorption;
+      relevance = interpret::PropagateRelevance(plan, seed, ropts);
+    }
+    for (const Tensor& a : fwd.attention) {
+      score_a.push_back(CombineScores(interpret::RelevanceOf(relevance, a),
+                                      GradientOf(grads, a), a.shape(),
+                                      options));
+    }
+    score_k = CombineScores(
+        interpret::RelevanceOf(relevance, fwd.kernel_groups),
+        GradientOf(grads, fwd.kernel_groups), fwd.kernel_groups.shape(),
+        options);
+  }
 
-      GradientMap grads;
-      if (NeedsGradient(options)) {
-        obs::ScopedPhaseTimer timer("backward");
-        grads = ComputeGradients(plan, seed);
-      }
-      interpret::RelevanceMap relevance;
-      if (NeedsRelevance(options)) {
-        obs::ScopedPhaseTimer timer("relevance");
-        relevance = interpret::PropagateRelevance(plan, seed, ropts);
-      }
-
-      // Attention scores (S(A)[target]) per request.
-      for (const Tensor& a : fwd.attention) {
-        const Tensor s =
-            CombineScores(interpret::RelevanceOf(relevance, a),
-                          GradientOf(grads, a), a.shape(), options);
-        for (int r = 0; r < num_requests; ++r) {
-          const std::vector<double> mean =
-              BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r]);
-          for (int from = 0; from < n; ++from) {
-            results[r].scores.add(
-                from, target,
-                mean[static_cast<size_t>(target) * n + from] /
-                    static_cast<double>(fwd.attention.size()));
-          }
-        }
-      }
-
-      // Kernel scores -> delays (Eq. 20), per request via the kernel group.
-      const Tensor s_k = CombineScores(
-          interpret::RelevanceOf(relevance, fwd.kernel_groups),
-          GradientOf(grads, fwd.kernel_groups), fwd.kernel_groups.shape(),
-          options);
-      for (int r = 0; r < num_requests; ++r) {
+  for (const Tensor& s : score_a) {
+    for (int r = 0; r < num_requests; ++r) {
+      const std::vector<double> mean =
+          BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r]);
+      for (int to = 0; to < n; ++to) {
         for (int from = 0; from < n; ++from) {
-          const int64_t best = best_tap(kernel_row(s_k, r, from, target));
-          results[r].delays[from][target] =
-              DelayFromTap(t_window, best, from == target);
+          results[r].scores.add(from, to,
+                                mean[static_cast<size_t>(to) * n + from] /
+                                    static_cast<double>(score_a.size()));
         }
+      }
+    }
+  }
+  // Delays (Eq. 20) from the argmax tap of each request's kernel group.
+  for (int r = 0; r < num_requests; ++r) {
+    for (int from = 0; from < n; ++from) {
+      for (int to = 0; to < n; ++to) {
+        const float* taps =
+            score_k.data() + ((static_cast<int64_t>(r) * n + from) * n + to) *
+                                 t_window;
+        int64_t best = 0;
+        for (int64_t k = 1; k < t_window; ++k) {
+          if (taps[k] > taps[best]) best = k;
+        }
+        results[r].delays[from][to] = DelayFromTap(t_window, best, from == to);
       }
     }
   }

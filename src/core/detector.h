@@ -10,17 +10,21 @@
 /// \file
 /// The decomposition-based causality detector (Section 4.2, Fig. 6).
 ///
-/// For each target series i the detector:
-///   1. seeds the trained model's output with the one-hot relevance
-///      R^(L) = [0, ..., 1_i, ..., 0] ⊗ 1_T over a batch of windows,
-///   2. backward-propagates gradients (for Eq. 19) and relevance (RRP,
-///      Eq. 15-18) down to the attention matrices A and the causal
-///      convolution kernels K,
-///   3. forms causal scores S = E_{batch,heads}[ (|∇f| ⊙ R)_+ ],
-///   4. clusters the incoming scores S(A)[i]_{i,:} with k-means and keeps the
-///      top-m of n classes as causal edges (Section 4.2.3),
-///   5. reads each edge's delay from the kernel scores (Eq. 20):
-///      d(e_{j,i}) = T - argmax_t S(K)[i]_{j,i,t} (plus one slot for
+/// The paper interprets each target series i on its own: it seeds the
+/// trained model's output with the one-hot relevance
+/// R^(L) = [0, ..., 1_i, ..., 0] ⊗ 1_T over a batch of windows. The detector
+/// seeds all ones instead, which is every target's one-hot seed side by side:
+/// no op between the output and A or K mixes target series, so row i of A
+/// and target column i of K receive exactly what the target-i seed alone
+/// would give them, bit for bit. It then
+///   1. backward-propagates gradients (for Eq. 19) and relevance (RRP,
+///      Eq. 15-18) from that seed down to the attention matrices A and the
+///      causal convolution kernels K, one walk each for all targets,
+///   2. forms causal scores S = E_{batch,heads}[ (|∇f| ⊙ R)_+ ],
+///   3. clusters each target i's incoming scores S(A)_{i,:} with k-means and
+///      keeps the top-m of n classes as causal edges (Section 4.2.3),
+///   4. reads each edge's delay from the kernel scores (Eq. 20):
+///      d(e_{j,i}) = T - argmax_t S(K)_{j,i,t} (plus one slot for
 ///      self-loops, whose convolution output is right-shifted).
 
 namespace causalformer {
@@ -58,8 +62,8 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
 
 /// Detection for several independent window batches (each [B_i, N, T])
 /// against one trained model, coalesced into a single shared forward pass and
-/// one backward + relevance walk per target series. Used by the serving
-/// layer's micro-batcher.
+/// one backward + relevance walk for all targets. Used by the serving layer's
+/// micro-batcher.
 ///
 /// Guarantees:
 ///  * Exactness — element i of the result equals DetectCausalGraphBatched

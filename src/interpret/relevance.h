@@ -48,17 +48,18 @@ struct RelevanceOptions {
 /// Relevance per tape tensor, keyed by tensor identity.
 using RelevanceMap = std::unordered_map<internal::TensorImpl*, Tensor>;
 
-/// Runs RRP from `output` seeded with `seed` (same shape; typically the
-/// one-hot row selection of Fig. 6a). Returns the relevance of every tensor
-/// the full walk reaches (see PlanWalk): intermediates and every leaf that
-/// requires grad, such as the causal convolution kernels. An input window
-/// receives relevance only when marked requires_grad.
+/// Runs RRP from `output` seeded with `seed` (same shape; the one-hot row
+/// selection of Fig. 6a, or all ones, which the detector uses to walk every
+/// target's rows at once). Returns the relevance of every tensor the full
+/// walk reaches (see PlanWalk): intermediates and every leaf that requires
+/// grad, such as the causal convolution kernels. An input window receives
+/// relevance only when marked requires_grad.
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options = {});
 
 /// As above, over a plan from PlanWalk(output, ...) — for callers (the
-/// detector's per-target loop) that reuse one plan across many seeds and
-/// read only the plan's wanted tensors.
+/// detector, whose plan is shared with its gradient walk) that reuse one
+/// plan across walks and read only the plan's wanted tensors.
 RelevanceMap PropagateRelevance(const WalkPlan& plan, const Tensor& seed,
                                 const RelevanceOptions& options = {});
 

@@ -104,8 +104,9 @@ GradientMap WalkTape(const WalkPlan& plan, const Tensor& seed,
 /// concurrently — the property the serving layer's detector relies on.
 GradientMap ComputeGradients(const Tensor& root, const Tensor& seed);
 
-/// As above, over a plan from PlanWalk — for callers that walk one tape many
-/// times (the detector, once per target) or read only a few tensors.
+/// As above, over a plan from PlanWalk — for callers that walk one tape more
+/// than once (the detector shares its plan with the relevance walk) or read
+/// only a few tensors.
 GradientMap ComputeGradients(const WalkPlan& plan, const Tensor& seed);
 
 /// Looks up the gradient of `t`, or an undefined Tensor when none reached it.

@@ -226,8 +226,7 @@ TEST(WalkPlanTest, VjpsSkipUnneededInputs) {
 
   Tensor x = Tensor::Randn(Shape{3, 2, 5}, &rng, true);
   Tensor kernel = Tensor::Randn(Shape{2, 2, 2, 5}, &rng, true);
-  const Tensor conv =
-      core::GroupedMultiKernelCausalConv(x, kernel, {0, 1, 1}, false);
+  const Tensor conv = core::GroupedMultiKernelCausalConv(x, kernel, {0, 1, 1});
   for (size_t skip : {0u, 1u}) ExpectVjpSkipsInput(conv, skip);
 }
 

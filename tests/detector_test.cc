@@ -212,10 +212,11 @@ uint64_t HashResults(const std::vector<DetectionResult>& results) {
 
 // The scalar kernel table reproduces the seed's arithmetic, so the batched
 // detector's scalar output is pinned end to end: two requests of different
-// window counts, through each Table 3 detector variant. The constants were
-// recorded before the tape walks were pruned; any change to the walks, the
-// vjps or the scoring that moves a single bit fails here. They assume an
-// IEEE-754 host whose libm expf matches glibc's.
+// window counts, through each Table 3 detector variant. The first five
+// constants were recorded before the tape walks were pruned, the sixth (the
+// shared-kernel model) before the per-target walks became one; any change to
+// the walks, the vjps or the scoring that moves a single bit fails here. They
+// assume an IEEE-754 host whose libm expf matches glibc's.
 TEST(DetectorTest, ScalarOutputIsPinnedPerVariant) {
   core::ModelOptions mopt;
   mopt.num_series = 4;
@@ -224,44 +225,56 @@ TEST(DetectorTest, ScalarOutputIsPinnedPerVariant) {
   mopt.d_qk = 16;
   mopt.heads = 2;
   mopt.d_ffn = 16;
+  // Nonzero biases, so the bias-absorption variant takes a different path.
+  auto randomize_biases = [](core::CausalityTransformer* model) {
+    Rng brng(42);
+    for (auto& [name, p] : model->NamedParameters()) {
+      if (name.rfind("b_", 0) != 0 && name.find("bias") == std::string::npos) {
+        continue;
+      }
+      for (int64_t i = 0; i < p.numel(); ++i) {
+        p.data()[i] = 0.1f * static_cast<float>(brng.Normal());
+      }
+    }
+  };
   Rng rng(41);
   core::CausalityTransformer model(mopt, &rng);
-  // Nonzero biases, so the bias-absorption variant takes a different path.
-  Rng brng(42);
-  for (auto& [name, p] : model.NamedParameters()) {
-    if (name.rfind("b_", 0) != 0 && name.find("bias") == std::string::npos) {
-      continue;
-    }
-    for (int64_t i = 0; i < p.numel(); ++i) {
-      p.data()[i] = 0.1f * static_cast<float>(brng.Normal());
-    }
-  }
+  randomize_biases(&model);
+  // "w/o multi conv kernel": one [N, 1, T] kernel shared across targets.
+  core::ModelOptions shared_opt = mopt;
+  shared_opt.multi_kernel = false;
+  Rng shared_rng(41);
+  core::CausalityTransformer shared_model(shared_opt, &shared_rng);
+  randomize_biases(&shared_model);
   Rng wrng(43);
   const std::vector<Tensor> requests = {Tensor::Randn(Shape{3, 4, 8}, &wrng),
                                         Tensor::Randn(Shape{5, 4, 8}, &wrng)};
 
   struct Variant {
     const char* name;
+    const core::CausalityTransformer* model;
     DetectorOptions options;
     uint64_t expected;
   };
-  std::vector<Variant> variants(5);
-  variants[0] = {"full", {}, 0x9c17936f7ac833cfull};
-  variants[1] = {"w/o relevance", {}, 0x5338e1187de8ff07ull};
+  std::vector<Variant> variants(6);
+  variants[0] = {"full", &model, {}, 0x9c17936f7ac833cfull};
+  variants[1] = {"w/o relevance", &model, {}, 0x5338e1187de8ff07ull};
   variants[1].options.use_relevance = false;
-  variants[2] = {"w/o gradient", {}, 0x0dbe21e82c63c41dull};
+  variants[2] = {"w/o gradient", &model, {}, 0x0dbe21e82c63c41dull};
   variants[2].options.use_gradient = false;
-  variants[3] = {"w/o bias", {}, 0xf53e31ccd5a78504ull};
+  variants[3] = {"w/o bias", &model, {}, 0xf53e31ccd5a78504ull};
   variants[3].options.bias_absorption = false;
-  variants[4] = {"w/o interpretation", {}, 0x8dec09f1fb56352aull};
+  variants[4] = {"w/o interpretation", &model, {}, 0x8dec09f1fb56352aull};
   variants[4].options.use_interpretation = false;
+  variants[5] = {"w/o multi conv kernel", &shared_model, {},
+                 0x6b45be61ae373e43ull};
 
   const simd::IsaLevel saved = simd::ActiveLevel();
   simd::SetLevelForTesting(simd::IsaLevel::kScalar);
   std::vector<uint64_t> got;
   for (const Variant& v : variants) {
     got.push_back(HashResults(
-        core::DetectCausalGraphBatched(model, requests, v.options)));
+        core::DetectCausalGraphBatched(*v.model, requests, v.options)));
   }
   simd::SetLevelForTesting(saved);
   for (size_t i = 0; i < variants.size(); ++i) {

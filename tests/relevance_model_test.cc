@@ -224,5 +224,97 @@ TEST(WalkPlanTest, PrunedPlanMatchesFullWalkBitForBit) {
   simd::SetLevelForTesting(saved);
 }
 
+// Bitwise equality of a and b over the elements whose index along `axis` is
+// `index`.
+bool SameBitsAt(const Tensor& a, const Tensor& b, int axis, int64_t index) {
+  if (!a.defined() || !b.defined() || a.shape() != b.shape()) return false;
+  int64_t inner = 1;
+  for (int d = axis + 1; d < a.ndim(); ++d) inner *= a.dim(d);
+  const int64_t extent = a.dim(axis);
+  const int64_t outer = a.numel() / (extent * inner);
+  for (int64_t o = 0; o < outer; ++o) {
+    const int64_t off = (o * extent + index) * inner;
+    if (std::memcmp(a.data() + off, b.data() + off,
+                    static_cast<size_t>(inner) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The detector seeds its walks with all ones instead of one one-hot seed per
+// target. That is exact because no live node mixes target series: the output
+// and FFN Linears and the LeakyReLU act within one series' T-row, the head
+// weighting and head sum are elementwise, AttentionCombine sends output row i
+// only to row i of A and to target column i of the convolution, the diagonal
+// shift stays within one (source, target) row, and the grouped convolution
+// sends target column i only to kernel column i. So for every target i the
+// all-ones walk must equal the target-i one-hot walk bit for bit at row i of
+// each attention matrix and at target column i of the grouped kernels, in
+// both walks. A live-path op that mixes series (a norm across N, say) fails
+// here.
+TEST(WalkPlanTest, OnesSeedEqualsEveryOneHotSeedBitForBit) {
+  std::vector<simd::IsaLevel> levels;
+  for (const simd::IsaLevel level :
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2}) {
+    if (simd::TableForLevel(level) != nullptr) levels.push_back(level);
+  }
+  const simd::IsaLevel saved = simd::ActiveLevel();
+  const std::vector<int> row_groups = {0, 0, 0, 1, 1, 1, 1, 1};
+
+  for (const bool multi_kernel : {true, false}) {
+    ModelOptions opt = TinyOptions();
+    opt.multi_kernel = multi_kernel;
+    Rng rng(14);
+    CausalityTransformer model(opt, &rng);
+    // Nonzero biases, so the two bias-absorption modes route differently.
+    for (auto& [name, p] : model.NamedParameters()) {
+      if (name.find("bias") == std::string::npos) continue;
+      for (int64_t i = 0; i < p.numel(); ++i) {
+        p.data()[i] = 0.1f * static_cast<float>(rng.Normal());
+      }
+    }
+    const Tensor x = Tensor::Randn(Shape{8, 3, 6}, &rng);
+
+    for (const simd::IsaLevel level : levels) {
+      simd::SetLevelForTesting(level);
+      const ForwardResult fwd = model.ForwardGrouped(x, row_groups, 2);
+      EXPECT_EQ(fwd.kernel_groups.shape(), (Shape{2, 3, 3, 6}));
+      std::vector<Tensor> wanted = fwd.attention;
+      wanted.push_back(fwd.kernel_groups);
+      const WalkPlan plan = PlanWalk(fwd.prediction, wanted);
+      const Tensor ones = Tensor::Ones(fwd.prediction.shape());
+      const GradientMap g_ones = ComputeGradients(plan, ones);
+
+      for (const bool absorb : {true, false}) {
+        interpret::RelevanceOptions ropts;
+        ropts.bias_absorption = absorb;
+        const RelevanceMap r_ones = PropagateRelevance(plan, ones, ropts);
+        for (int64_t target = 0; target < 3; ++target) {
+          SCOPED_TRACE(std::string(simd::LevelName(level)) +
+                       " multi_kernel=" + std::to_string(multi_kernel) +
+                       " absorb=" + std::to_string(absorb) +
+                       " target=" + std::to_string(target));
+          const Tensor seed = OneHotSeed(fwd.prediction.shape(), target);
+          const GradientMap g_one = ComputeGradients(plan, seed);
+          const RelevanceMap r_one = PropagateRelevance(plan, seed, ropts);
+          for (const Tensor& a : fwd.attention) {
+            EXPECT_TRUE(SameBitsAt(GradientOf(g_ones, a), GradientOf(g_one, a),
+                                   /*axis=*/1, target));
+            EXPECT_TRUE(SameBitsAt(RelevanceOf(r_ones, a), RelevanceOf(r_one, a),
+                                   /*axis=*/1, target));
+          }
+          const Tensor& k = fwd.kernel_groups;
+          EXPECT_TRUE(SameBitsAt(GradientOf(g_ones, k), GradientOf(g_one, k),
+                                 /*axis=*/2, target));
+          EXPECT_TRUE(SameBitsAt(RelevanceOf(r_ones, k), RelevanceOf(r_one, k),
+                                 /*axis=*/2, target));
+        }
+      }
+    }
+  }
+  simd::SetLevelForTesting(saved);
+}
+
 }  // namespace
 }  // namespace causalformer

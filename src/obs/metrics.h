@@ -19,8 +19,8 @@
 /// 1. **Record is lock-free and cheap.** Counters and histogram records are
 ///    relaxed atomic adds on cacheline-padded *stripes* (shards) selected by
 ///    thread identity, so concurrent recorders from the poll thread,
-///    executor threads and the stream completion thread do not contend on
-///    one cache line. Snapshots merge the stripes; they are the rare path.
+///    executor threads and producer threads appending to streams do not
+///    contend on one cache line. Snapshots merge the stripes; they are the rare path.
 /// 2. **Stable handles.** Registry lookups return pointers that stay valid
 ///    for the registry's lifetime, so instrumentation sites resolve their
 ///    series once at construction and never touch the registry map on the
@@ -36,7 +36,7 @@ namespace causalformer {
 namespace obs {
 
 /// Stripes per sharded metric. 8 stripes cover the thread counts this
-/// process runs (poll + completion + executor + pool workers) without
+/// process runs (poll + executor + pool workers + producers) without
 /// making snapshots scan a large array.
 inline constexpr int kMetricShards = 8;
 

@@ -26,9 +26,9 @@
 ///    atomics only, so it is async-signal-safe and never blocks the
 ///    interrupted thread;
 ///  * samples attribute to **named threads** through a process-wide
-///    registry (RegisterProfilingThread): the server's poll and
-///    completion loops, every batcher executor lane, the stream
-///    scheduler and the kernel thread-pool workers register at spawn;
+///    registry (RegisterProfilingThread): the server's poll loop, every
+///    batcher executor lane and the kernel thread-pool workers register
+///    at spawn;
 ///  * symbolization (dladdr + demangling) and aggregation run entirely
 ///    off the hot path, at collection time, producing folded-stack
 ///    (collapsed) text for `flamegraph.pl`/speedscope and

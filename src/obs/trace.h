@@ -46,9 +46,9 @@ struct TraceSpan {
 };
 
 /// The record of one request's path through the pipeline. Thread-safe:
-/// the poll thread, an executor thread and the completion thread touch a
-/// trace at different stages, and the in-flight table may read a leader's
-/// id concurrently.
+/// the poll thread, an executor thread and whichever thread completes the
+/// request touch a trace at different stages, and the in-flight table may
+/// read a leader's id concurrently.
 class Trace {
  public:
   /// A trace with `id`, reading time from `clock` (copied), opening its

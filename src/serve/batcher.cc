@@ -21,15 +21,6 @@ DiscoveryResponse Rejection(Status status) {
 
 }  // namespace
 
-void BatchItem::Resolve(DiscoveryResponse response) {
-  // Fan out before fulfilling the leader's promise: a follower must never
-  // observe its leader "done" while the entry is still open.
-  if (inflight_table != nullptr && inflight != nullptr) {
-    inflight_table->Complete(inflight, response);
-  }
-  promise.set_value(std::move(response));
-}
-
 size_t MicroBatcher::ShapeKeyHash::operator()(const ShapeKey& key) const {
   size_t h = std::hash<const void*>()(key.model);
   h ^= std::hash<int64_t>()(key.n) + 0x9E3779B97F4A7C15ULL + (h << 6);
@@ -78,25 +69,21 @@ MicroBatcher::~MicroBatcher() {
   }
   work_cv_.notify_all();
   // Joining the executors is the in-flight barrier: each finishes its current
-  // batch (resolving its promises) before exiting.
+  // batch (resolving its items) before exiting.
   for (auto& executor : executors_) executor.join();
   for (auto& item : orphans) {
-    item.Resolve(
-        Rejection(Status::FailedPrecondition("batcher shutting down")));
+    item.done(Rejection(Status::FailedPrecondition("batcher shutting down")));
   }
 }
 
-std::future<DiscoveryResponse> MicroBatcher::Submit(
-    DiscoveryRequest request, CacheKey key,
-    std::shared_ptr<const core::CausalityTransformer> model,
-    InFlightTable* inflight_table, std::shared_ptr<InFlightEntry> inflight) {
+void MicroBatcher::Submit(DiscoveryRequest request, CacheKey key,
+                          std::shared_ptr<const core::CausalityTransformer> model,
+                          DiscoveryCallback done) {
   BatchItem item;
   item.request = std::move(request);
   item.key = std::move(key);
   item.model = std::move(model);
-  item.inflight_table = inflight_table;
-  item.inflight = std::move(inflight);
-  std::future<DiscoveryResponse> future = item.promise.get_future();
+  item.done = std::move(done);
   Status rejection;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -128,14 +115,13 @@ std::future<DiscoveryResponse> MicroBatcher::Submit(
         << LogKV("model", item.request.model.c_str())
         << LogKV("max_queue", static_cast<unsigned long long>(
                      options_.max_queue));
-    // Resolve outside mu_ (matching the destructor's orphan drain): the
-    // promise fulfilment wakes the caller and fans out to any parked dedup
-    // followers, none of which should serialise against Submit/Collect.
-    item.Resolve(Rejection(std::move(rejection)));
-    return future;
+    // Call back outside mu_ (matching the destructor's orphan drain): the
+    // callbacks of the caller and any parked dedup followers may submit
+    // again, and none of them should serialise against Submit/Collect.
+    item.done(Rejection(std::move(rejection)));
+    return;
   }
   work_cv_.notify_one();
-  return future;
 }
 
 std::vector<BatchItem> MicroBatcher::CollectBatchLocked() {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/causality_transformer.h"
-#include "serve/inflight.h"
 #include "serve/score_cache.h"
 #include "serve/types.h"
 #include "util/stopwatch.h"
@@ -60,7 +58,7 @@
 namespace causalformer {
 namespace serve {
 
-/// One queued request plus its completion promise and bookkeeping.
+/// One queued request plus its completion callback and bookkeeping.
 struct BatchItem {
   DiscoveryRequest request;  ///< the query as submitted
   CacheKey key;  ///< precomputed by the engine; reused for the cache fill
@@ -70,20 +68,11 @@ struct BatchItem {
   /// against: the registry's "unloaded model stays alive for in-flight
   /// queries" contract extends to queued ones.
   std::shared_ptr<const core::CausalityTransformer> model;
-  std::promise<DiscoveryResponse> promise;  ///< fulfilled by the executor
+  /// Called exactly once with the outcome: by the executor, a submit-time
+  /// rejection or the shutdown drain.
+  DiscoveryCallback done;
   Stopwatch since_submit;  ///< started at Submit() for end-to-end latency
   uint64_t seq = 0;  ///< admission order, for cross-bucket FIFO fairness
-  /// Dedup lease: when this item leads an in-flight entry, resolving it
-  /// (success, rejection and shutdown alike) fans the response out to the
-  /// entry's parked followers before fulfilling the promise.
-  InFlightTable* inflight_table = nullptr;
-  std::shared_ptr<InFlightEntry> inflight;  ///< the led entry, if any
-
-  /// The single completion path: fans out to dedup followers (when the item
-  /// leads an entry), then fulfils the promise. Every resolver — executor,
-  /// submit-time rejection, shutdown drain — must go through here so
-  /// followers can never be left parked on a dead leader.
-  void Resolve(DiscoveryResponse response);
 };
 
 /// MicroBatcher tuning knobs.
@@ -117,8 +106,8 @@ struct BatcherOptions {
 /// The adaptive micro-batching queue between the engine and the detector.
 class MicroBatcher {
  public:
-  /// Executes one coalesced batch and fulfils every item's promise. Runs on
-  /// a dedicated executor thread.
+  /// Executes one coalesced batch and resolves every item. Runs on a
+  /// dedicated executor thread.
   using ExecuteFn = std::function<void(std::vector<BatchItem>)>;
 
   /// Spawns `options.max_in_flight_batches` executor threads running
@@ -130,20 +119,17 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;             ///< not copyable
   MicroBatcher& operator=(const MicroBatcher&) = delete;  ///< not copyable
 
-  /// Enqueues a request; the future resolves when its batch completes. A full
-  /// queue or a shutting-down batcher resolves immediately with an error.
-  /// `model` is the handle the request was validated against; the executor
-  /// runs the batch on it directly. Deliberately no default: an executor that
-  /// expects the handle (InferenceEngine) would otherwise abort at runtime on
-  /// a call site that forgot it. Executors that resolve models themselves may
-  /// pass nullptr explicitly. `inflight_table`/`inflight` (optional) attach
-  /// the in-flight dedup entry this request leads; its followers fan in on
-  /// whatever outcome the request reaches.
-  std::future<DiscoveryResponse> Submit(
-      DiscoveryRequest request, CacheKey key,
-      std::shared_ptr<const core::CausalityTransformer> model,
-      InFlightTable* inflight_table = nullptr,
-      std::shared_ptr<InFlightEntry> inflight = nullptr);
+  /// Enqueues a request; `done` is called when its batch completes, on the
+  /// executor. A full queue or a shutting-down batcher calls it immediately,
+  /// on the calling thread, with an error. `model` is the handle the request
+  /// was validated against; the executor runs the batch on it directly.
+  /// Deliberately no default: an executor that expects the handle
+  /// (InferenceEngine) would otherwise abort at runtime on a call site that
+  /// forgot it. Executors that resolve models themselves may pass nullptr
+  /// explicitly.
+  void Submit(DiscoveryRequest request, CacheKey key,
+              std::shared_ptr<const core::CausalityTransformer> model,
+              DiscoveryCallback done);
 
   /// Point-in-time batching counters.
   struct Stats {

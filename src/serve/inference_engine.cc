@@ -11,12 +11,6 @@ namespace serve {
 
 namespace {
 
-std::future<DiscoveryResponse> Ready(DiscoveryResponse response) {
-  std::promise<DiscoveryResponse> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 DiscoveryResponse ErrorResponse(Status status) {
   DiscoveryResponse response;
   response.status = std::move(status);
@@ -94,6 +88,15 @@ EngineStats InferenceEngine::stats() const {
 
 std::future<DiscoveryResponse> InferenceEngine::SubmitAsync(
     DiscoveryRequest request) {
+  auto promise = std::make_shared<std::promise<DiscoveryResponse>>();
+  std::future<DiscoveryResponse> future = promise->get_future();
+  Submit(std::move(request), [promise](DiscoveryResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
+}
+
+void InferenceEngine::Submit(DiscoveryRequest request, DiscoveryCallback done) {
   Stopwatch latency;
   // Any CF_LOG on the submit path below carries this request's trace id.
   ScopedLogTraceId log_trace(
@@ -101,32 +104,36 @@ std::future<DiscoveryResponse> InferenceEngine::SubmitAsync(
   if (obs_.requests != nullptr) obs_.requests->Increment();
   if (!request.windows.defined() || request.windows.ndim() != 3 ||
       request.windows.dim(0) < 1) {
-    return Ready(ErrorResponse(
+    done(ErrorResponse(
         Status::InvalidArgument("windows must be a [B, N, T] batch, B >= 1")));
+    return;
   }
   uint64_t generation = 0;
   const auto model = registry_->Get(request.model, &generation);
   if (model == nullptr) {
-    return Ready(ErrorResponse(
+    done(ErrorResponse(
         Status::NotFound("model '" + request.model + "' is not registered")));
+    return;
   }
   const core::ModelOptions& mopt = model->options();
   if (request.windows.dim(1) != mopt.num_series ||
       request.windows.dim(2) != mopt.window) {
-    return Ready(ErrorResponse(Status::InvalidArgument(
+    done(ErrorResponse(Status::InvalidArgument(
         "window geometry [" + std::to_string(request.windows.dim(1)) + ", " +
         std::to_string(request.windows.dim(2)) + "] does not match model [" +
         std::to_string(mopt.num_series) + ", " + std::to_string(mopt.window) +
         "]")));
+    return;
   }
   // Detector options come from the wire too; anything the detector would
   // CF_CHECK must be rejected here, or one bad request aborts the service.
   const core::DetectorOptions& dopt = request.options;
   if (dopt.max_windows < 1 || dopt.num_clusters < 1 || dopt.top_clusters < 1 ||
       dopt.top_clusters > dopt.num_clusters || !(dopt.epsilon > 0.0f)) {
-    return Ready(ErrorResponse(Status::InvalidArgument(
+    done(ErrorResponse(Status::InvalidArgument(
         "invalid detector options: require max_windows >= 1, "
         "1 <= top_clusters <= num_clusters, epsilon > 0")));
+    return;
   }
 
   CacheKey key;
@@ -148,30 +155,29 @@ std::future<DiscoveryResponse> InferenceEngine::SubmitAsync(
     if (obs_.request_latency != nullptr) {
       obs_.request_latency->Record(response.latency_seconds);
     }
-    return Ready(std::move(response));
+    done(std::move(response));
+    return;
   }
   if (options_.dedup_in_flight) {
     // An identical query (same generation, window hash, options) already in
     // flight makes this caller a follower: park on the leader's entry and
     // share its result — error, cancellation and hot-swap outcomes included.
-    InFlightTicket ticket = inflight_.Join(
-        key, request.trace != nullptr ? request.trace->id() : 0);
-    if (!ticket.leader) {
+    auto entry = inflight_.Join(key, &done, request.trace.get());
+    if (entry == nullptr) {
       if (obs_.dedup_followers != nullptr) obs_.dedup_followers->Increment();
-      if (request.trace != nullptr) {
-        // The follower's wait is the leader's remaining work; link the trace
-        // so a slow deduped response names the run that actually executed.
-        request.trace->SetLeader(ticket.leader_trace_id);
-        request.trace->StartSpan("dedup_wait");
-      }
-      return std::move(ticket.follower);
+      return;
     }
-    if (request.trace != nullptr) request.trace->StartSpan("enqueue");
-    return batcher_.Submit(std::move(request), std::move(key), model,
-                           &inflight_, std::move(ticket.entry));
+    // Whoever resolves the leader (executor, rejection, shutdown drain)
+    // calls the parked followers first: a follower must never observe its
+    // leader done while the entry is still open.
+    done = [this, entry = std::move(entry),
+            done = std::move(done)](DiscoveryResponse response) {
+      inflight_.Complete(entry, response);
+      done(std::move(response));
+    };
   }
   if (request.trace != nullptr) request.trace->StartSpan("enqueue");
-  return batcher_.Submit(std::move(request), std::move(key), model);
+  batcher_.Submit(std::move(request), std::move(key), model, std::move(done));
 }
 
 Status InferenceEngine::UnloadModel(const std::string& name) {
@@ -280,7 +286,7 @@ void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
   for (size_t i = 0; i < items.size(); ++i) {
     auto shared =
         std::make_shared<const core::DetectionResult>(std::move(results[i]));
-    // Cache fill before Resolve: once followers (and the leader) see the
+    // Cache fill before the callback: once followers (and the leader) see the
     // result, any brand-new identical query must already find it cached.
     cache_.Put(items[i].key, shared);
     DiscoveryResponse response;
@@ -290,7 +296,7 @@ void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
     if (obs_.request_latency != nullptr) {
       obs_.request_latency->Record(response.latency_seconds);
     }
-    items[i].Resolve(std::move(response));
+    items[i].done(std::move(response));
   }
 }
 

@@ -23,16 +23,19 @@
 /// answer many queries concurrently".
 ///
 /// Request path:
-///   SubmitAsync -> validate against the registry -> ScoreCache probe
-///     -> hit: resolved future, no model work at all
+///   Submit -> validate against the registry -> ScoreCache probe
+///     -> hit: called back inline, no model work at all
 ///     -> miss, identical query already in flight: park as a dedup follower
 ///        on the leader's InFlightTable entry — no model work of its own
 ///     -> miss, novel: lead an in-flight entry -> MicroBatcher shape bucket
 ///        -> coalesced DetectCausalGraphBatched on an executor thread
-///        -> cache fill -> leader + parked followers resolve together.
+///        -> cache fill -> parked followers, then the leader, called back.
 ///
-/// Every layer below is immutable or internally synchronised, so any number
-/// of client threads may submit concurrently, for any mix of models.
+/// Every request is answered through one callback, called exactly once; the
+/// promise-returning SubmitAsync/Discover are thin adapters over it for
+/// in-process callers. Every layer below is immutable or internally
+/// synchronised, so any number of client threads may submit concurrently,
+/// for any mix of models.
 
 namespace causalformer {
 namespace serve {
@@ -96,10 +99,15 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;             ///< not copyable
   InferenceEngine& operator=(const InferenceEngine&) = delete;  ///< not copyable
 
-  /// Validates and enqueues one discovery query. Never blocks on model work:
-  /// rejections and cache hits resolve immediately, dedup followers resolve
-  /// with their leader, misses resolve when the request's micro-batch
-  /// completes.
+  /// Validates and enqueues one discovery query, calling `done` exactly once
+  /// with its response. Never blocks on model work. `done` runs inline,
+  /// before Submit returns, for rejections and cache hits; on the executor
+  /// for results this request computed; and wherever its leader resolves
+  /// (InFlightTable::Complete) for a dedup follower. Callers must not hold a
+  /// lock `done` takes.
+  void Submit(DiscoveryRequest request, DiscoveryCallback done);
+
+  /// Promise adapter over Submit for in-process callers.
   std::future<DiscoveryResponse> SubmitAsync(DiscoveryRequest request);
 
   /// Convenience synchronous wrapper around SubmitAsync.

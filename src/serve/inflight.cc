@@ -23,9 +23,8 @@ DiscoveryResponse FollowerResponse(const DiscoveryResponse& leader) {
 InFlightTable::~InFlightTable() {
   // Every leader resolves its entry through Complete() on success, rejection
   // and shutdown alike, so this loop is a failsafe: if an entry is somehow
-  // still open, failing its followers beats abandoning their promises
-  // (future.get() would throw std::future_error instead of returning).
-  std::vector<std::promise<DiscoveryResponse>> orphans;
+  // still open, failing its followers beats never calling them.
+  std::vector<DiscoveryCallback> orphans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [key, entry] : index_) {
@@ -40,34 +39,39 @@ InFlightTable::~InFlightTable() {
   DiscoveryResponse failure;
   failure.status = Status::FailedPrecondition("engine shutting down");
   failure.deduped = true;
-  for (auto& orphan : orphans) orphan.set_value(failure);
+  for (auto& orphan : orphans) orphan(failure);
 }
 
-InFlightTicket InFlightTable::Join(const CacheKey& key, uint64_t trace_id) {
-  InFlightTicket ticket;
+std::shared_ptr<InFlightEntry> InFlightTable::Join(const CacheKey& key,
+                                                   DiscoveryCallback* done,
+                                                   obs::Trace* trace) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     auto entry = std::make_shared<InFlightEntry>();
     entry->key = key;
-    entry->leader_trace_id = trace_id;
+    entry->leader_trace_id = trace != nullptr ? trace->id() : 0;
     index_.emplace(key, entry);
     ++leaders_;
-    ticket.leader = true;
-    ticket.entry = std::move(entry);
-    return ticket;
+    return entry;
   }
   ++hits_;
-  ticket.leader_trace_id = it->second->leader_trace_id;
-  it->second->followers.emplace_back();
-  ticket.follower = it->second->followers.back().get_future();
-  return ticket;
+  if (trace != nullptr) {
+    // The follower's wait is the leader's remaining work; link the trace so
+    // a slow deduped response names the run that actually executed. Marked
+    // here, not by the caller, because the leader may resolve the follower
+    // the moment the lock drops.
+    trace->SetLeader(it->second->leader_trace_id);
+    trace->StartSpan("dedup_wait");
+  }
+  it->second->followers.push_back(std::move(*done));
+  return nullptr;
 }
 
 void InFlightTable::Complete(const std::shared_ptr<InFlightEntry>& entry,
                              const DiscoveryResponse& response) {
   if (entry == nullptr) return;
-  std::vector<std::promise<DiscoveryResponse>> followers;
+  std::vector<DiscoveryCallback> followers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (entry->completed) return;
@@ -83,10 +87,11 @@ void InFlightTable::Complete(const std::shared_ptr<InFlightEntry>& entry,
       failed_fanins_ += static_cast<uint64_t>(followers.size());
     }
   }
-  // Fulfil outside the lock: set_value wakes parked threads, and none of
-  // them should contend with the table mutex to observe their result.
+  // Call outside the lock: a follower's callback may submit new work, which
+  // joins this table again.
+  if (followers.empty()) return;
   const DiscoveryResponse fanned = FollowerResponse(response);
-  for (auto& follower : followers) follower.set_value(fanned);
+  for (auto& follower : followers) follower(fanned);
 }
 
 InFlightTable::Stats InFlightTable::stats() const {

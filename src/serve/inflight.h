@@ -2,7 +2,6 @@
 #define CAUSALFORMER_SERVE_INFLIGHT_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -34,8 +33,8 @@
 /// Error and teardown paths fan in deterministically too: a leader that is
 /// rejected (queue full), orphaned (batcher shutdown) or fails resolves
 /// every parked follower with the same status, and a table destroyed with
-/// entries still open fails the stragglers instead of breaking their
-/// promises.
+/// entries still open fails the stragglers instead of dropping their
+/// callbacks.
 
 namespace causalformer {
 namespace serve {
@@ -50,22 +49,8 @@ struct InFlightEntry {
   /// Followers joining later link their own trace to it, so a slow deduped
   /// response can be attributed to the work that actually ran.
   uint64_t leader_trace_id = 0;
-  /// Promises of the parked followers, fulfilled at completion.
-  std::vector<std::promise<DiscoveryResponse>> followers;
-};
-
-/// Outcome of InFlightTable::Join: either leadership of the key (the caller
-/// must run the query and eventually Complete() the entry) or a follower
-/// future that resolves when the leader does.
-struct InFlightTicket {
-  bool leader = false;  ///< the caller owns running this query
-  /// The entry the caller leads; null for followers.
-  std::shared_ptr<InFlightEntry> entry;
-  /// The parked future; valid iff !leader.
-  std::future<DiscoveryResponse> follower;
-  /// Followers: the leader's trace id (0 when the leader is untraced), read
-  /// atomically with the join so the link can never name a later leader.
-  uint64_t leader_trace_id = 0;
+  /// Callbacks of the parked followers, called once at completion.
+  std::vector<DiscoveryCallback> followers;
 };
 
 /// The thread-safe registry of unique in-flight queries.
@@ -82,24 +67,27 @@ class InFlightTable {
   /// An empty table.
   InFlightTable() = default;
   /// Fails any still-open entry's followers (engine teardown) so no parked
-  /// future is ever abandoned with a broken promise.
+  /// callback is ever dropped uncalled.
   ~InFlightTable();
 
   InFlightTable(const InFlightTable&) = delete;             ///< not copyable
   InFlightTable& operator=(const InFlightTable&) = delete;  ///< not copyable
 
-  /// Joins the in-flight query for `key`: opens a new entry and returns a
-  /// leader ticket when none is running, otherwise parks the caller as a
-  /// follower of the existing entry. Atomic — exactly one concurrent caller
-  /// per key becomes the leader. `trace_id` (optional) is the caller's
-  /// trace id: a new leader records it on the entry, and a follower ticket
-  /// carries the leader's recorded id back for trace linking.
-  InFlightTicket Join(const CacheKey& key, uint64_t trace_id = 0);
+  /// Joins the in-flight query for `key`. When none is running, returns a
+  /// new entry the caller leads: it keeps `*done`, runs the query and
+  /// eventually Complete()s the entry. Otherwise parks `*done` on the running
+  /// entry as a follower and returns null. Atomic — exactly one concurrent
+  /// caller per key leads. `trace` (optional): a leader's id is recorded on
+  /// the entry; a follower's trace is linked to it and opens `dedup_wait`
+  /// under the table lock, before the leader can resolve the follower.
+  std::shared_ptr<InFlightEntry> Join(const CacheKey& key,
+                                      DiscoveryCallback* done,
+                                      obs::Trace* trace = nullptr);
 
-  /// Leader completion: retires the entry and fans `response` out to every
-  /// parked follower — same status, same shared result (bit-identical
-  /// scores), with DiscoveryResponse::deduped set. Idempotent; calls after
-  /// the first are no-ops.
+  /// Leader completion: retires the entry and calls every parked follower
+  /// with `response` — same status, same shared result (bit-identical
+  /// scores), with DiscoveryResponse::deduped set — on the calling thread,
+  /// outside the table lock. Idempotent; calls after the first are no-ops.
   void Complete(const std::shared_ptr<InFlightEntry>& entry,
                 const DiscoveryResponse& response);
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 namespace causalformer {
 namespace serve {
@@ -115,19 +114,23 @@ WindowHash HashWindows(const Tensor& windows) {
 }
 
 std::string EncodeDetectorOptions(const core::DetectorOptions& options) {
-  // Epsilon is encoded by its raw bit pattern: streaming the float with
-  // default ostream precision (6 significant digits) would collide options
-  // that differ only in later digits, breaking the "exact encoding" contract.
-  static_assert(sizeof(options.epsilon) == sizeof(uint32_t),
-                "epsilon bit encoding assumes a 32-bit float");
-  uint32_t epsilon_bits = 0;
-  std::memcpy(&epsilon_bits, &options.epsilon, sizeof(epsilon_bits));
-  std::ostringstream out;
-  out << "k" << options.num_clusters << "m" << options.top_clusters << "w"
-      << options.max_windows << "i" << options.use_interpretation << "r"
-      << options.use_relevance << "g" << options.use_gradient << "b"
-      << options.bias_absorption << "e" << epsilon_bits;
-  return out.str();
+  // A fixed layout of every field at full width, the float by its raw bit
+  // pattern: rounded text would collide options that differ only in later
+  // digits, breaking the "exact encoding" contract. The key never leaves the
+  // process, so host byte order is fine.
+  static_assert(sizeof(options.num_clusters) == 4 &&
+                    sizeof(options.max_windows) == 8 &&
+                    sizeof(options.epsilon) == 4,
+                "the options key layout assumes these field widths");
+  std::string out(21, '\0');
+  std::memcpy(&out[0], &options.num_clusters, 4);
+  std::memcpy(&out[4], &options.top_clusters, 4);
+  std::memcpy(&out[8], &options.max_windows, 8);
+  out[16] = static_cast<char>(
+      options.use_interpretation | options.use_relevance << 1 |
+      options.use_gradient << 2 | options.bias_absorption << 3);
+  std::memcpy(&out[17], &options.epsilon, 4);
+  return out;
 }
 
 ScoreCache::ScoreCache(size_t capacity) {

@@ -70,10 +70,10 @@ WindowHash CombineColumnDigests(const std::vector<ColumnDigest>& digests,
 /// Hashes a window tensor's dims and contents into a WindowHash.
 WindowHash HashWindows(const Tensor& windows);
 
-/// Exact, human-readable encoding of every DetectorOptions field.
-/// Cache-key generation rule: floats are encoded by raw bit pattern (never
-/// rounded text), so two option sets collide iff the detector would treat
-/// them identically.
+/// Exact encoding of every DetectorOptions field in a fixed 21-byte binary
+/// layout. Cache-key generation rule: every field at full width and floats
+/// by raw bit pattern (never rounded text), so two option sets collide iff
+/// the detector would treat them identically.
 std::string EncodeDetectorOptions(const core::DetectorOptions& options);
 
 /// Identity of one cached detection result.

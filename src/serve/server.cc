@@ -6,8 +6,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -24,31 +25,109 @@ namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
 
-wire::DetectResultMsg ToResultMsg(const DiscoveryResponse& response) {
-  wire::DetectResultMsg msg;
-  msg.cache_hit = response.cache_hit;
-  msg.deduped = response.deduped;
-  msg.batch_size = response.batch_size;
-  msg.latency_seconds = response.latency_seconds;
-  msg.result = *response.result;
-  return msg;
+// The Waker of the server whose poll thread is the calling thread (null on
+// every other thread). A fill made on a poll thread needs no wake byte: that
+// thread drains every connection after dispatching.
+thread_local const void* t_poll_waker = nullptr;
+
+void AppendResult(wire::PayloadWriter* w, const DiscoveryResponse& response) {
+  wire::AppendDetectResult(w, response.cache_hit, response.deduped,
+                           response.batch_size, response.latency_seconds,
+                           *response.result);
+}
+
+// One Detect response frame, encoded straight from the shared result.
+std::vector<uint8_t> EncodeResponse(const DiscoveryResponse& response) {
+  if (!response.status.ok()) {
+    return wire::EncodeFrame(wire::MessageType::kError,
+                             wire::EncodeError(response.status));
+  }
+  std::vector<uint8_t> payload;
+  wire::PayloadWriter w(&payload);
+  AppendResult(&w, response);
+  return wire::EncodeFrame(wire::MessageType::kDetectResult,
+                           std::move(payload));
+}
+
+// A DetectBatch response: all-or-nothing, so the first failed sub-query (by
+// sub-request index) fails the whole frame.
+std::vector<uint8_t> EncodeBatchResponse(
+    const std::vector<DiscoveryResponse>& responses) {
+  for (const DiscoveryResponse& response : responses) {
+    if (!response.status.ok()) {
+      return wire::EncodeFrame(wire::MessageType::kError,
+                               wire::EncodeError(response.status));
+    }
+  }
+  std::vector<uint8_t> payload;
+  wire::PayloadWriter w(&payload);
+  w.U32(static_cast<uint32_t>(responses.size()));
+  for (const DiscoveryResponse& response : responses) AppendResult(&w, response);
+  return wire::EncodeFrame(wire::MessageType::kDetectBatchResult,
+                           std::move(payload));
 }
 
 }  // namespace
 
-/// One accepted socket. The poll thread owns fd/inbuf/closing; outbuf and
-/// the dead/admin_busy flags are shared with the completion thread under
-/// out_mu.
+/// The self-pipe that wakes the poll thread, owned jointly by the server and
+/// its connections: a completion that runs after Stop() writes to a pipe
+/// that is still open, never to a closed or reused fd.
+struct WireServer::Waker {
+  int fds[2] = {-1, -1};  ///< non-blocking; [0] is polled, [1] is written
+  /// A wake byte is in the pipe (or about to be) and the poll thread has not
+  /// drained it yet: later completions skip the write.
+  std::atomic<bool> pending{false};
+
+  ~Waker() {
+    TcpClose(fds[0]);
+    TcpClose(fds[1]);
+  }
+
+  /// Off-thread completion: at most one byte per drain.
+  void Wake() {
+    if (t_poll_waker == this || pending.exchange(true)) return;
+    const char byte = 1;
+    (void)!::write(fds[1], &byte, 1);
+  }
+
+  /// Poll thread, before it scans the connections: empty the pipe, then
+  /// re-arm. Re-arming first would let the read swallow the byte of a Wake()
+  /// that set `pending` after the re-arm, leaving it set over an empty pipe.
+  void Drain() {
+    char drain[256];
+    while (::read(fds[0], drain, sizeof(drain)) > 0) {
+    }
+    pending.store(false);
+  }
+};
+
+/// One accepted socket. The poll thread alone owns the socket and buffers;
+/// the response slots are shared, under `mu`, with every thread that
+/// completes a request on this connection.
 struct WireServer::Connection {
+  /// One reserved response, in request order.
+  struct Slot {
+    bool filled = false;
+    bool close_after = false;  ///< close once this frame is flushed
+    std::vector<uint8_t> frame;
+    /// The request's finished trace (Detect frames under observability):
+    /// the poll thread lands it in the trace ring before the frame can be
+    /// sent. Null otherwise.
+    std::shared_ptr<obs::Trace> trace;
+  };
+
   int fd = -1;
   std::vector<uint8_t> inbuf;
+  std::vector<uint8_t> outbuf;
   /// Set after a malformed frame: stop reading, flush the error, close.
   bool closing = false;
-
-  std::mutex out_mu;
-  std::vector<uint8_t> outbuf;
   bool close_after_flush = false;
-  bool dead = false;
+  std::shared_ptr<Waker> waker;
+
+  std::mutex mu;  // guards everything below
+  std::deque<Slot> slots;
+  uint64_t first_slot = 0;  ///< sequence number of slots.front()
+  bool dead = false;  ///< closed: later fills are dropped
   /// A LoadModel is executing on a worker thread. The poll thread holds off
   /// decoding this connection's *next* frames (they stay buffered in inbuf)
   /// until the load completes, so pipelined frames observe the load's
@@ -57,29 +136,40 @@ struct WireServer::Connection {
   /// freely, which is the whole point of the off-thread load. Also bounds
   /// load workers to one per connection.
   bool admin_busy = false;
-};
 
-/// One queued response, in per-connection request order. Exactly one of
-/// {ready bytes, single future, batch futures, frame future} is populated.
-struct WireServer::Pending {
-  std::shared_ptr<Connection> conn;
-  std::vector<uint8_t> ready;  ///< pre-encoded frame (control responses)
-  bool is_future = false;
-  std::future<DiscoveryResponse> future;
-  bool is_batch = false;
-  std::vector<std::future<DiscoveryResponse>> batch_futures;
-  /// A response frame computed off-thread (LoadModel's checkpoint I/O runs
-  /// on a worker so it cannot stall the poll thread's dispatch).
-  bool is_frame_future = false;
-  std::future<std::vector<uint8_t>> frame_future;
-  /// The request's trace (Detect frames under observability): the
-  /// completion thread marks the encode span, finishes it and lands it in
-  /// the trace ring. Null otherwise.
-  std::shared_ptr<obs::Trace> trace;
-  /// Clear the connection's admin_busy flag (and wake the poll thread to
-  /// resume decoding its buffered frames) once this response is delivered.
-  bool clears_admin_busy = false;
-  bool close_after = false;
+  /// Reserves the next response slot (poll thread, at dispatch); returns its
+  /// sequence number.
+  uint64_t Reserve() {
+    std::lock_guard<std::mutex> lock(mu);
+    slots.emplace_back();
+    return first_slot + slots.size() - 1;
+  }
+
+  /// Stores the response for slot `seq` (any thread) and wakes the poll
+  /// thread when it has something to do: the oldest slot is now filled, or
+  /// `resume` (a LoadModel finished, so parked frames may decode).
+  void Fill(uint64_t seq, Slot slot, bool resume = false) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (dead) return;
+      slot.filled = true;
+      slots[seq - first_slot] = std::move(slot);
+      if (resume) admin_busy = false;
+      if (!resume && seq != first_slot) return;
+    }
+    waker->Wake();
+  }
+
+  /// Closes the socket and drops every pending response (poll thread).
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      dead = true;
+      slots.clear();
+    }
+    TcpClose(fd);
+    fd = -1;
+  }
 };
 
 WireServer::WireServer(InferenceEngine* engine,
@@ -103,9 +193,7 @@ Status WireServer::Start() {
   const auto abandon = [this](Status status) {
     TcpClose(listen_fd_);
     listen_fd_ = -1;
-    TcpClose(wake_pipe_[0]);
-    TcpClose(wake_pipe_[1]);
-    wake_pipe_[0] = wake_pipe_[1] = -1;
+    waker_.reset();
     port_ = 0;
     return status;
   };
@@ -115,21 +203,21 @@ Status WireServer::Start() {
   const auto port = TcpLocalPort(listen_fd_);
   if (!port.ok()) return abandon(port.status());
   port_ = *port;
-  if (::pipe(wake_pipe_) != 0) {
+  waker_ = std::make_shared<Waker>();
+  if (::pipe(waker_->fds) != 0) {
     return abandon(
         Status::Internal(std::string("pipe: ") + std::strerror(errno)));
   }
   if (Status st = TcpSetNonBlocking(listen_fd_, true); !st.ok()) {
     return abandon(std::move(st));
   }
-  // Both pipe ends are non-blocking: a full wake pipe must never block the
-  // completion thread (a dropped wake byte is fine because the poll thread
+  // Both pipe ends are non-blocking: a full wake pipe must never block a
+  // completing thread (a dropped wake byte is fine because the poll thread
   // drains the pipe before sleeping).
-  if (Status st = TcpSetNonBlocking(wake_pipe_[0], true); !st.ok()) {
-    return abandon(std::move(st));
-  }
-  if (Status st = TcpSetNonBlocking(wake_pipe_[1], true); !st.ok()) {
-    return abandon(std::move(st));
+  for (const int fd : waker_->fds) {
+    if (Status st = TcpSetNonBlocking(fd, true); !st.ok()) {
+      return abandon(std::move(st));
+    }
   }
   running_ = true;
   started_ = true;
@@ -137,67 +225,57 @@ Status WireServer::Start() {
     obs::RegisterProfilingThread("cf-poll");
     PollLoop();
   });
-  completion_thread_ = std::thread([this] {
-    obs::RegisterProfilingThread("cf-complete");
-    CompletionLoop();
-  });
   return Status::Ok();
 }
 
 void WireServer::Stop() {
   if (!started_) return;
   running_ = false;
-  WakePoll();
-  completion_cv_.notify_all();
+  const char byte = 1;
+  (void)!::write(waker_->fds[1], &byte, 1);
   if (poll_thread_.joinable()) poll_thread_.join();
-  if (completion_thread_.joinable()) completion_thread_.join();
+  for (Worker& worker : workers_) worker.thread.join();
+  workers_.clear();
   TcpClose(listen_fd_);
   listen_fd_ = -1;
-  TcpClose(wake_pipe_[0]);
-  TcpClose(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
+  waker_.reset();
   started_ = false;
 }
 
 WireServer::Stats WireServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s;
+  s.connections_accepted =
+      connections_accepted_.load(std::memory_order_relaxed);
+  s.frames = frames_.load(std::memory_order_relaxed);
+  s.wire_errors = wire_errors_.load(std::memory_order_relaxed);
+  return s;
 }
 
-void WireServer::WakePoll() {
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 1;
-    // A full pipe already guarantees a pending wake-up.
-    (void)!::write(wake_pipe_[1], &byte, 1);
-  }
-}
-
-void WireServer::PushPending(Pending pending) {
-  {
-    std::lock_guard<std::mutex> lock(completion_mu_);
-    completions_.push_back(std::move(pending));
-  }
-  completion_cv_.notify_one();
+void WireServer::CountWireError() {
+  if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
+  wire_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void WireServer::PushReady(const std::shared_ptr<Connection>& conn,
                            wire::MessageType type,
                            std::vector<uint8_t> payload, bool close_after) {
-  Pending pending;
-  pending.conn = conn;
-  pending.ready = wire::EncodeFrame(type, std::move(payload));
-  pending.close_after = close_after;
-  PushPending(std::move(pending));
+  Connection::Slot slot;
+  slot.frame = wire::EncodeFrame(type, std::move(payload));
+  slot.close_after = close_after;
+  conn->Fill(conn->Reserve(), std::move(slot));
 }
 
-std::vector<uint8_t> WireServer::EncodeResponse(
-    const DiscoveryResponse& response) {
-  if (!response.status.ok()) {
-    return wire::EncodeFrame(wire::MessageType::kError,
-                             wire::EncodeError(response.status));
-  }
-  return wire::EncodeFrame(wire::MessageType::kDetectResult,
-                           wire::EncodeDetectResult(ToResultMsg(response)));
+void WireServer::SpawnWorker(std::function<void()> task) {
+  workers_.remove_if([](Worker& worker) {
+    if (!worker.done) return false;
+    worker.thread.join();
+    return true;
+  });
+  Worker& worker = workers_.emplace_back();
+  worker.thread = std::thread([&worker, task = std::move(task)] {
+    task();
+    worker.done = true;
+  });
 }
 
 bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -217,9 +295,7 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   // Decode failures of a CRC-valid frame leave the stream consistent: answer
   // kError and keep the connection open.
   const auto reject = [&](const Status& status) {
-    if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.wire_errors;
+    CountWireError();
     PushReady(conn, MessageType::kError, wire::EncodeError(status));
   };
   switch (frame.type) {
@@ -248,12 +324,21 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       request.windows = std::move(msg.windows);
       request.options = msg.options;
       request.trace = trace;
-      Pending pending;
-      pending.conn = conn;
-      pending.is_future = true;
-      pending.trace = std::move(trace);
-      pending.future = engine_->SubmitAsync(std::move(request));
-      PushPending(std::move(pending));
+      // Inline for a cache hit or rejection, on an executor otherwise: the
+      // callback encodes into this frame's slot either way.
+      engine_->Submit(
+          std::move(request),
+          [conn, seq = conn->Reserve(),
+           trace = std::move(trace)](DiscoveryResponse response) {
+            Connection::Slot slot;
+            if (trace != nullptr) trace->StartSpan("encode");
+            slot.frame = EncodeResponse(response);
+            if (trace != nullptr) {
+              trace->Finish();
+              slot.trace = trace;
+            }
+            conn->Fill(seq, std::move(slot));
+          });
       return true;
     }
     case MessageType::kDetectBatch: {
@@ -263,19 +348,30 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         reject(st);
         return true;
       }
-      Pending pending;
-      pending.conn = conn;
-      pending.is_batch = true;
-      pending.batch_futures.reserve(msg.windows.size());
-      for (auto& windows : msg.windows) {
+      // One slot for the whole frame, filled by whichever sub-request
+      // resolves last.
+      struct BatchReply {
+        std::vector<DiscoveryResponse> responses;
+        std::atomic<size_t> remaining{0};
+      };
+      auto reply = std::make_shared<BatchReply>();
+      reply->responses.resize(msg.windows.size());
+      reply->remaining = msg.windows.size();
+      const uint64_t seq = conn->Reserve();
+      for (size_t i = 0; i < msg.windows.size(); ++i) {
         DiscoveryRequest request;
         request.model = msg.model;
-        request.windows = std::move(windows);
+        request.windows = std::move(msg.windows[i]);
         request.options = msg.options;
-        pending.batch_futures.push_back(
-            engine_->SubmitAsync(std::move(request)));
+        engine_->Submit(std::move(request), [conn, seq, reply,
+                                             i](DiscoveryResponse response) {
+          reply->responses[i] = std::move(response);
+          if (reply->remaining.fetch_sub(1) != 1) return;
+          Connection::Slot slot;
+          slot.frame = EncodeBatchResponse(reply->responses);
+          conn->Fill(seq, std::move(slot));
+        });
       }
-      PushPending(std::move(pending));
       return true;
     }
     case MessageType::kStats: {
@@ -298,12 +394,10 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       msg.batch_shape_buckets = batch.shape_buckets;
       msg.dedup_hits = engine_stats.dedup.hits;
       msg.dedup_in_flight = engine_stats.dedup.in_flight;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        msg.server_connections = stats_.connections_accepted;
-        msg.server_frames = stats_.frames;
-        msg.server_wire_errors = stats_.wire_errors;
-      }
+      const Stats server = stats();
+      msg.server_connections = server.connections_accepted;
+      msg.server_frames = server.frames;
+      msg.server_wire_errors = server.wire_errors;
       for (const auto& info : engine_->registry().List()) {
         wire::StatsResultMsg::Model model;
         model.name = info.name;
@@ -330,40 +424,37 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       }
       // Checkpoint deserialisation is file I/O plus tensor building — far
       // too slow for the poll thread, where it would stall every
-      // connection's dispatch. Run it on a worker; the completion queue
-      // keeps this connection's responses in request order regardless of
-      // which thread produced the bytes, and admin_busy parks this
-      // connection's later frames until the load's effects are visible.
+      // connection's dispatch. Run it on a worker; the slot keeps this
+      // connection's responses in request order regardless of which thread
+      // produced the bytes, and admin_busy parks this connection's later
+      // frames until the load's effects are visible.
       {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
+        std::lock_guard<std::mutex> lock(conn->mu);
         conn->admin_busy = true;
       }
-      Pending pending;
-      pending.conn = conn;
-      pending.clears_admin_busy = true;
-      pending.is_frame_future = true;
-      pending.frame_future = std::async(
-          std::launch::async, [this, msg = std::move(msg)]() mutable {
-            const Status st = engine_->registry().Load(
-                msg.name, msg.checkpoint_path, msg.options);
-            if (!st.ok()) {
-              if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
-              std::lock_guard<std::mutex> lock(mu_);
-              ++stats_.wire_errors;
-              return wire::EncodeFrame(wire::MessageType::kError,
-                                       wire::EncodeError(st));
+      SpawnWorker([this, conn, seq = conn->Reserve(), msg = std::move(msg)] {
+        Connection::Slot slot;
+        const Status st = engine_->registry().Load(
+            msg.name, msg.checkpoint_path, msg.options);
+        if (!st.ok()) {
+          CountWireError();
+          slot.frame = wire::EncodeFrame(wire::MessageType::kError,
+                                         wire::EncodeError(st));
+        } else {
+          wire::LoadModelOkMsg ok;
+          for (const auto& info : engine_->registry().List()) {
+            if (info.name == msg.name) {
+              ok.num_parameters = info.num_parameters;
+              ok.generation = info.generation;
             }
-            wire::LoadModelOkMsg ok;
-            for (const auto& info : engine_->registry().List()) {
-              if (info.name == msg.name) {
-                ok.num_parameters = info.num_parameters;
-                ok.generation = info.generation;
-              }
-            }
-            return wire::EncodeFrame(wire::MessageType::kLoadModelOk,
-                                     wire::EncodeLoadModelOk(ok));
-          });
-      PushPending(std::move(pending));
+          }
+          slot.frame = wire::EncodeFrame(wire::MessageType::kLoadModelOk,
+                                         wire::EncodeLoadModelOk(ok));
+        }
+        // The load's registry effects are visible: let the poll thread
+        // resume decoding this connection's parked frames.
+        conn->Fill(seq, std::move(slot), /*resume=*/true);
+      });
       return true;
     }
     case MessageType::kUnloadModel: {
@@ -434,8 +525,8 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         reject(st);
         return true;
       }
-      // Appending only *submits* detections (SubmitAsync never blocks on
-      // model work), so this is safe on the poll thread.
+      // Appending only *submits* detections (Submit never blocks on model
+      // work), so this is safe on the poll thread.
       auto ok = options_.stream_backend->AppendSamples(msg.stream, msg.samples);
       if (!ok.ok()) {
         reject(ok.status());
@@ -542,36 +633,29 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       // frames the connection stays live for pipelined queries (those
       // responses queue behind this one, which is the protocol's ordering
       // guarantee, but dispatch for other connections never stalls).
-      Pending pending;
-      pending.conn = conn;
-      pending.is_frame_future = true;
-      pending.frame_future = std::async(
-          std::launch::async, [this, seconds = msg.seconds]() {
-            auto report = options_.profiler->Collect(
-                static_cast<double>(seconds));
-            if (!report.ok()) {
-              if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
-              std::lock_guard<std::mutex> lock(mu_);
-              ++stats_.wire_errors;
-              return wire::EncodeFrame(wire::MessageType::kError,
-                                       wire::EncodeError(report.status()));
-            }
-            wire::ProfileResultMsg result;
-            result.samples = report.value().samples;
-            result.drops = report.value().drops;
-            result.folded = std::move(report.value().folded);
-            result.json = std::move(report.value().chrome_json);
-            return wire::EncodeFrame(wire::MessageType::kProfileResult,
-                                     wire::EncodeProfileResult(result));
-          });
-      PushPending(std::move(pending));
+      SpawnWorker([this, conn, seq = conn->Reserve(), seconds = msg.seconds] {
+        Connection::Slot slot;
+        auto report = options_.profiler->Collect(static_cast<double>(seconds));
+        if (!report.ok()) {
+          CountWireError();
+          slot.frame = wire::EncodeFrame(wire::MessageType::kError,
+                                         wire::EncodeError(report.status()));
+        } else {
+          wire::ProfileResultMsg result;
+          result.samples = report.value().samples;
+          result.drops = report.value().drops;
+          result.folded = std::move(report.value().folded);
+          result.json = std::move(report.value().chrome_json);
+          slot.frame = wire::EncodeFrame(wire::MessageType::kProfileResult,
+                                         wire::EncodeProfileResult(result));
+        }
+        conn->Fill(seq, std::move(slot));
+      });
       return true;
     }
     default: {
       // Response-typed frames from a client are a protocol violation.
-      if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.wire_errors;
+      CountWireError();
       PushReady(conn, MessageType::kError,
                 wire::EncodeError(Status::InvalidArgument(
                     "unexpected message type " +
@@ -583,19 +667,18 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
 }
 
 void WireServer::PollLoop() {
+  t_poll_waker = waker_.get();
   std::vector<pollfd> fds;
   std::vector<std::shared_ptr<Connection>> polled;
+  std::vector<std::shared_ptr<obs::Trace>> finished;
   while (running_) {
     fds.clear();
     polled.clear();
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
+    fds.push_back({waker_->fds[0], POLLIN, 0});
     fds.push_back({listen_fd_, POLLIN, 0});
     for (const auto& conn : connections_) {
       short events = conn->closing ? 0 : POLLIN;
-      {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        if (!conn->outbuf.empty()) events |= POLLOUT;
-      }
+      if (!conn->outbuf.empty()) events |= POLLOUT;
       fds.push_back({conn->fd, events, 0});
       polled.push_back(conn);
     }
@@ -605,11 +688,7 @@ void WireServer::PollLoop() {
     }
     if (!running_) break;
 
-    if (fds[0].revents & POLLIN) {
-      char drain[256];
-      while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    if (fds[0].revents & POLLIN) waker_->Drain();
 
     if (fds[1].revents & POLLIN) {
       for (;;) {
@@ -623,26 +702,29 @@ void WireServer::PollLoop() {
         (void)TcpNoDelay(fd);
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
+        conn->waker = waker_;
         connections_.push_back(std::move(conn));
         if (obs_connections_ != nullptr) obs_connections_->Increment();
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.connections_accepted;
+        connections_accepted_.fetch_add(1, std::memory_order_relaxed);
       }
     }
 
+    // Pass 1: read and dispatch. Requests answered right here (control
+    // frames, rejections, cache hits) fill their slots inline, on any of
+    // this server's connections; pass 2 drains them without a wake byte.
     for (size_t i = 0; i < polled.size(); ++i) {
-      const auto& conn = polled[i];
+      Connection& conn = *polled[i];
       const short revents = fds[i + 2].revents;
       bool drop = (revents & (POLLERR | POLLNVAL)) != 0;
 
       bool peer_closed = false;
-      if (!drop && (revents & POLLIN) && !conn->closing) {
+      if (!drop && (revents & POLLIN) && !conn.closing) {
         // Drain the socket into the connection's input buffer.
         for (;;) {
           uint8_t chunk[kReadChunk];
-          const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+          const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
           if (n > 0) {
-            conn->inbuf.insert(conn->inbuf.end(), chunk, chunk + n);
+            conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
             continue;
           }
           if (n == 0) peer_closed = true;
@@ -659,45 +741,38 @@ void WireServer::PollLoop() {
 
       // Decode every complete buffered frame. This runs on every poll
       // iteration (not only after a read) so frames parked behind an
-      // in-progress LoadModel resume decoding when the completion thread
-      // clears admin_busy and wakes the poll.
-      if (!drop && !conn->closing && !conn->inbuf.empty()) {
+      // in-progress LoadModel resume decoding when its worker clears
+      // admin_busy and wakes the poll.
+      if (!drop && !conn.closing && !conn.inbuf.empty()) {
         size_t off = 0;
-        while (!conn->closing) {
+        while (!conn.closing) {
           {
             // An off-thread LoadModel is running: stop here so this
             // connection's later frames observe its effects.
-            std::lock_guard<std::mutex> lock(conn->out_mu);
-            if (conn->admin_busy) break;
+            std::lock_guard<std::mutex> lock(conn.mu);
+            if (conn.admin_busy) break;
           }
           wire::Frame frame;
           size_t consumed = 0;
           std::string error;
           const auto result =
-              wire::DecodeFrame(conn->inbuf.data() + off,
-                                conn->inbuf.size() - off, &frame, &consumed,
+              wire::DecodeFrame(conn.inbuf.data() + off,
+                                conn.inbuf.size() - off, &frame, &consumed,
                                 &error);
           if (result == wire::DecodeResult::kFrame) {
             off += consumed;
             if (obs_frames_ != nullptr) obs_frames_->Increment();
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              ++stats_.frames;
-            }
-            if (!HandleFrame(conn, std::move(frame))) drop = true;
+            frames_.fetch_add(1, std::memory_order_relaxed);
+            if (!HandleFrame(polled[i], std::move(frame))) drop = true;
             continue;
           }
           if (result == wire::DecodeResult::kNeedMore) break;
-          if (obs_wire_errors_ != nullptr) obs_wire_errors_->Increment();
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.wire_errors;
-          }
+          CountWireError();
           if (result == wire::DecodeResult::kMalformed) {
             // Framing is broken but the peer spoke our magic: report why,
             // flush, close (docs/wire-protocol.md §6).
-            conn->closing = true;
-            PushReady(conn, wire::MessageType::kError,
+            conn.closing = true;
+            PushReady(polled[i], wire::MessageType::kError,
                       wire::EncodeError(Status::InvalidArgument(
                           "malformed frame: " + error)),
                       /*close_after=*/true);
@@ -706,18 +781,40 @@ void WireServer::PollLoop() {
           }
           break;
         }
-        conn->inbuf.erase(conn->inbuf.begin(),
-                          conn->inbuf.begin() + static_cast<long>(off));
+        conn.inbuf.erase(conn.inbuf.begin(),
+                         conn.inbuf.begin() + static_cast<long>(off));
       }
-      if (peer_closed) drop = true;
+      if (drop || peer_closed) conn.Close();
+    }
 
-      if (!drop && (revents & POLLOUT)) {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
+    // Pass 2: move each connection's finished responses, in request order,
+    // to its output buffer, and write only where poll() reported POLLOUT.
+    for (size_t i = 0; i < polled.size(); ++i) {
+      Connection& conn = *polled[i];
+      if (conn.fd < 0) continue;
+      {
+        std::lock_guard<std::mutex> lock(conn.mu);
+        while (!conn.slots.empty() && conn.slots.front().filled) {
+          Connection::Slot& slot = conn.slots.front();
+          conn.outbuf.insert(conn.outbuf.end(), slot.frame.begin(),
+                             slot.frame.end());
+          if (slot.close_after) conn.close_after_flush = true;
+          if (slot.trace != nullptr) finished.push_back(std::move(slot.trace));
+          conn.slots.pop_front();
+          ++conn.first_slot;
+        }
+      }
+      // A finished trace lands in the ring before its frame can be sent.
+      for (auto& trace : finished) options_.obs->traces().Add(std::move(trace));
+      finished.clear();
+
+      bool drop = false;
+      if (fds[i + 2].revents & POLLOUT) {
         size_t sent = 0;
-        while (sent < conn->outbuf.size()) {
+        while (sent < conn.outbuf.size()) {
           const ssize_t n =
-              ::send(conn->fd, conn->outbuf.data() + sent,
-                     conn->outbuf.size() - sent, MSG_NOSIGNAL);
+              ::send(conn.fd, conn.outbuf.data() + sent,
+                     conn.outbuf.size() - sent, MSG_NOSIGNAL);
           if (n > 0) {
             sent += static_cast<size_t>(n);
             continue;
@@ -727,19 +824,11 @@ void WireServer::PollLoop() {
           drop = true;
           break;
         }
-        conn->outbuf.erase(conn->outbuf.begin(),
-                           conn->outbuf.begin() + static_cast<long>(sent));
-        if (conn->outbuf.empty() && conn->close_after_flush) drop = true;
+        conn.outbuf.erase(conn.outbuf.begin(),
+                          conn.outbuf.begin() + static_cast<long>(sent));
+        if (conn.outbuf.empty() && conn.close_after_flush) drop = true;
       }
-
-      if (drop) {
-        {
-          std::lock_guard<std::mutex> lock(conn->out_mu);
-          conn->dead = true;
-        }
-        TcpClose(conn->fd);
-        conn->fd = -1;
-      }
+      if (drop) conn.Close();
     }
 
     connections_.erase(
@@ -750,147 +839,9 @@ void WireServer::PollLoop() {
         connections_.end());
   }
 
-  for (const auto& conn : connections_) {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->dead = true;
-    TcpClose(conn->fd);
-    conn->fd = -1;
-  }
+  for (const auto& conn : connections_) conn->Close();
   connections_.clear();
-}
-
-namespace {
-
-template <typename T>
-bool FutureReady(const std::future<T>& future) {
-  return future.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
-}
-
-}  // namespace
-
-bool WireServer::PendingIsReady(const Pending& pending) {
-  if (pending.is_future) return FutureReady(pending.future);
-  if (pending.is_frame_future) return FutureReady(pending.frame_future);
-  if (pending.is_batch) {
-    for (const auto& future : pending.batch_futures) {
-      if (!FutureReady(future)) return false;
-    }
-  }
-  return true;
-}
-
-void WireServer::AwaitPendingBriefly(Pending& pending) {
-  constexpr auto kStall = std::chrono::milliseconds(1);
-  if (pending.is_future && !FutureReady(pending.future)) {
-    pending.future.wait_for(kStall);
-    return;
-  }
-  if (pending.is_frame_future && !FutureReady(pending.frame_future)) {
-    pending.frame_future.wait_for(kStall);
-    return;
-  }
-  if (pending.is_batch) {
-    for (auto& future : pending.batch_futures) {
-      if (!FutureReady(future)) {
-        future.wait_for(kStall);
-        return;
-      }
-    }
-  }
-}
-
-void WireServer::CompletionLoop() {
-  std::unique_lock<std::mutex> lock(completion_mu_);
-  for (;;) {
-    if (completions_.empty()) {
-      if (!running_) return;
-      completion_cv_.wait(
-          lock, [this] { return !completions_.empty() || !running_; });
-      continue;
-    }
-
-    // Dispatch the oldest pending of any connection whose response is ready.
-    // Only each connection's *first* pending is a candidate, so responses on
-    // a connection stay in request order while a slow Detect on one
-    // connection cannot head-of-line block everyone else's completed work.
-    auto ready_it = completions_.end();
-    std::vector<const Connection*> seen;
-    for (auto it = completions_.begin(); it != completions_.end(); ++it) {
-      const Connection* conn = it->conn.get();
-      if (std::find(seen.begin(), seen.end(), conn) != seen.end()) continue;
-      seen.push_back(conn);
-      if (PendingIsReady(*it)) {
-        ready_it = it;
-        break;
-      }
-    }
-    if (ready_it == completions_.end()) {
-      // Every connection head is still computing. Engine futures have no
-      // hook into completion_cv_, so wait on the oldest pending's first
-      // unresolved future outside the lock: wait_for returns the instant it
-      // resolves, and the bound re-scans for other connections' futures
-      // that resolved meanwhile. push_back never invalidates deque element
-      // references, and only this thread erases, so the reference stays
-      // valid unlocked.
-      Pending& stall = completions_.front();
-      lock.unlock();
-      AwaitPendingBriefly(stall);
-      lock.lock();
-      continue;
-    }
-    Pending pending = std::move(*ready_it);
-    completions_.erase(ready_it);
-    lock.unlock();
-
-    std::vector<uint8_t> frame;
-    if (pending.is_batch) {
-      std::vector<wire::DetectResultMsg> results;
-      results.reserve(pending.batch_futures.size());
-      Status first_error;
-      for (auto& future : pending.batch_futures) {
-        DiscoveryResponse response = future.get();
-        if (!response.status.ok()) {
-          if (first_error.ok()) first_error = response.status;
-          continue;
-        }
-        results.push_back(ToResultMsg(response));
-      }
-      // All-or-nothing: any failed sub-query fails the whole batch frame.
-      frame = first_error.ok()
-                  ? wire::EncodeFrame(wire::MessageType::kDetectBatchResult,
-                                      wire::EncodeDetectBatchResult(results))
-                  : wire::EncodeFrame(wire::MessageType::kError,
-                                      wire::EncodeError(first_error));
-    } else if (pending.is_future) {
-      const DiscoveryResponse response = pending.future.get();
-      if (pending.trace != nullptr) pending.trace->StartSpan("encode");
-      frame = EncodeResponse(response);
-      if (pending.trace != nullptr) {
-        pending.trace->Finish();
-        options_.obs->traces().Add(pending.trace);
-      }
-    } else if (pending.is_frame_future) {
-      frame = pending.frame_future.get();
-    } else {
-      frame = std::move(pending.ready);
-    }
-
-    {
-      std::lock_guard<std::mutex> out_lock(pending.conn->out_mu);
-      if (!pending.conn->dead) {
-        pending.conn->outbuf.insert(pending.conn->outbuf.end(), frame.begin(),
-                                    frame.end());
-        if (pending.close_after) pending.conn->close_after_flush = true;
-      }
-      // The off-thread load finished (its registry effects are visible):
-      // let the poll thread resume decoding this connection's parked
-      // frames. WakePoll below re-runs its decode pass.
-      if (pending.clears_admin_busy) pending.conn->admin_busy = false;
-    }
-    WakePoll();
-    lock.lock();
-  }
+  t_poll_waker = nullptr;
 }
 
 }  // namespace serve

@@ -2,12 +2,10 @@
 #define CAUSALFORMER_SERVE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
+#include <functional>
+#include <list>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -21,24 +19,25 @@
 ///
 /// The server speaks the length-prefixed wire protocol (serve/wire.h,
 /// docs/wire-protocol.md) and feeds every decoded Detect request straight
-/// into InferenceEngine::SubmitAsync, so queries arriving on unrelated
+/// into InferenceEngine::Submit, so queries arriving on unrelated
 /// connections coalesce into one micro-batch exactly like in-process
-/// callers. Two threads per server:
-///
-///  * the poll thread owns all socket I/O: accept, non-blocking reads,
-///    frame decoding, request dispatch, and non-blocking writes of queued
-///    response bytes;
-///  * the completion thread awaits engine futures in submission order,
-///    encodes responses, appends them to the owning connection's output
-///    buffer, and wakes the poll thread through a self-pipe.
+/// callers. One thread per server, the poll thread, owns all socket I/O:
+/// accept, non-blocking reads, frame decoding, request dispatch, and
+/// non-blocking writes, made only when poll() reports POLLOUT.
 ///
 /// Responses on a connection are sent in request order (the protocol allows
-/// pipelining); ordering across connections is unspecified. Control frames
-/// (Ping/Stats/Load/Unload and the streaming frames) are answered through
-/// the same completion queue so they cannot overtake an earlier Detect on
-/// the same connection. LoadModel's checkpoint deserialisation runs on a
-/// transient worker thread — never the poll thread — so a model load cannot
-/// stall dispatch for other connections.
+/// pipelining); ordering across connections is unspecified. Dispatch
+/// reserves a response slot per frame, control frames included, in the
+/// connection's request order. Whichever thread finishes a request encodes
+/// its frame into that slot: the poll thread for control frames, rejections
+/// and cache hits, an engine executor for computed results and dedup
+/// followers, a transient worker for LoadModel and Profile. The poll thread
+/// moves each connection's filled slot prefix to its output buffer, so no
+/// response overtakes an earlier one on its connection. An off-thread fill
+/// wakes the poll thread through a self-pipe, with at most one wake byte per
+/// poll-loop drain. LoadModel's checkpoint deserialisation and Profile's
+/// sampling window run on their worker — never the poll thread — so they
+/// cannot stall dispatch for other connections.
 
 namespace causalformer {
 
@@ -113,12 +112,14 @@ class WireServer {
   WireServer(const WireServer&) = delete;             ///< not copyable
   WireServer& operator=(const WireServer&) = delete;  ///< not copyable
 
-  /// Opens the listening socket and spawns the poll + completion threads.
+  /// Opens the listening socket and spawns the poll thread.
   /// Fails if the port is taken or Start() was already called.
   Status Start();
 
-  /// Closes every connection and joins both threads. Queued requests still
-  /// complete inside the engine; their responses are dropped. Idempotent.
+  /// Closes every connection, joins the poll thread and any LoadModel or
+  /// Profile worker. Does not wait for engine work: queued requests still
+  /// complete inside the engine, and their callbacks find the connection
+  /// closed and drop the response. Idempotent.
   void Stop();
 
   /// The bound TCP port (resolves ephemeral port 0 binds). 0 before Start().
@@ -129,27 +130,27 @@ class WireServer {
 
  private:
   struct Connection;
-  struct Pending;
+  struct Waker;
+  /// A transient LoadModel/Profile thread.
+  struct Worker {
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< the task returned; join is quick
+  };
 
   void PollLoop();
-  void CompletionLoop();
-  /// True when encoding `pending` cannot block (every future resolved).
-  static bool PendingIsReady(const Pending& pending);
-  /// Blocks briefly (≤ 1 ms) on the first unresolved future of `pending`,
-  /// returning immediately when it is ready. Called unlocked by the
-  /// completion thread as its bounded stall.
-  static void AwaitPendingBriefly(Pending& pending);
   /// Dispatches one decoded frame; returns false when the connection must
   /// close without a response (unsalvageable framing).
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
                    wire::Frame frame);
-  void PushPending(Pending pending);
+  /// Reserves the connection's next response slot and fills it at once (a
+  /// response the poll thread can answer itself).
   void PushReady(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, std::vector<uint8_t> payload,
                  bool close_after = false);
-  void WakePoll();
-  /// Encodes one resolved engine response (result or error frame).
-  static std::vector<uint8_t> EncodeResponse(const DiscoveryResponse& response);
+  /// Runs `task` on a new worker thread, first joining finished ones.
+  void SpawnWorker(std::function<void()> task);
+  /// Counts one malformed frame or failed request.
+  void CountWireError();
 
   InferenceEngine* engine_;
   WireServerOptions options_;
@@ -161,19 +162,21 @@ class WireServer {
   uint16_t port_ = 0;
 
   int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread poll_thread_;
-  std::thread completion_thread_;
+  /// The self-pipe; shared with every connection, so a completion that
+  /// outlives Stop() still writes to an open pipe, never a reused fd.
+  std::shared_ptr<Waker> waker_;
   std::atomic<bool> running_{false};
   bool started_ = false;
 
-  mutable std::mutex mu_;  // guards connections_ + stats_
-  std::vector<std::shared_ptr<Connection>> connections_;
-  Stats stats_;
+  std::vector<std::shared_ptr<Connection>> connections_;  // poll thread only
+  std::list<Worker> workers_;  // poll thread only, then Stop() after its join
 
-  std::mutex completion_mu_;
-  std::condition_variable completion_cv_;
-  std::deque<Pending> completions_;
+  // Stats counters: relaxed atomics, so the poll thread's per-frame count
+  // takes no lock.
+  std::atomic<uint64_t> connections_accepted_{0};
+  std::atomic<uint64_t> frames_{0};
+  std::atomic<uint64_t> wire_errors_{0};
+  std::thread poll_thread_;  // after everything the poll thread touches
 };
 
 }  // namespace serve

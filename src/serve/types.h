@@ -2,6 +2,7 @@
 #define CAUSALFORMER_SERVE_TYPES_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -66,6 +67,11 @@ struct DiscoveryResponse {
   int batch_size = 0;          ///< requests coalesced into the executing batch
   double latency_seconds = 0;  ///< submit-to-completion wall time
 };
+
+/// Receives the outcome of one discovery query. The engine calls it exactly
+/// once (InferenceEngine::Submit says on which thread), so it must not block
+/// on further engine work of its own and must not throw.
+using DiscoveryCallback = std::function<void(DiscoveryResponse)>;
 
 /// Equality of every field the detector's output depends on. Used to decide
 /// which queued requests may coalesce into one batched pass (hash collisions

@@ -110,34 +110,6 @@ Status ReadModelOptions(PayloadReader* r, core::ModelOptions* o) {
   return Status::Ok();
 }
 
-void WriteDetectResult(PayloadWriter* w, const DetectResultMsg& msg) {
-  const int n = msg.result.scores.num_series();
-  uint8_t flags = 0;
-  if (msg.cache_hit) flags |= 1u << 0;
-  if (msg.deduped) flags |= 1u << 1;
-  w->U8(flags);
-  w->I32(msg.batch_size);
-  w->F64(msg.latency_seconds);
-  w->U32(static_cast<uint32_t>(n));
-  for (int from = 0; from < n; ++from) {
-    for (int to = 0; to < n; ++to) w->F64(msg.result.scores.at(from, to));
-  }
-  for (int from = 0; from < n; ++from) {
-    for (int to = 0; to < n; ++to) {
-      w->I32(msg.result.delays[static_cast<size_t>(from)]
-                              [static_cast<size_t>(to)]);
-    }
-  }
-  const auto& edges = msg.result.graph.edges();
-  w->U32(static_cast<uint32_t>(edges.size()));
-  for (const auto& edge : edges) {
-    w->I32(edge.from);
-    w->I32(edge.to);
-    w->I32(edge.delay);
-    w->F64(edge.score);
-  }
-}
-
 Status ReadDetectResult(PayloadReader* r, DetectResultMsg* msg) {
   uint8_t flags = 0;
   CF_RETURN_IF_ERROR(r->U8(&flags));
@@ -601,10 +573,40 @@ Status DecodeDetectBatch(const std::vector<uint8_t>& payload,
   return r.ExpectEnd();
 }
 
+void AppendDetectResult(PayloadWriter* w, bool cache_hit, bool deduped,
+                        int32_t batch_size, double latency_seconds,
+                        const core::DetectionResult& result) {
+  const int n = result.scores.num_series();
+  uint8_t flags = 0;
+  if (cache_hit) flags |= 1u << 0;
+  if (deduped) flags |= 1u << 1;
+  w->U8(flags);
+  w->I32(batch_size);
+  w->F64(latency_seconds);
+  w->U32(static_cast<uint32_t>(n));
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) w->F64(result.scores.at(from, to));
+  }
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      w->I32(result.delays[static_cast<size_t>(from)][static_cast<size_t>(to)]);
+    }
+  }
+  const auto& edges = result.graph.edges();
+  w->U32(static_cast<uint32_t>(edges.size()));
+  for (const auto& edge : edges) {
+    w->I32(edge.from);
+    w->I32(edge.to);
+    w->I32(edge.delay);
+    w->F64(edge.score);
+  }
+}
+
 std::vector<uint8_t> EncodeDetectResult(const DetectResultMsg& msg) {
   std::vector<uint8_t> payload;
   PayloadWriter w(&payload);
-  WriteDetectResult(&w, msg);
+  AppendDetectResult(&w, msg.cache_hit, msg.deduped, msg.batch_size,
+                     msg.latency_seconds, msg.result);
   return payload;
 }
 
@@ -620,7 +622,10 @@ std::vector<uint8_t> EncodeDetectBatchResult(
   std::vector<uint8_t> payload;
   PayloadWriter w(&payload);
   w.U32(static_cast<uint32_t>(results.size()));
-  for (const auto& result : results) WriteDetectResult(&w, result);
+  for (const auto& r : results) {
+    AppendDetectResult(&w, r.cache_hit, r.deduped, r.batch_size,
+                       r.latency_seconds, r.result);
+  }
   return payload;
 }
 

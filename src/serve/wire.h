@@ -452,6 +452,13 @@ Status DecodeDetectBatch(const std::vector<uint8_t>& payload,
 
 /// Encodes a kDetectResult payload.
 std::vector<uint8_t> EncodeDetectResult(const DetectResultMsg& msg);
+/// Appends one DetectResult unit (the whole kDetectResult payload, or one
+/// repeated unit of kDetectBatchResult) straight from a shared `result`,
+/// byte-identical to EncodeDetectResult of the equivalent DetectResultMsg
+/// but without copying the result into one.
+void AppendDetectResult(PayloadWriter* w, bool cache_hit, bool deduped,
+                        int32_t batch_size, double latency_seconds,
+                        const core::DetectionResult& result);
 /// Decodes a kDetectResult payload (rebuilds scores, delays and the graph).
 Status DecodeDetectResult(const std::vector<uint8_t>& payload,
                           DetectResultMsg* msg);

@@ -1,10 +1,11 @@
 #include "stream/window_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <utility>
 
-#include "obs/profiler.h"
 #include "util/logging.h"
 
 namespace causalformer {
@@ -40,33 +41,246 @@ serve::wire::StreamReportMsg ToWire(const StreamReport& report) {
 
 }  // namespace
 
-WindowScheduler::Stream::Stream(std::string stream_name, StreamConfig cfg,
-                                int64_t num_series)
-    : name(std::move(stream_name)),
-      config(std::move(cfg)),
-      ring(num_series, config.history),
-      hasher(num_series, config.history),
-      drift(config.drift),
-      next_end(config.window) {}
+struct WindowScheduler::Stream {
+  /// One emitted window awaiting its fold.
+  struct InFlight {
+    uint64_t window_index = 0;
+    int64_t window_start = 0;
+    bool done = false;  ///< the engine called back; `response` is set
+    serve::DiscoveryResponse response;
+  };
+
+  std::string name;  ///< registry key (for logs and DebugString)
+  StreamConfig config;
+  RingSeries ring;
+  RollingWindowHasher hasher;
+  DriftTracker drift;
+  int64_t next_end = 0;           ///< absolute end of the next due window
+  uint64_t next_window_index = 0; ///< ordinal of the next emitted window
+  StreamStats stats;
+  std::deque<StreamReport> reports;
+  /// Emitted windows not yet folded, in emission order: entry i is the
+  /// stream's emission number stats.windows_completed + i.
+  std::deque<InFlight> in_flight;
+  bool closed = false;  ///< Close() ran; folds discard reports
+  bool marked = false;  ///< queued in Shared::marked
+  /// Per-stream metric handles (stable registry pointers resolved at
+  /// Open(); all null when the scheduler runs without observability).
+  obs::Histogram* latency_hist = nullptr;  ///< append→graph seconds
+  obs::Counter* drift_events = nullptr;    ///< windows flagged drifted
+  obs::Counter* regime_events = nullptr;   ///< regime changes declared
+
+  Stream(std::string stream_name, StreamConfig cfg, int64_t num_series)
+      : name(std::move(stream_name)),
+        config(std::move(cfg)),
+        ring(num_series, config.history),
+        hasher(num_series, config.history),
+        drift(config.drift),
+        next_end(config.window) {}
+  Stream(const Stream&) = delete;  // completion callbacks hold its address
+  Stream& operator=(const Stream&) = delete;
+};
+
+struct WindowScheduler::Shared
+    : public std::enable_shared_from_this<WindowScheduler::Shared> {
+  /// A window ready to go to the engine once mu is released.
+  struct Submission {
+    serve::DiscoveryRequest request;
+    serve::DiscoveryCallback done;
+  };
+
+  explicit Shared(serve::InferenceEngine* e) : engine(e) {}
+
+  /// Queues `stream` (it has a foldable result or due windows) and becomes
+  /// the folder unless another thread is, which then picks the stream up.
+  /// The folder loops until no stream is queued, calling the engine with mu
+  /// released: a completion that runs inline there only stores its result,
+  /// for the next pass. Holds mu on entry and exit.
+  void Schedule(const std::shared_ptr<Stream>& stream,
+                std::unique_lock<std::mutex>& lock) {
+    if (!stream->marked) {
+      stream->marked = true;
+      marked.push_back(stream);
+    }
+    if (folding) return;
+    folding = true;
+    std::vector<Submission> submissions;
+    while (!shutdown && !marked.empty()) {
+      std::vector<std::shared_ptr<Stream>> streams;
+      streams.swap(marked);
+      for (const auto& s : streams) {
+        s->marked = false;
+        FoldLocked(*s);
+        PumpLocked(s, &submissions);
+      }
+      if (submissions.empty()) continue;
+      lock.unlock();
+      for (Submission& submission : submissions) {
+        engine->Submit(std::move(submission.request),
+                       std::move(submission.done));
+      }
+      submissions.clear();
+      lock.lock();
+    }
+    folding = false;
+    if (in_flight == 0 || shutdown) idle_cv.notify_all();
+  }
+
+  /// A window's completion callback, on whatever thread the engine resolved
+  /// it: stores the result in the window's in-flight entry.
+  void Complete(const std::shared_ptr<Stream>& stream, uint64_t emission,
+                serve::DiscoveryResponse response) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (shutdown) return;
+    Stream::InFlight& window =
+        stream->in_flight[emission - stream->stats.windows_completed];
+    window.done = true;
+    window.response = std::move(response);
+    // Only the oldest window can be folded; a later one waits for it.
+    if (emission == stream->stats.windows_completed) Schedule(stream, lock);
+  }
+
+  /// Folds the stream's finished in-flight prefix, in window order, into
+  /// reports and drift state. Holds mu.
+  void FoldLocked(Stream& stream) {
+    while (!stream.in_flight.empty() && stream.in_flight.front().done) {
+      const Stream::InFlight window = std::move(stream.in_flight.front());
+      stream.in_flight.pop_front();
+      --in_flight;
+      ++stream.stats.windows_completed;
+      CF_CHECK_GT(stream.stats.pending, 0u);
+      --stream.stats.pending;
+      const serve::DiscoveryResponse& response = window.response;
+      if (!response.status.ok()) {
+        ++stream.stats.windows_failed;
+        continue;
+      }
+      if (stream.closed) continue;
+      if (response.cache_hit) ++stream.stats.cache_hits;
+      if (response.deduped) ++stream.stats.windows_deduped;
+      StreamReport report;
+      report.window_index = window.window_index;
+      report.window_start = window.window_start;
+      report.cache_hit = response.cache_hit;
+      report.deduped = response.deduped;
+      report.batch_size = response.batch_size;
+      report.latency_seconds = response.latency_seconds;
+      report.num_series = response.result->scores.num_series();
+      report.edges = response.result->graph.edges();
+      auto drift = stream.drift.Observe(response.result);
+      report.has_baseline = drift.has_value();
+      if (drift.has_value()) report.drift = *std::move(drift);
+      if (stream.latency_hist != nullptr) {
+        stream.latency_hist->Record(report.latency_seconds);
+      }
+      if (report.drift.drifted && stream.drift_events != nullptr) {
+        stream.drift_events->Increment();
+      }
+      if (report.drift.regime_change && stream.regime_events != nullptr) {
+        stream.regime_events->Increment();
+      }
+      stream.reports.push_back(std::move(report));
+      while (stream.reports.size() > stream.config.max_reports) {
+        stream.reports.pop_front();
+        ++stream.stats.reports_dropped;
+        // The consumer stopped draining StreamReports; oldest evidence is
+        // being discarded. Same throttling discipline as the ring-overrun
+        // warning below: one CF_LOG_THROTTLED site, so a sustained drop
+        // storm costs one line per second and the skipped emissions ride
+        // the next line's `suppressed` carryover instead of flooding.
+        CF_LOG_THROTTLED(kWarning, 1.0, 5.0)
+            << "stream report ring full; dropping oldest report"
+            << LogKV("stream", stream.name.c_str())
+            << LogKV("reports_dropped_total",
+                     static_cast<unsigned long long>(
+                         stream.stats.reports_dropped));
+      }
+    }
+  }
+
+  /// Emits every due window within the stream's in-flight bound into `out`,
+  /// dropping windows whose samples were overwritten. Holds mu.
+  void PumpLocked(const std::shared_ptr<Stream>& stream,
+                  std::vector<Submission>* out) {
+    if (stream->closed) return;  // deferred windows of a closed stream die
+    const int64_t width = stream->config.window;
+    const int64_t stride = stream->config.stride;
+    while (stream->next_end <= stream->ring.total_appended()) {
+      if (stream->stats.pending >=
+          static_cast<uint32_t>(stream->config.max_in_flight)) {
+        return;  // debounce: the fold that frees a slot re-pumps
+      }
+      const int64_t start = stream->next_end - width;
+      if (start < stream->ring.oldest()) {
+        // The producer outran detection and the ring overwrote this window's
+        // oldest samples: skip forward to the first fully retained window,
+        // counting every skipped emission.
+        const int64_t deficit = stream->ring.oldest() - start;
+        const int64_t skipped = (deficit + stride - 1) / stride;
+        stream->next_end += skipped * stride;
+        stream->next_window_index += static_cast<uint64_t>(skipped);
+        stream->stats.windows_dropped += static_cast<uint64_t>(skipped);
+        // Data loss: the stream is being overrun. Throttled — a sustained
+        // overrun drops windows on every append.
+        CF_LOG_THROTTLED(kWarning, 1.0, 5.0)
+            << "stream overrun: ring overwrote un-detected samples"
+            << LogKV("stream", stream->name.c_str())
+            << LogKV("windows_skipped",
+                     static_cast<unsigned long long>(skipped))
+            << LogKV("windows_dropped_total",
+                     static_cast<unsigned long long>(
+                         stream->stats.windows_dropped));
+        continue;
+      }
+      auto windows = stream->ring.Window(stream->next_end, width);
+      auto hash = stream->hasher.Window(stream->next_end, width);
+      CF_CHECK(windows.ok() && hash.ok());  // range established above
+      Submission submission;
+      submission.request.model = stream->config.model;
+      submission.request.windows = std::move(windows).value();
+      submission.request.options = stream->config.detector;
+      submission.request.has_window_hash = true;
+      submission.request.window_hash = *hash;
+      submission.done = [self = shared_from_this(), stream,
+                         emission = stream->stats.windows_emitted](
+                            serve::DiscoveryResponse response) {
+        self->Complete(stream, emission, std::move(response));
+      };
+      out->push_back(std::move(submission));
+
+      Stream::InFlight window;
+      window.window_index = stream->next_window_index++;
+      window.window_start = start;
+      stream->in_flight.push_back(std::move(window));
+      ++stream->stats.windows_emitted;
+      ++stream->stats.pending;
+      ++in_flight;
+      stream->next_end += stride;
+    }
+  }
+
+  serve::InferenceEngine* const engine;
+  std::mutex mu;  // guards everything here, streams_ and every Stream
+  std::condition_variable idle_cv;  ///< wakes Flush()
+  /// Streams with a foldable result or due windows, for the folder.
+  std::vector<std::shared_ptr<Stream>> marked;
+  int64_t in_flight = 0;  ///< emitted windows not yet folded, all streams
+  bool folding = false;   ///< a thread is running the Schedule() loop
+  bool shutdown = false;  ///< the scheduler is gone; callbacks drop results
+};
 
 WindowScheduler::WindowScheduler(serve::InferenceEngine* engine,
                                  obs::Observability* obs)
-    : engine_(engine), obs_(obs) {
+    : shared_(std::make_shared<Shared>(engine)), obs_(obs) {
   CF_CHECK(engine != nullptr);
-  completion_thread_ = std::thread([this] {
-    obs::RegisterProfilingThread("cf-sched");
-    CompletionLoop();
-  });
 }
 
 WindowScheduler::~WindowScheduler() {
   {
-    std::lock_guard<std::mutex> qlock(queue_mu_);
-    shutdown_ = true;
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    shared_->shutdown = true;
   }
-  queue_cv_.notify_all();
-  idle_cv_.notify_all();
-  if (completion_thread_.joinable()) completion_thread_.join();
+  shared_->idle_cv.notify_all();
 }
 
 Status WindowScheduler::Open(const std::string& name, StreamConfig config,
@@ -74,7 +288,7 @@ Status WindowScheduler::Open(const std::string& name, StreamConfig config,
   if (name.empty()) {
     return Status::InvalidArgument("stream name must be non-empty");
   }
-  const auto model = engine_->registry().Get(config.model);
+  const auto model = shared_->engine->registry().Get(config.model);
   if (model == nullptr) {
     return Status::NotFound("model '" + config.model + "' is not registered");
   }
@@ -127,7 +341,7 @@ Status WindowScheduler::Open(const std::string& name, StreamConfig config,
         "invalid detector options: require max_windows >= 1, "
         "1 <= top_clusters <= num_clusters, epsilon > 0");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shared_->mu);
   if (streams_.size() >= kMaxOpenStreams) {
     return Status::FailedPrecondition(
         "too many open streams (bound: " + std::to_string(kMaxOpenStreams) +
@@ -156,20 +370,20 @@ Status WindowScheduler::Open(const std::string& name, StreamConfig config,
 
 Status WindowScheduler::Close(const std::string& name) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(shared_->mu);
     const auto it = streams_.find(name);
     if (it == streams_.end()) {
       return Status::NotFound("stream '" + name + "' is not open");
     }
     // In-flight completions still hold the shared Stream; the flag tells
-    // them to account the window but discard its report.
+    // the folder to account the window but discard its report.
     it->second->closed = true;
     streams_.erase(it);
   }
   // A closing stream is exactly when TTL expiry has work to do: its cached
   // windows will never be probed again, so sweep eagerly (no-op without a
   // configured TTL).
-  engine_->PruneExpiredCache();
+  shared_->engine->PruneExpiredCache();
   return Status::Ok();
 }
 
@@ -184,22 +398,22 @@ StatusOr<std::shared_ptr<WindowScheduler::Stream>> WindowScheduler::FindLocked(
 
 StatusOr<StreamStats> WindowScheduler::Append(const std::string& name,
                                               const Tensor& samples) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(shared_->mu);
   auto found = FindLocked(name);
   if (!found.ok()) return found.status();
-  const std::shared_ptr<Stream>& stream = *found;
+  const std::shared_ptr<Stream> stream = *std::move(found);
   CF_RETURN_IF_ERROR(stream->ring.Append(samples));
   // The hasher applies the same geometry checks the ring just passed, so the
   // two stay in lockstep by construction.
   CF_CHECK(stream->hasher.Append(samples).ok());
   stream->stats.total_samples =
       static_cast<uint64_t>(stream->ring.total_appended());
-  PumpLocked(stream);
+  shared_->Schedule(stream, lock);
   return stream->stats;
 }
 
 StatusOr<StreamStats> WindowScheduler::GetStats(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shared_->mu);
   auto found = FindLocked(name);
   if (!found.ok()) return found.status();
   return (*found)->stats;
@@ -207,7 +421,7 @@ StatusOr<StreamStats> WindowScheduler::GetStats(const std::string& name) const {
 
 StatusOr<std::vector<StreamReport>> WindowScheduler::Take(
     const std::string& name, size_t max_reports) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shared_->mu);
   auto found = FindLocked(name);
   if (!found.ok()) return found.status();
   const std::shared_ptr<Stream>& stream = *found;
@@ -223,14 +437,15 @@ StatusOr<std::vector<StreamReport>> WindowScheduler::Take(
 }
 
 void WindowScheduler::Flush() {
-  std::unique_lock<std::mutex> qlock(queue_mu_);
-  idle_cv_.wait(qlock, [this] {
-    return (in_flight_ == 0 && pending_.empty()) || shutdown_;
+  Shared& shared = *shared_;
+  std::unique_lock<std::mutex> lock(shared.mu);
+  shared.idle_cv.wait(lock, [&shared] {
+    return (shared.in_flight == 0 && !shared.folding) || shared.shutdown;
   });
 }
 
 std::vector<std::string> WindowScheduler::List() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shared_->mu);
   std::vector<std::string> names;
   names.reserve(streams_.size());
   for (const auto& [name, stream] : streams_) names.push_back(name);
@@ -238,13 +453,9 @@ std::vector<std::string> WindowScheduler::List() const {
 }
 
 std::string WindowScheduler::DebugString() const {
-  std::string out;
-  {
-    std::lock_guard<std::mutex> qlock(queue_mu_);
-    out += "in_flight=" + std::to_string(in_flight_) +
-           " pending_queue=" + std::to_string(pending_.size()) + "\n";
-  }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  std::string out = "in_flight=" + std::to_string(shared_->in_flight) +
+                    " folding=" + std::to_string(shared_->folding) + "\n";
   out += "streams=" + std::to_string(streams_.size()) + "\n";
   for (const auto& [name, stream] : streams_) {
     const StreamStats& s = stream->stats;
@@ -266,166 +477,6 @@ std::string WindowScheduler::DebugString() const {
            (stream->closed ? " closed" : "") + "\n";
   }
   return out;
-}
-
-void WindowScheduler::PumpLocked(const std::shared_ptr<Stream>& stream) {
-  if (stream->closed) return;  // deferred windows of a closed stream die
-  const int64_t width = stream->config.window;
-  const int64_t stride = stream->config.stride;
-  while (stream->next_end <= stream->ring.total_appended()) {
-    if (stream->stats.pending >=
-        static_cast<uint32_t>(stream->config.max_in_flight)) {
-      return;  // debounce: completions re-pump
-    }
-    const int64_t start = stream->next_end - width;
-    if (start < stream->ring.oldest()) {
-      // The producer outran detection and the ring overwrote this window's
-      // oldest samples: skip forward to the first fully retained window,
-      // counting every skipped emission.
-      const int64_t deficit = stream->ring.oldest() - start;
-      const int64_t skipped = (deficit + stride - 1) / stride;
-      stream->next_end += skipped * stride;
-      stream->next_window_index += static_cast<uint64_t>(skipped);
-      stream->stats.windows_dropped += static_cast<uint64_t>(skipped);
-      // Data loss: the stream is being overrun. Throttled — a sustained
-      // overrun drops windows on every append.
-      CF_LOG_THROTTLED(kWarning, 1.0, 5.0)
-          << "stream overrun: ring overwrote un-detected samples"
-          << LogKV("stream", stream->name.c_str())
-          << LogKV("windows_skipped", static_cast<unsigned long long>(skipped))
-          << LogKV("windows_dropped_total",
-                   static_cast<unsigned long long>(
-                       stream->stats.windows_dropped));
-      continue;
-    }
-    auto windows = stream->ring.Window(stream->next_end, width);
-    auto hash = stream->hasher.Window(stream->next_end, width);
-    CF_CHECK(windows.ok() && hash.ok());  // range established above
-    serve::DiscoveryRequest request;
-    request.model = stream->config.model;
-    request.windows = std::move(windows).value();
-    request.options = stream->config.detector;
-    request.has_window_hash = true;
-    request.window_hash = *hash;
-
-    PendingWindow pending;
-    pending.stream = stream;
-    pending.window_index = stream->next_window_index++;
-    pending.window_start = start;
-    pending.future = engine_->SubmitAsync(std::move(request));
-    ++stream->stats.windows_emitted;
-    ++stream->stats.pending;
-    stream->next_end += stride;
-    {
-      std::lock_guard<std::mutex> qlock(queue_mu_);
-      pending_.push_back(std::move(pending));
-      ++in_flight_;
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void WindowScheduler::CompletionLoop() {
-  const auto ready = [](const std::future<serve::DiscoveryResponse>& future) {
-    return future.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  };
-  std::unique_lock<std::mutex> qlock(queue_mu_);
-  for (;;) {
-    if (pending_.empty()) {
-      if (shutdown_) return;
-      queue_cv_.wait(qlock,
-                     [this] { return !pending_.empty() || shutdown_; });
-      continue;
-    }
-    if (shutdown_) return;  // in-flight engine work finishes unobserved
-
-    // Per-stream FIFO: only each stream's *oldest* pending window may be
-    // folded (drift compares consecutive windows), but a slow window on one
-    // stream must not head-of-line block other streams' completed work.
-    auto ready_it = pending_.end();
-    std::vector<const Stream*> seen;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      const Stream* stream = it->stream.get();
-      if (std::find(seen.begin(), seen.end(), stream) != seen.end()) continue;
-      seen.push_back(stream);
-      if (ready(it->future)) {
-        ready_it = it;
-        break;
-      }
-    }
-    if (ready_it == pending_.end()) {
-      // Wait briefly on the oldest future outside the lock (deque push_back
-      // never invalidates element references; only this thread erases).
-      std::future<serve::DiscoveryResponse>* stall = &pending_.front().future;
-      qlock.unlock();
-      stall->wait_for(std::chrono::milliseconds(1));
-      qlock.lock();
-      continue;
-    }
-    PendingWindow pending = std::move(*ready_it);
-    pending_.erase(ready_it);
-    qlock.unlock();
-
-    serve::DiscoveryResponse response = pending.future.get();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Stream& stream = *pending.stream;
-      ++stream.stats.windows_completed;
-      CF_CHECK_GT(stream.stats.pending, 0u);
-      --stream.stats.pending;
-      if (!response.status.ok()) {
-        ++stream.stats.windows_failed;
-      } else if (!stream.closed) {
-        if (response.cache_hit) ++stream.stats.cache_hits;
-        if (response.deduped) ++stream.stats.windows_deduped;
-        StreamReport report;
-        report.window_index = pending.window_index;
-        report.window_start = pending.window_start;
-        report.cache_hit = response.cache_hit;
-        report.deduped = response.deduped;
-        report.batch_size = response.batch_size;
-        report.latency_seconds = response.latency_seconds;
-        report.num_series = response.result->scores.num_series();
-        report.edges = response.result->graph.edges();
-        auto drift = stream.drift.Observe(response.result);
-        report.has_baseline = drift.has_value();
-        if (drift.has_value()) report.drift = *std::move(drift);
-        if (stream.latency_hist != nullptr) {
-          stream.latency_hist->Record(report.latency_seconds);
-        }
-        if (report.drift.drifted && stream.drift_events != nullptr) {
-          stream.drift_events->Increment();
-        }
-        if (report.drift.regime_change && stream.regime_events != nullptr) {
-          stream.regime_events->Increment();
-        }
-        stream.reports.push_back(std::move(report));
-        while (stream.reports.size() > stream.config.max_reports) {
-          stream.reports.pop_front();
-          ++stream.stats.reports_dropped;
-          // The consumer stopped draining StreamReports; oldest evidence is
-          // being discarded. Same throttling discipline as the ring-overrun
-          // warning above: one CF_LOG_THROTTLED site, so a sustained drop
-          // storm costs one line per second and the skipped emissions ride
-          // the next line's `suppressed` carryover instead of flooding —
-          // the per-N counter this used before kept firing every 256 drops
-          // even while suppression was already active on the site.
-          CF_LOG_THROTTLED(kWarning, 1.0, 5.0)
-              << "stream report ring full; dropping oldest report"
-              << LogKV("stream", stream.name.c_str())
-              << LogKV("reports_dropped_total",
-                       static_cast<unsigned long long>(
-                           stream.stats.reports_dropped));
-        }
-      }
-      // A completion frees an in-flight slot; deferred windows may be due.
-      PumpLocked(pending.stream);
-    }
-    qlock.lock();
-    --in_flight_;
-    if (in_flight_ == 0 && pending_.empty()) idle_cv_.notify_all();
-  }
 }
 
 // ---- serve::StreamBackend (the wire adapter) --------------------------------

@@ -1,15 +1,10 @@
 #ifndef CAUSALFORMER_STREAM_WINDOW_SCHEDULER_H_
 #define CAUSALFORMER_STREAM_WINDOW_SCHEDULER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/detector.h"
@@ -33,11 +28,17 @@
 /// flight* rather than cached, the engine's InFlightTable parks this
 /// stream's submission on the running one instead of double-running it,
 /// counted as StreamStats::windows_deduped), and submits them through
-/// InferenceEngine::SubmitAsync — the same entry point one-shot queries use,
-/// so windows from concurrent streams coalesce with each other and with
-/// ad-hoc Detect traffic in the micro-batcher. A completion thread awaits
-/// results in per-stream order and folds each window's graph through a
-/// DriftTracker into TTCD-style StreamReports.
+/// InferenceEngine::Submit — the same entry point one-shot queries use, so
+/// windows from concurrent streams coalesce with each other and with ad-hoc
+/// Detect traffic in the micro-batcher. Each window's completion callback
+/// stores its result in the stream's in-flight slot; results are folded in
+/// per-stream window order, each window's graph through a DriftTracker into
+/// TTCD-style StreamReports, by whichever thread is the *folder*: one at a
+/// time, it folds every stream's finished prefix, emits the windows that
+/// became due, submits them with the lock released, and loops until nothing
+/// is left. A completion that arrives while another thread folds (inline
+/// ones included: cache hits, rejections) only stores its result, so an
+/// append of any length runs in constant stack.
 ///
 /// Backpressure ("debounce"): at most `max_in_flight` windows of one stream
 /// are in the engine at once; windows falling due beyond that wait, and if
@@ -120,8 +121,8 @@ class WindowScheduler : public serve::StreamBackend {
   /// regime-change counters, resolved per stream at Open().
   explicit WindowScheduler(serve::InferenceEngine* engine,
                            obs::Observability* obs = nullptr);
-  /// Stops the completion thread; in-flight detections finish in the engine
-  /// but their reports are dropped.
+  /// Returns at once: in-flight detections finish in the engine, and their
+  /// callbacks find the scheduler gone and drop their reports.
   ~WindowScheduler() override;
 
   WindowScheduler(const WindowScheduler&) = delete;             ///< not copyable
@@ -166,62 +167,25 @@ class WindowScheduler : public serve::StreamBackend {
   StatusOr<std::vector<serve::wire::StreamReportMsg>> TakeReports(
       const std::string& stream, uint32_t max_reports) override;
 
-  /// Human-readable state for flight-recorder bundles: one block per open
-  /// stream (config geometry, ring depth, counters, report-queue depth),
-  /// plus the scheduler's in-flight total.
+  /// Human-readable state for flight-recorder bundles: the scheduler's
+  /// in-flight total and whether a folder is running, then one block per
+  /// open stream (config geometry, ring depth, counters, report-queue depth).
   std::string DebugString() const;
 
  private:
-  struct Stream {
-    std::string name;  ///< registry key (for logs and DebugString)
-    StreamConfig config;
-    RingSeries ring;
-    RollingWindowHasher hasher;
-    DriftTracker drift;
-    int64_t next_end = 0;           ///< absolute end of the next due window
-    uint64_t next_window_index = 0; ///< ordinal of the next emitted window
-    StreamStats stats;
-    std::deque<StreamReport> reports;
-    bool closed = false;  ///< Close() ran; completions discard reports
-    /// Per-stream metric handles (stable registry pointers resolved at
-    /// Open(); all null when the scheduler runs without observability).
-    obs::Histogram* latency_hist = nullptr;  ///< append→graph seconds
-    obs::Counter* drift_events = nullptr;    ///< windows flagged drifted
-    obs::Counter* regime_events = nullptr;   ///< regime changes declared
+  struct Stream;
+  struct Shared;
 
-    Stream(std::string stream_name, StreamConfig cfg, int64_t num_series);
-  };
-
-  /// One submitted window awaiting completion.
-  struct PendingWindow {
-    std::shared_ptr<Stream> stream;
-    uint64_t window_index = 0;
-    int64_t window_start = 0;
-    std::future<serve::DiscoveryResponse> future;
-  };
-
-  /// Emits every due window within the stream's in-flight bound, dropping
-  /// windows whose samples were overwritten. Holds mu_.
-  void PumpLocked(const std::shared_ptr<Stream>& stream);
-  /// Completion thread: await futures (per-stream FIFO), fold into reports.
-  void CompletionLoop();
-  /// The named stream, or NotFound. Holds mu_.
+  /// The named stream, or NotFound. Holds shared_->mu.
   StatusOr<std::shared_ptr<Stream>> FindLocked(const std::string& name) const;
 
-  serve::InferenceEngine* engine_;
+  /// The state completion callbacks share with the scheduler. They hold it
+  /// by shared_ptr, so one that runs after the scheduler is gone still
+  /// touches live memory (and finds the shutdown flag set).
+  std::shared_ptr<Shared> shared_;
   obs::Observability* obs_;
-
-  mutable std::mutex mu_;  // guards streams_ and every Stream's state
+  /// Open streams by name; guarded by shared_->mu.
   std::map<std::string, std::shared_ptr<Stream>> streams_;
-
-  mutable std::mutex queue_mu_;  // guards pending_ / in_flight_ / shutdown_
-  std::condition_variable queue_cv_;  ///< wakes the completion thread
-  std::condition_variable idle_cv_;   ///< wakes Flush()
-  std::deque<PendingWindow> pending_;
-  int64_t in_flight_ = 0;  ///< pending_ entries not yet folded into reports
-  bool shutdown_ = false;
-
-  std::thread completion_thread_;
 };
 
 }  // namespace stream

@@ -37,6 +37,7 @@ namespace {
 using testutil::Barrier;
 using testutil::DetectGate;
 using testutil::ExpectSameDetection;
+using testutil::FutureCallback;
 using testutil::RandomWindows;
 using testutil::ScriptedClock;
 using testutil::TinyModel;
@@ -213,8 +214,9 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
 TEST(ServeStressTest, FollowersFanInOnLeaderError) {
   InFlightTable table;
   CacheKey key{"m", {7, 9}, "o", 1};
-  InFlightTicket leader = table.Join(key);
-  ASSERT_TRUE(leader.leader);
+  DiscoveryCallback leader_done = [](DiscoveryResponse) {};
+  const auto leader = table.Join(key, &leader_done);
+  ASSERT_NE(leader, nullptr);
 
   constexpr int kFollowers = 5;
   Barrier barrier(kFollowers + 1);
@@ -223,9 +225,9 @@ TEST(ServeStressTest, FollowersFanInOnLeaderError) {
   for (int t = 0; t < kFollowers; ++t) {
     threads.emplace_back([&, t] {
       barrier.Wait();
-      InFlightTicket ticket = table.Join(key);
-      EXPECT_FALSE(ticket.leader);
-      futures[static_cast<size_t>(t)] = std::move(ticket.follower);
+      DiscoveryCallback done =
+          FutureCallback(&futures[static_cast<size_t>(t)]);
+      EXPECT_EQ(table.Join(key, &done), nullptr);
     });
   }
   barrier.Wait();
@@ -234,9 +236,9 @@ TEST(ServeStressTest, FollowersFanInOnLeaderError) {
 
   DiscoveryResponse failure;
   failure.status = Status::Internal("leader exploded");
-  table.Complete(leader.entry, failure);
+  table.Complete(leader, failure);
   // Completion is idempotent: a second resolve must not double-fan.
-  table.Complete(leader.entry, failure);
+  table.Complete(leader, failure);
 
   for (auto& f : futures) {
     const DiscoveryResponse r = f.get();
@@ -495,7 +497,7 @@ TEST(ServeStressTest, AdaptiveAdmissionTracksBatchOccupancy) {
     for (auto& item : items) {
       DiscoveryResponse response;
       response.batch_size = static_cast<int>(items.size());
-      item.Resolve(std::move(response));
+      item.done(std::move(response));
     }
     ++executed;
   });
@@ -504,7 +506,10 @@ TEST(ServeStressTest, AdaptiveAdmissionTracksBatchOccupancy) {
     DiscoveryRequest request;
     request.model = "m";
     request.windows = RandomWindows(1, seed);
-    return batcher.Submit(std::move(request), CacheKey{}, nullptr);
+    std::future<DiscoveryResponse> future;
+    batcher.Submit(std::move(request), CacheKey{}, nullptr,
+                   FutureCallback(&future));
+    return future;
   };
 
   // Admission opens at the ceiling.
@@ -571,7 +576,7 @@ TEST(ServeStressTest, AdmissionNeverShrinksBelowDistinctPendingShapes) {
       cv.wait(lock, [&] { return release_budget > 0; });
       --release_budget;
     }
-    for (auto& item : items) item.Resolve(DiscoveryResponse{});
+    for (auto& item : items) item.done(DiscoveryResponse{});
   });
 
   // Distinct options strings put the two flows in distinct shape buckets.
@@ -582,7 +587,10 @@ TEST(ServeStressTest, AdmissionNeverShrinksBelowDistinctPendingShapes) {
     CacheKey key;
     key.model = "m";
     key.options = options;
-    return batcher.Submit(std::move(request), std::move(key), nullptr);
+    std::future<DiscoveryResponse> future;
+    batcher.Submit(std::move(request), std::move(key), nullptr,
+                   FutureCallback(&future));
+    return future;
   };
 
   // A lone sparse dispatch with nothing else pending shrinks 2 -> 1.
@@ -646,7 +654,7 @@ TEST(ServeStressTest, WindowsSaturatedBatchesCountAsFullOccupancy) {
     for (auto& item : items) {
       DiscoveryResponse response;
       response.batch_size = static_cast<int>(items.size());
-      item.Resolve(std::move(response));
+      item.done(std::move(response));
     }
   });
 
@@ -654,7 +662,10 @@ TEST(ServeStressTest, WindowsSaturatedBatchesCountAsFullOccupancy) {
     DiscoveryRequest request;
     request.model = "m";
     request.windows = RandomWindows(b, seed);
-    return batcher.Submit(std::move(request), CacheKey{}, nullptr);
+    std::future<DiscoveryResponse> future;
+    batcher.Submit(std::move(request), CacheKey{}, nullptr,
+                   FutureCallback(&future));
+    return future;
   };
 
   // Two lone single-window dispatches (occupancy 1/8 vs 1/4) shrink 3 -> 1.

@@ -25,6 +25,7 @@ namespace {
 
 using testutil::DetectGate;
 using testutil::ExpectSameDetection;
+using testutil::FutureCallback;
 using testutil::RandomWindows;
 using testutil::TinyModel;
 using testutil::TinyModelOptions;
@@ -509,7 +510,7 @@ TEST(MicroBatcherTest, QueueFullRejectsAndShutdownDrains) {
     for (auto& item : items) {
       DiscoveryResponse response;
       response.batch_size = static_cast<int>(items.size());
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
     }
   };
 
@@ -522,8 +523,10 @@ TEST(MicroBatcherTest, QueueFullRejectsAndShutdownDrains) {
       DiscoveryRequest request;
       request.model = "m";
       request.windows = RandomWindows(1, 40);
-      futures.push_back(
-          batcher.Submit(std::move(request), CacheKey{}, nullptr));
+      std::future<DiscoveryResponse> future;
+      batcher.Submit(std::move(request), CacheKey{}, nullptr,
+                     FutureCallback(&future));
+      futures.push_back(std::move(future));
     }
     while (batcher.stats().batches == 0) std::this_thread::yield();
     // With the dispatcher stalled (in-flight cap 1), max_queue accepts then a
@@ -533,7 +536,9 @@ TEST(MicroBatcherTest, QueueFullRejectsAndShutdownDrains) {
       DiscoveryRequest request;
       request.model = "m";
       request.windows = RandomWindows(1, 41 + i);
-      auto future = batcher.Submit(std::move(request), CacheKey{}, nullptr);
+      std::future<DiscoveryResponse> future;
+      batcher.Submit(std::move(request), CacheKey{}, nullptr,
+                     FutureCallback(&future));
       if (future.wait_for(std::chrono::seconds(0)) ==
           std::future_status::ready) {
         EXPECT_EQ(future.get().status.code(), StatusCode::kFailedPrecondition);

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -61,6 +62,17 @@ inline void ExpectSameDetection(const core::DetectionResult& a,
     }
   }
   EXPECT_EQ(a.graph.ToString(), b.graph.ToString());
+}
+
+// A DiscoveryCallback that fulfils a promise whose future lands in
+// `*future`: tests that drive the callback-form layers (MicroBatcher,
+// InFlightTable) directly read results back the way SubmitAsync callers do.
+inline DiscoveryCallback FutureCallback(std::future<DiscoveryResponse>* future) {
+  auto promise = std::make_shared<std::promise<DiscoveryResponse>>();
+  *future = promise->get_future();
+  return [promise](DiscoveryResponse response) {
+    promise->set_value(std::move(response));
+  };
 }
 
 // The dispatch-timing lever of the batching, hot-swap, dedup and teardown

@@ -472,6 +472,56 @@ TEST_F(SchedulerTest, ReportBoundDropsOldestReports) {
   EXPECT_EQ(reports.back().window_index, 16u);  // newest retained
 }
 
+TEST_F(SchedulerTest, InlineFailuresFoldWithoutRecursion) {
+  // Every submit is rejected inline (max_queue = 0), so each window's
+  // callback runs inside the engine call that submitted it, and each fold
+  // frees the in-flight slot the next window needs. The folder must drain
+  // those completions in a loop: recursing once per window would need a
+  // stack frame chain 2^16 windows deep, which overflows under ASan.
+  serve::EngineOptions eopts;
+  eopts.batcher.max_queue = 0;
+  serve::InferenceEngine engine(&registry(), eopts);
+  WindowScheduler scheduler(&engine);
+  constexpr int64_t kSamples = int64_t{1} << 16;
+  StreamConfig config = Config(/*stride=*/1);
+  config.history = kSamples;  // the ring retains every window
+  ASSERT_TRUE(scheduler.Open("s", config).ok());
+
+  const auto stats = scheduler.Append("s", RandomSeries(3, kSamples, 23));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->windows_emitted, static_cast<uint64_t>(kSamples - 8 + 1));
+  EXPECT_EQ(stats->windows_failed, stats->windows_emitted);
+  EXPECT_EQ(stats->windows_completed, stats->windows_emitted);
+  EXPECT_EQ(stats->windows_dropped, 0u);
+  EXPECT_EQ(stats->pending, 0u);
+  EXPECT_TRUE(scheduler.Take("s")->empty());  // failures leave no reports
+}
+
+TEST_F(SchedulerTest, DestroyedWhileAGateHoldsItsWindows) {
+  // The scheduler goes away while the engine still holds its windows
+  // mid-detect; their callbacks run afterwards (on the executor, and in the
+  // batcher's shutdown drain) and must touch nothing the scheduler freed.
+  serve::testutil::DetectGate gate;
+  serve::EngineOptions eopts;
+  eopts.detect_observer_for_testing = gate.hook();
+  serve::InferenceEngine engine(&registry(), eopts);
+  auto scheduler = std::make_unique<WindowScheduler>(&engine);
+  StreamConfig config = Config(/*stride=*/2);
+  config.history = 64;
+  config.max_in_flight = 16;
+  ASSERT_TRUE(scheduler->Open("s", config).ok());
+
+  gate.Close();
+  const auto stats = scheduler->Append("s", RandomSeries(3, 24, 29));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->windows_emitted, 9u);
+  while (gate.arrivals() < 1) std::this_thread::yield();
+  scheduler.reset();
+  gate.Release();
+  // The engine's destructor (end of scope) joins the executors, so every
+  // held and queued window has called back by the time the test ends.
+}
+
 // ---- Wire loopback ---------------------------------------------------------
 
 TEST(StreamWireTest, EndToEndOverTcp) {

@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
@@ -83,6 +85,41 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
   for (size_t split = 0; split <= data.size(); ++split) {
     const uint32_t first = Crc32(data.data(), split);
     EXPECT_EQ(Crc32(data.data() + split, data.size() - split, first), oneshot);
+  }
+}
+
+// One bit at a time, straight from the polynomial: the reference the
+// eight-bytes-per-step table walk must match.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length across the 8-byte step boundary and past it, at every
+  // start offset mod 8, one-shot and chained at every split point.
+  std::vector<uint8_t> buffer(8 + 257);
+  Rng rng(321);
+  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 257; ++length) {
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t expected = BitwiseCrc32(data, length);
+      ASSERT_EQ(Crc32(data, length), expected)
+          << "offset " << offset << " length " << length;
+      for (size_t split = 0; split <= length; ++split) {
+        const uint32_t head = Crc32(data, split);
+        ASSERT_EQ(Crc32(data + split, length - split, head), expected)
+            << "offset " << offset << " length " << length << " split "
+            << split;
+      }
+    }
   }
 }
 
@@ -1291,6 +1328,14 @@ class RawConn {
   }
   ~RawConn() { TcpClose(fd_); }
 
+  // Bounds every later Recv(): a response that never comes fails the read
+  // instead of hanging the test.
+  void SetRecvTimeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  }
+
   void Send(const std::vector<uint8_t>& bytes) {
     ASSERT_TRUE(SendAll(fd_, bytes.data(), bytes.size()).ok());
   }
@@ -1325,7 +1370,9 @@ class WireLoopbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(registry_.Register("m", TinyModel()).ok());
-    engine_ = std::make_unique<InferenceEngine>(&registry_);
+    EngineOptions eopts;
+    eopts.detect_observer_for_testing = gate_.hook();  // starts open
+    engine_ = std::make_unique<InferenceEngine>(&registry_, eopts);
     server_ = std::make_unique<WireServer>(engine_.get());
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
@@ -1346,6 +1393,7 @@ class WireLoopbackTest : public ::testing::Test {
   }
 
   ModelRegistry registry_;
+  testutil::DetectGate gate_;
   std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<WireServer> server_;
   WireClient client_;
@@ -1552,6 +1600,132 @@ TEST_F(WireLoopbackTest, PipelinedDetectsAnswerInOrder) {
     ASSERT_TRUE(expected.status.ok());
     ExpectSameResult(responses[static_cast<size_t>(i)].result,
                      *expected.result);
+  }
+}
+
+TEST_F(WireLoopbackTest, CacheHitPipelinedBehindHeldMissAnswersSecond) {
+  // The hit completes inline on the poll thread while the miss sent before it
+  // on the same connection is held mid-detect: the hit's response is ready
+  // first, but must go out after the miss's.
+  const Tensor hot = RandomWindows(1, 90);
+  ASSERT_TRUE(client_.Detect("m", hot).ok());  // fills the cache
+  wire::DetectMsg miss;
+  miss.model = "m";
+  miss.windows = RandomWindows(1, 91);
+  wire::DetectMsg hit;
+  hit.model = "m";
+  hit.windows = hot;
+
+  gate_.Close();
+  ASSERT_TRUE(
+      client_.SendFrame(wire::MessageType::kDetect, wire::EncodeDetect(miss))
+          .ok());
+  while (gate_.arrivals() < 2) std::this_thread::yield();
+  ASSERT_TRUE(
+      client_.SendFrame(wire::MessageType::kDetect, wire::EncodeDetect(hit))
+          .ok());
+  while (engine_->cache_stats().hits < 1) std::this_thread::yield();
+  gate_.Release();
+
+  for (const bool expect_hit : {false, true}) {
+    auto frame = client_.RecvFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, wire::MessageType::kDetectResult);
+    wire::DetectResultMsg result;
+    ASSERT_TRUE(wire::DecodeDetectResult(frame->payload, &result).ok());
+    EXPECT_EQ(result.cache_hit, expect_hit);
+  }
+}
+
+TEST_F(WireLoopbackTest, HeldDetectDoesNotDelayPingOnAnotherConnection) {
+  wire::DetectMsg msg;
+  msg.model = "m";
+  msg.windows = RandomWindows(1, 92);
+  gate_.Close();
+  ASSERT_TRUE(
+      client_.SendFrame(wire::MessageType::kDetect, wire::EncodeDetect(msg))
+          .ok());
+  while (gate_.arrivals() < 1) std::this_thread::yield();
+
+  // Answered while the other connection's detect is still held.
+  WireClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", server_->port()).ok());
+  const auto pong = other.Ping(42);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(*pong, 42u);
+
+  gate_.Release();
+  auto frame = client_.RecvFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, wire::MessageType::kDetectResult);
+}
+
+TEST_F(WireLoopbackTest, StopWhileAGateHoldsRequestsDropsTheirResponses) {
+  // A held leader, its dedup follower on a second connection and a queued
+  // DetectBatch: every one of their callbacks runs after the server is gone
+  // and must touch neither its memory nor its fds.
+  wire::DetectMsg msg;
+  msg.model = "m";
+  msg.windows = RandomWindows(1, 93);
+  wire::DetectBatchMsg batch;
+  batch.model = "m";
+  batch.windows = {RandomWindows(1, 94), RandomWindows(2, 95)};
+  WireClient follower;
+  ASSERT_TRUE(follower.Connect("127.0.0.1", server_->port()).ok());
+
+  gate_.Close();
+  ASSERT_TRUE(
+      client_.SendFrame(wire::MessageType::kDetect, wire::EncodeDetect(msg))
+          .ok());
+  while (gate_.arrivals() < 1) std::this_thread::yield();
+  ASSERT_TRUE(
+      follower.SendFrame(wire::MessageType::kDetect, wire::EncodeDetect(msg))
+          .ok());
+  ASSERT_TRUE(client_
+                  .SendFrame(wire::MessageType::kDetectBatch,
+                             wire::EncodeDetectBatch(batch))
+                  .ok());
+  while (engine_->dedup_stats().hits < 1 ||
+         engine_->batcher_stats().requests < 3) {
+    std::this_thread::yield();
+  }
+
+  server_.reset();  // Stop() and destruction, all three still pending
+  gate_.Release();
+  engine_.reset();  // joins the executors: every callback has run
+  EXPECT_FALSE(client_.RecvFrame().ok());
+  EXPECT_FALSE(follower.RecvFrame().ok());
+}
+
+TEST_F(WireLoopbackTest, ExecutorCompletionsAlwaysWakeThePollThread) {
+  // Every response here is filled on an executor thread (distinct windows,
+  // all cache misses) while the poll thread drains its wake pipe and
+  // dispatches. A lost wake-up leaves a filled response unsent; the receive
+  // deadline turns that into a failure instead of a hang.
+  constexpr int kConns = 4;
+  constexpr int kRequests = 48;
+  std::vector<std::unique_ptr<RawConn>> conns;
+  for (int c = 0; c < kConns; ++c) {
+    conns.push_back(std::make_unique<RawConn>(server_->port()));
+    conns.back()->SetRecvTimeout(30);
+  }
+  wire::DetectMsg msg;
+  msg.model = "m";
+  for (int r = 0; r < kRequests; ++r) {
+    for (int c = 0; c < kConns; ++c) {
+      msg.windows =
+          RandomWindows(1, 1000 + static_cast<uint64_t>(r * kConns + c));
+      conns[static_cast<size_t>(c)]->Send(wire::EncodeFrame(
+          wire::MessageType::kDetect, wire::EncodeDetect(msg)));
+    }
+  }
+  for (int c = 0; c < kConns; ++c) {
+    for (int r = 0; r < kRequests; ++r) {
+      wire::Frame frame;
+      ASSERT_TRUE(conns[static_cast<size_t>(c)]->Recv(&frame))
+          << "connection " << c << " response " << r;
+      EXPECT_EQ(frame.type, wire::MessageType::kDetectResult);
+    }
   }
 }
 

@@ -95,22 +95,30 @@ std::string JsonEscape(const std::string& in) {
 
 /// Resolves one program counter to a human-readable frame name:
 /// demangled symbol when the address resolves (requires -rdynamic /
-/// ENABLE_EXPORTS for the main binary's own symbols), the containing
-/// object's basename otherwise, raw hex as the last resort. `;` is the
-/// folded-stack separator, so it is rewritten inside names.
+/// ENABLE_EXPORTS for the main binary's own symbols), otherwise the
+/// containing object's basename and the address's offset from the object's
+/// load base, `[object+0xOFFSET]` (`addr2line -f -C -e OBJECT 0xOFFSET`
+/// names it for PIE executables and shared objects), raw hex as the last
+/// resort. `;` is the folded-stack separator, so it is rewritten inside
+/// names.
 std::string SymbolizeAddress(const void* addr) {
   Dl_info info;
+  const bool found = ::dladdr(addr, &info) != 0;
   std::string name;
-  if (::dladdr(addr, &info) != 0 && info.dli_sname != nullptr) {
+  if (found && info.dli_sname != nullptr) {
     int status = -1;
     char* demangled =
         abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
     name = (status == 0 && demangled != nullptr) ? demangled : info.dli_sname;
     std::free(demangled);
-  } else if (::dladdr(addr, &info) != 0 && info.dli_fname != nullptr) {
+  } else if (found && info.dli_fname != nullptr) {
     const char* base = std::strrchr(info.dli_fname, '/');
+    char offset[32];
+    std::snprintf(offset, sizeof(offset), "+0x%zx]",
+                  static_cast<size_t>(static_cast<const char*>(addr) -
+                                      static_cast<const char*>(info.dli_fbase)));
     name = std::string("[") + (base != nullptr ? base + 1 : info.dli_fname) +
-           "]";
+           offset;
   } else {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "0x%zx",

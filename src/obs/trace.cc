@@ -29,6 +29,9 @@ void AddPhaseTo(std::vector<std::pair<std::string, double>>* phases,
 
 Trace::Trace(uint64_t id, Clock clock, const std::string& first_span)
     : id_(id), clock_(std::move(clock)) {
+  // A Detect records four spans (decode, enqueue, execute, encode): room for
+  // them up front, so the vector is not regrown per request.
+  spans_.reserve(4);
   const double now = clock_.Now();
   spans_.push_back(TraceSpan{first_span, now, now});
 }

@@ -28,6 +28,11 @@ void WireClient::Close() {
 Status WireClient::SendFrame(wire::MessageType type,
                              const std::vector<uint8_t>& payload) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
+  if (payload.size() > wire::kMaxPayload) {
+    return Status::OutOfRange("request payload of " +
+                              std::to_string(payload.size()) +
+                              " bytes exceeds kMaxPayload");
+  }
   const std::vector<uint8_t> frame = wire::EncodeFrame(type, payload);
   const Status st = SendAll(fd_, frame.data(), frame.size());
   if (!st.ok()) Close();

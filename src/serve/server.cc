@@ -15,6 +15,7 @@
 #include "obs/process_metrics.h"
 #include "obs/profiler.h"
 #include "serve/stream_backend.h"
+#include "tensor/allocator.h"
 #include "util/logging.h"
 #include "util/socket.h"
 
@@ -36,17 +37,28 @@ void AppendResult(wire::PayloadWriter* w, const DiscoveryResponse& response) {
                            *response.result);
 }
 
+// A frame buffer holding the header's reserved bytes, with capacity for
+// exactly `payload_bytes` more: the payload is written after the header and
+// sealed in place, with no regrowth and no copy.
+std::vector<uint8_t> StartFrame(size_t payload_bytes) {
+  std::vector<uint8_t> frame;
+  frame.reserve(wire::kHeaderSize + payload_bytes);
+  frame.resize(wire::kHeaderSize);
+  return frame;
+}
+
 // One Detect response frame, encoded straight from the shared result.
 std::vector<uint8_t> EncodeResponse(const DiscoveryResponse& response) {
   if (!response.status.ok()) {
     return wire::EncodeFrame(wire::MessageType::kError,
                              wire::EncodeError(response.status));
   }
-  std::vector<uint8_t> payload;
-  wire::PayloadWriter w(&payload);
+  std::vector<uint8_t> frame =
+      StartFrame(wire::DetectResultSize(*response.result));
+  wire::PayloadWriter w(&frame);
   AppendResult(&w, response);
-  return wire::EncodeFrame(wire::MessageType::kDetectResult,
-                           std::move(payload));
+  wire::SealFrame(wire::MessageType::kDetectResult, &frame);
+  return frame;
 }
 
 // A DetectBatch response: all-or-nothing, so the first failed sub-query (by
@@ -59,12 +71,18 @@ std::vector<uint8_t> EncodeBatchResponse(
                                wire::EncodeError(response.status));
     }
   }
-  std::vector<uint8_t> payload;
-  wire::PayloadWriter w(&payload);
+  size_t payload_bytes = 4;
+  for (const DiscoveryResponse& response : responses) {
+    payload_bytes += wire::DetectResultSize(*response.result);
+  }
+  std::vector<uint8_t> frame = StartFrame(payload_bytes);
+  wire::PayloadWriter w(&frame);
   w.U32(static_cast<uint32_t>(responses.size()));
   for (const DiscoveryResponse& response : responses) AppendResult(&w, response);
-  return wire::EncodeFrame(wire::MessageType::kDetectBatchResult,
-                           std::move(payload));
+  // Many results (dedup followers of one query resolve together) can exceed
+  // kMaxPayload; SealFrame answers that with an OUT_OF_RANGE Error instead.
+  wire::SealFrame(wire::MessageType::kDetectBatchResult, &frame);
+  return frame;
 }
 
 }  // namespace
@@ -668,6 +686,10 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
 
 void WireServer::PollLoop() {
   t_poll_waker = waker_.get();
+  // Decoded request tensors come from this thread's arena, so a repeated
+  // geometry reuses a pooled block. A window that reaches an executor is
+  // freed there and returns to this arena.
+  ScopedAllocator arena_guard(DetectArena());
   std::vector<pollfd> fds;
   std::vector<std::shared_ptr<Connection>> polled;
   std::vector<std::shared_ptr<obs::Trace>> finished;
@@ -719,12 +741,15 @@ void WireServer::PollLoop() {
 
       bool peer_closed = false;
       if (!drop && (revents & POLLIN) && !conn.closing) {
-        // Drain the socket into the connection's input buffer.
+        // Drain the socket into the connection's input buffer. A short read
+        // emptied it: stop there rather than pay a recv that returns EAGAIN.
+        // poll() is level-triggered, so later bytes and EOF still wake us.
         for (;;) {
           uint8_t chunk[kReadChunk];
           const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
           if (n > 0) {
             conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
+            if (static_cast<size_t>(n) < sizeof(chunk)) break;
             continue;
           }
           if (n == 0) peer_closed = true;

@@ -3,12 +3,30 @@
 #include <cstring>
 
 #include "util/crc32.h"
+#include "util/logging.h"
 
 namespace causalformer {
 namespace serve {
 namespace wire {
 
 namespace {
+
+// Little-endian stores and loads, a byte at a time: independent of host byte
+// order, and compilers fold each into one plain store or load on
+// little-endian targets.
+template <typename T>
+inline void StoreLE(uint8_t* p, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+template <typename T>
+inline T LoadLE(const uint8_t* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
+  return v;
+}
 
 // Shared sub-blocks of several message types. Kept in lockstep with the
 // byte-offset tables in docs/wire-protocol.md §4.
@@ -47,9 +65,7 @@ void WriteWindows(PayloadWriter* w, const Tensor& windows) {
   w->U32(static_cast<uint32_t>(windows.dim(0)));
   w->U32(static_cast<uint32_t>(windows.dim(1)));
   w->U32(static_cast<uint32_t>(windows.dim(2)));
-  const float* p = windows.data();
-  const int64_t count = windows.numel();
-  for (int64_t i = 0; i < count; ++i) w->F32(p[i]);
+  w->F32Array(windows.data(), static_cast<size_t>(windows.numel()));
 }
 
 Status ReadWindows(PayloadReader* r, Tensor* windows) {
@@ -68,12 +84,12 @@ Status ReadWindows(PayloadReader* r, Tensor* windows) {
       static_cast<uint64_t>(b) * n * t > budget) {
     return Status::InvalidArgument("window tensor data truncated");
   }
-  const uint64_t count = static_cast<uint64_t>(b) * n * t;
-  Tensor out = Tensor::Zeros(Shape{static_cast<int64_t>(b),
+  // Empty, not Zeros: F32Array overwrites every element.
+  Tensor out = Tensor::Empty(Shape{static_cast<int64_t>(b),
                                    static_cast<int64_t>(n),
                                    static_cast<int64_t>(t)});
-  float* p = out.data();
-  for (uint64_t i = 0; i < count; ++i) CF_RETURN_IF_ERROR(r->F32(&p[i]));
+  CF_RETURN_IF_ERROR(
+      r->F32Array(out.data(), static_cast<size_t>(out.numel())));
   *windows = std::move(out);
   return Status::Ok();
 }
@@ -269,6 +285,11 @@ Status ReadStreamReport(PayloadReader* r, StreamReportMsg* msg) {
   return Status::Ok();
 }
 
+void WriteError(PayloadWriter* w, const Status& status) {
+  w->U32(static_cast<uint32_t>(status.code()));
+  w->Str(status.message());
+}
+
 }  // namespace
 
 bool IsKnownMessageType(uint8_t type) {
@@ -280,23 +301,36 @@ bool IsKnownMessageType(uint8_t type) {
 
 // ---- Frame ----------------------------------------------------------------
 
+void SealFrame(MessageType type, std::vector<uint8_t>* frame) {
+  CF_CHECK_GE(frame->size(), kHeaderSize);
+  if (frame->size() - kHeaderSize > kMaxPayload) {
+    const Status too_large = Status::OutOfRange(
+        "payload of " + std::to_string(frame->size() - kHeaderSize) +
+        " bytes exceeds the " + std::to_string(kMaxPayload) +
+        "-byte frame limit");
+    std::vector<uint8_t>(kHeaderSize).swap(*frame);
+    PayloadWriter w(frame);
+    WriteError(&w, too_large);
+    type = MessageType::kError;
+  }
+  const uint32_t length = static_cast<uint32_t>(frame->size() - kHeaderSize);
+  uint8_t* header = frame->data();
+  std::memcpy(header, kMagic, 4);
+  header[4] = kVersion;
+  header[5] = static_cast<uint8_t>(type);
+  header[6] = 0;  // reserved
+  header[7] = 0;
+  StoreLE(header + 8, length);
+  StoreLE(header + 12, Crc32(header + kHeaderSize, length));
+}
+
 std::vector<uint8_t> EncodeFrame(MessageType type,
                                  std::vector<uint8_t> payload) {
-  std::vector<uint8_t> frame(kHeaderSize + payload.size());
-  std::memcpy(frame.data(), kMagic, 4);
-  frame[4] = kVersion;
-  frame[5] = static_cast<uint8_t>(type);
-  frame[6] = 0;  // reserved
-  frame[7] = 0;
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame[8 + static_cast<size_t>(i)] = static_cast<uint8_t>(length >> (8 * i));
-    frame[12 + static_cast<size_t>(i)] = static_cast<uint8_t>(crc >> (8 * i));
-  }
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderSize, payload.data(), payload.size());
-  }
+  std::vector<uint8_t> frame;
+  frame.reserve(kHeaderSize + payload.size());
+  frame.resize(kHeaderSize);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  SealFrame(type, &frame);
   return frame;
 }
 
@@ -319,10 +353,8 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t size, Frame* frame,
   if (!IsKnownMessageType(type)) {
     return fail(DecodeResult::kMalformed, "unknown message type");
   }
-  uint32_t length = 0, crc = 0;
-  PayloadReader header(data + 8, 8);
-  (void)header.U32(&length);
-  (void)header.U32(&crc);
+  const uint32_t length = LoadLE<uint32_t>(data + 8);
+  const uint32_t crc = LoadLE<uint32_t>(data + 12);
   if (length > kMaxPayload) {
     return fail(DecodeResult::kMalformed, "payload length exceeds kMaxPayload");
   }
@@ -339,21 +371,16 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t size, Frame* frame,
 
 // ---- Primitives ------------------------------------------------------------
 
+uint8_t* PayloadWriter::Extend(size_t n) {
+  const size_t at = out_->size();
+  out_->resize(at + n);
+  return out_->data() + at;
+}
+
 void PayloadWriter::U8(uint8_t v) { out_->push_back(v); }
-
-void PayloadWriter::U16(uint16_t v) {
-  out_->push_back(static_cast<uint8_t>(v));
-  out_->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PayloadWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PayloadWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
+void PayloadWriter::U16(uint16_t v) { StoreLE(Extend(2), v); }
+void PayloadWriter::U32(uint32_t v) { StoreLE(Extend(4), v); }
+void PayloadWriter::U64(uint64_t v) { StoreLE(Extend(8), v); }
 void PayloadWriter::I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
 void PayloadWriter::I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
 
@@ -369,9 +396,18 @@ void PayloadWriter::F64(double v) {
   U64(bits);
 }
 
+void PayloadWriter::F32Array(const float* v, size_t count) {
+  uint8_t* p = Extend(count * sizeof(float));
+  for (size_t i = 0; i < count; ++i, p += sizeof(float)) {
+    uint32_t bits;
+    std::memcpy(&bits, v + i, sizeof(bits));
+    StoreLE(p, bits);
+  }
+}
+
 void PayloadWriter::Str(const std::string& v) {
   U32(static_cast<uint32_t>(v.size()));
-  out_->insert(out_->end(), v.begin(), v.end());
+  if (!v.empty()) std::memcpy(Extend(v.size()), v.data(), v.size());
 }
 
 Status PayloadReader::Take(size_t n, const uint8_t** p) {
@@ -394,23 +430,21 @@ Status PayloadReader::U8(uint8_t* v) {
 Status PayloadReader::U16(uint16_t* v) {
   const uint8_t* p;
   CF_RETURN_IF_ERROR(Take(2, &p));
-  *v = static_cast<uint16_t>(p[0] | (p[1] << 8));
+  *v = LoadLE<uint16_t>(p);
   return Status::Ok();
 }
 
 Status PayloadReader::U32(uint32_t* v) {
   const uint8_t* p;
   CF_RETURN_IF_ERROR(Take(4, &p));
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  *v = LoadLE<uint32_t>(p);
   return Status::Ok();
 }
 
 Status PayloadReader::U64(uint64_t* v) {
   const uint8_t* p;
   CF_RETURN_IF_ERROR(Take(8, &p));
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  *v = LoadLE<uint64_t>(p);
   return Status::Ok();
 }
 
@@ -439,6 +473,22 @@ Status PayloadReader::F64(double* v) {
   uint64_t bits = 0;
   CF_RETURN_IF_ERROR(U64(&bits));
   std::memcpy(v, &bits, sizeof(bits));
+  return Status::Ok();
+}
+
+Status PayloadReader::F32Array(float* v, size_t count) {
+  // Divide instead of multiplying: count * 4 can wrap for a hostile count.
+  if (count > remaining() / sizeof(float)) {
+    return Status::OutOfRange("payload truncated: need " +
+                              std::to_string(count) + " floats, have " +
+                              std::to_string(remaining()) + " bytes");
+  }
+  const uint8_t* p;
+  CF_RETURN_IF_ERROR(Take(count * sizeof(float), &p));
+  for (size_t i = 0; i < count; ++i, p += sizeof(float)) {
+    const uint32_t bits = LoadLE<uint32_t>(p);
+    std::memcpy(v + i, &bits, sizeof(bits));
+  }
   return Status::Ok();
 }
 
@@ -571,6 +621,13 @@ Status DecodeDetectBatch(const std::vector<uint8_t>& payload,
     msg->windows.push_back(std::move(windows));
   }
   return r.ExpectEnd();
+}
+
+size_t DetectResultSize(const core::DetectionResult& result) {
+  const size_t n = static_cast<size_t>(result.scores.num_series());
+  // flags, batch size, latency and series count; an f64 score and an i32
+  // delay per cell; the edge count and 20 bytes per edge.
+  return 1 + 4 + 8 + 4 + n * n * 12 + 4 + result.graph.edges().size() * 20;
 }
 
 void AppendDetectResult(PayloadWriter* w, bool cache_hit, bool deduped,
@@ -837,9 +894,7 @@ std::vector<uint8_t> EncodeAppendSamples(const AppendSamplesMsg& msg) {
   w.Str(msg.stream);
   w.U32(static_cast<uint32_t>(msg.samples.dim(0)));
   w.U32(static_cast<uint32_t>(msg.samples.dim(1)));
-  const float* p = msg.samples.data();
-  const int64_t count = msg.samples.numel();
-  for (int64_t i = 0; i < count; ++i) w.F32(p[i]);
+  w.F32Array(msg.samples.data(), static_cast<size_t>(msg.samples.numel()));
   return payload;
 }
 
@@ -859,11 +914,9 @@ Status DecodeAppendSamples(const std::vector<uint8_t>& payload,
   if (n > budget || static_cast<uint64_t>(n) * k > budget) {
     return Status::InvalidArgument("sample tensor data truncated");
   }
-  const uint64_t count = static_cast<uint64_t>(n) * k;
-  Tensor out = Tensor::Zeros(
+  Tensor out = Tensor::Empty(
       Shape{static_cast<int64_t>(n), static_cast<int64_t>(k)});
-  float* p = out.data();
-  for (uint64_t i = 0; i < count; ++i) CF_RETURN_IF_ERROR(r.F32(&p[i]));
+  CF_RETURN_IF_ERROR(r.F32Array(out.data(), static_cast<size_t>(out.numel())));
   msg->samples = std::move(out);
   return r.ExpectEnd();
 }
@@ -1051,8 +1104,7 @@ Status DecodeProfileResult(const std::vector<uint8_t>& payload,
 std::vector<uint8_t> EncodeError(const Status& status) {
   std::vector<uint8_t> payload;
   PayloadWriter w(&payload);
-  w.U32(static_cast<uint32_t>(status.code()));
-  w.Str(status.message());
+  WriteError(&w, status);
   return payload;
 }
 

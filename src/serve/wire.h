@@ -106,8 +106,16 @@ struct Frame {
   std::vector<uint8_t> payload;           ///< CRC-verified payload bytes
 };
 
-/// Builds a complete frame (header + CRC + payload) around `payload`.
-/// The version byte is always kVersion.
+/// Seals a frame in place. `*frame` holds kHeaderSize reserved bytes
+/// followed by the payload; SealFrame writes magic, kVersion, `type`, the
+/// payload length and its CRC-32 into the reserved bytes, so a response
+/// encoded straight into its frame buffer is never copied. A payload over
+/// kMaxPayload, which no peer's decoder accepts, is replaced by an Error
+/// payload with code OUT_OF_RANGE, and the frame is sealed as kError.
+void SealFrame(MessageType type, std::vector<uint8_t>* frame);
+
+/// Builds a complete frame (header + CRC + payload) around `payload`: a
+/// copy into a new buffer, then SealFrame.
 std::vector<uint8_t> EncodeFrame(MessageType type,
                                  std::vector<uint8_t> payload);
 
@@ -144,10 +152,16 @@ class PayloadWriter {
   void I64(int64_t v);   ///< 8 bytes LE, two's complement
   void F32(float v);     ///< IEEE-754 binary32 bit pattern, LE
   void F64(double v);    ///< IEEE-754 binary64 bit pattern, LE
+  /// `count` binary32 bit patterns, LE, appended in one step (the window
+  /// and sample arrays).
+  void F32Array(const float* v, size_t count);
   /// u32 byte length followed by the raw bytes (no terminator).
   void Str(const std::string& v);
 
  private:
+  // Grows the buffer by `n` bytes at once; returns the first new byte.
+  uint8_t* Extend(size_t n);
+
   std::vector<uint8_t>* out_;
 };
 
@@ -167,6 +181,8 @@ class PayloadReader {
   Status I64(int64_t* v);   ///< reads 8 bytes LE, two's complement
   Status F32(float* v);     ///< reads an IEEE-754 binary32, LE
   Status F64(double* v);    ///< reads an IEEE-754 binary64, LE
+  /// Reads `count` binary32s, LE, into `v` after one bounds check.
+  Status F32Array(float* v, size_t count);
   Status Str(std::string* v);  ///< reads u32 length + bytes
 
   size_t remaining() const { return size_ - pos_; }  ///< unread byte count
@@ -452,6 +468,9 @@ Status DecodeDetectBatch(const std::vector<uint8_t>& payload,
 
 /// Encodes a kDetectResult payload.
 std::vector<uint8_t> EncodeDetectResult(const DetectResultMsg& msg);
+/// Bytes AppendDetectResult writes for `result`, so a response can reserve
+/// its exact frame size before encoding.
+size_t DetectResultSize(const core::DetectionResult& result);
 /// Appends one DetectResult unit (the whole kDetectResult payload, or one
 /// repeated unit of kDetectBatchResult) straight from a shared `result`,
 /// byte-identical to EncodeDetectResult of the equivalent DetectResultMsg

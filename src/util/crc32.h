@@ -9,6 +9,13 @@
 /// checksum of the serve wire protocol (docs/wire-protocol.md). Compatible
 /// with zlib's crc32(): one-shot over a buffer, or chained calls threading
 /// the previous return value through `running`.
+///
+/// Two paths compute the same function bit for bit. Slicing-by-8 tables are
+/// the reference: they run in every build and take spans under 64 bytes and
+/// the tail under 16. On x86-64 builds with vector backends (CF_SIMD other
+/// than off), spans of 64 bytes or more fold 16-byte lanes with carry-less
+/// multiplies (PCLMULQDQ), selected once at runtime when the CPU reports
+/// pclmul and sse4.1.
 
 namespace causalformer {
 

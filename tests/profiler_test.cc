@@ -1,10 +1,13 @@
 #include "obs/profiler.h"
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +114,34 @@ TEST(ProfilerTest, SampleNowCapturesOwnStack) {
   // frames render (hex at worst) and the folded line ends in a count.
   const std::string folded = profiler.RenderFolded();
   EXPECT_NE(folded.find(" 1\n"), std::string::npos) << folded;
+}
+
+// Internal linkage keeps it out of the dynamic symbol table even under
+// -rdynamic, so dladdr finds its object but no name.
+__attribute__((noinline)) int UnexportedFrame(int x) { return 3 * x + 1; }
+
+TEST(ProfilerTest, UnnamedFrameRendersObjectAndOffset) {
+  void* pc = reinterpret_cast<void*>(&UnexportedFrame);
+  Dl_info info;
+  ASSERT_NE(::dladdr(pc, &info), 0);
+  ASSERT_EQ(info.dli_sname, nullptr);
+  Profiler profiler;
+  void* frames[1] = {pc};  // a leaf frame resolves at its own address
+  ASSERT_TRUE(profiler.RecordSample(frames, 1));
+  const std::string folded = profiler.RenderFolded();
+
+  // `[object+0xOFFSET]`, OFFSET from the object's load base: what
+  // `addr2line -e object 0xOFFSET` resolves.
+  std::smatch match;
+  ASSERT_TRUE(std::regex_search(
+      folded, match, std::regex(R"(\[([^\]+]+)\+0x([0-9a-f]+)\])")))
+      << folded;
+  const char* slash = std::strrchr(info.dli_fname, '/');
+  EXPECT_EQ(match[1].str(), slash != nullptr ? slash + 1 : info.dli_fname);
+  EXPECT_EQ(std::stoull(match[2].str(), nullptr, 16),
+            static_cast<unsigned long long>(
+                static_cast<const char*>(pc) -
+                static_cast<const char*>(info.dli_fbase)));
 }
 
 TEST(ProfilerTest, CollectWithoutStartIsFailedPrecondition) {

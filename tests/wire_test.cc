@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "tensor/allocator.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/socket.h"
@@ -88,8 +90,8 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
   }
 }
 
-// One bit at a time, straight from the polynomial: the reference the
-// eight-bytes-per-step table walk must match.
+// One bit at a time, straight from the polynomial: the reference both the
+// table walk and the carry-less-multiply fold must match.
 uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
   uint32_t crc = 0xFFFFFFFFu;
   for (size_t i = 0; i < size; ++i) {
@@ -101,18 +103,36 @@ uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  std::vector<uint8_t> bytes(size);
+  Rng rng(seed);
+  for (auto& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Every length across the 8-byte step boundary and past it, at every
-  // start offset mod 8, one-shot and chained at every split point.
-  std::vector<uint8_t> buffer(8 + 257);
-  Rng rng(321);
-  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  // Every length across the 64-byte fold threshold and every 16-byte tail
+  // behind it, at every start offset mod 8. x86-64 builds with vector
+  // backends fold spans of 64 bytes or more; CF_SIMD=off builds run the
+  // table alone.
+  const std::vector<uint8_t> buffer = RandomBytes(8 + 1100, 321);
   for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 257; ++length) {
+    for (size_t length = 0; length <= 1100; ++length) {
       const uint8_t* data = buffer.data() + offset;
-      const uint32_t expected = BitwiseCrc32(data, length);
-      ASSERT_EQ(Crc32(data, length), expected)
+      ASSERT_EQ(Crc32(data, length), BitwiseCrc32(data, length))
           << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedAtEverySplitMatchesBitwiseReference) {
+  // Every length up to 300 bytes split at every point: the head, the tail,
+  // both or neither reach the fold threshold.
+  const std::vector<uint8_t> buffer = RandomBytes(8 + 300, 654);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buffer.data() + offset;
+    for (size_t length = 0; length <= 300; ++length) {
+      const uint32_t expected = BitwiseCrc32(data, length);
       for (size_t split = 0; split <= length; ++split) {
         const uint32_t head = Crc32(data, split);
         ASSERT_EQ(Crc32(data + split, length - split, head), expected)
@@ -120,6 +140,20 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
             << split;
       }
     }
+  }
+}
+
+TEST(Crc32Test, ChainingAcrossTheFoldThreshold) {
+  // Crc32(a+b) == Crc32(b, Crc32(a)) when only one span is long enough to
+  // fold, on either side, with and without a 16-byte tail.
+  const std::vector<uint8_t> bytes = RandomBytes(1024, 987);
+  const size_t spans[][2] = {{10, 64}, {64, 10}, {63, 200}, {200, 63},
+                             {1, 1023}, {1023, 1}, {17, 96}, {96, 17}};
+  for (const auto& span : spans) {
+    const size_t a = span[0], b = span[1];
+    ASSERT_EQ(Crc32(bytes.data() + a, b, Crc32(bytes.data(), a)),
+              Crc32(bytes.data(), a + b))
+        << "a " << a << " b " << b;
   }
 }
 
@@ -1315,6 +1349,105 @@ TEST(WireMessageTest, TrailingBytesRejected) {
   EXPECT_FALSE(wire::DecodePing(payload, &token).ok());
 }
 
+// ---- Hostile-input sweep ---------------------------------------------------
+
+// A valid payload, its decoder, and the offsets of its u32 dim and count
+// fields.
+struct HostileCase {
+  const char* name;
+  std::vector<uint8_t> payload;
+  std::vector<size_t> fields;
+  std::function<Status(const std::vector<uint8_t>&)> decode;
+};
+
+std::vector<HostileCase> HostileCases() {
+  // A one-byte name (u32 length + 1) and the 21-byte detector options.
+  constexpr size_t kHead = 4 + 1 + 21;
+  std::vector<HostileCase> cases;
+
+  wire::DetectMsg detect;
+  detect.model = "m";
+  detect.windows = RandomWindows(2, 11);
+  cases.push_back({"Detect", wire::EncodeDetect(detect),
+                   {kHead, kHead + 4, kHead + 8},
+                   [](const std::vector<uint8_t>& p) {
+                     wire::DetectMsg msg;
+                     return wire::DecodeDetect(p, &msg);
+                   }});
+
+  wire::DetectBatchMsg batch;
+  batch.model = "m";
+  batch.windows = {RandomWindows(1, 12), RandomWindows(2, 13)};
+  const size_t second = kHead + 4 + 12 + 4 * 1 * 3 * 8;
+  cases.push_back({"DetectBatch", wire::EncodeDetectBatch(batch),
+                   {kHead, kHead + 4, kHead + 8, kHead + 12, second,
+                    second + 4, second + 8},
+                   [](const std::vector<uint8_t>& p) {
+                     wire::DetectBatchMsg msg;
+                     return wire::DecodeDetectBatch(p, &msg);
+                   }});
+
+  wire::AppendSamplesMsg append;
+  append.stream = "s";
+  append.samples = Tensor::FromVector(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
+  cases.push_back({"AppendSamples", wire::EncodeAppendSamples(append),
+                   {5, 9},
+                   [](const std::vector<uint8_t>& p) {
+                     wire::AppendSamplesMsg msg;
+                     return wire::DecodeAppendSamples(p, &msg);
+                   }});
+
+  wire::DetectResultMsg result;
+  result.result = core::DetectionResult(3);
+  result.result.graph.AddEdge(0, 1, 1, 0.5);
+  result.result.graph.AddEdge(2, 0, 2, 0.25);
+  cases.push_back({"DetectResult", wire::EncodeDetectResult(result),
+                   {13, 17 + 12 * 3 * 3},
+                   [](const std::vector<uint8_t>& p) {
+                     wire::DetectResultMsg msg;
+                     return wire::DecodeDetectResult(p, &msg);
+                   }});
+  return cases;
+}
+
+// Decodes `payload` with tensor allocations counted; fails the test if the
+// decode succeeds or allocates more tensor bytes than the payload holds.
+void ExpectRejectedWithinBudget(const HostileCase& c,
+                                const std::vector<uint8_t>& payload,
+                                const std::string& what) {
+  auto tracker = std::make_shared<TrackingAllocator>();
+  {
+    ScopedAllocator scope(tracker);
+    EXPECT_FALSE(c.decode(payload).ok()) << c.name << ": " << what;
+  }
+  EXPECT_LE(tracker->allocated_bytes(), static_cast<int64_t>(payload.size()))
+      << c.name << ": " << what;
+}
+
+TEST(WireHostileInputTest, TruncationsAndInflatedFieldsAreRejected) {
+  for (const HostileCase& c : HostileCases()) {
+    ASSERT_TRUE(c.decode(c.payload).ok()) << c.name;
+    for (size_t len = 0; len < c.payload.size(); ++len) {
+      ExpectRejectedWithinBudget(
+          c,
+          std::vector<uint8_t>(c.payload.begin(),
+                               c.payload.begin() + static_cast<long>(len)),
+          "truncated to " + std::to_string(len));
+    }
+    for (const size_t offset : c.fields) {
+      for (const uint32_t value : {0u, 0x80000000u, 0xFFFFFFFFu}) {
+        std::vector<uint8_t> forged = c.payload;
+        for (size_t i = 0; i < 4; ++i) {
+          forged[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+        }
+        ExpectRejectedWithinBudget(c, forged,
+                                   "field at " + std::to_string(offset) +
+                                       " set to " + std::to_string(value));
+      }
+    }
+  }
+}
+
 // ---- Loopback server/client ----------------------------------------------
 
 /// A raw TCP connection speaking hand-crafted bytes, for tests the typed
@@ -1461,6 +1594,35 @@ TEST_F(WireLoopbackTest, DetectBatchMatchesIndividualDetects) {
     ExpectSameResult((*results)[static_cast<size_t>(i)].result,
                      single->result);
   }
+}
+
+TEST_F(WireLoopbackTest, OversizedBatchResultAnswersOutOfRange) {
+  // Identical windows: the first sub-request computes, the rest resolve
+  // together as dedup followers or cache hits. At N=32 every result holds
+  // at least 12313 bytes, so this many overflow kMaxPayload; the server
+  // must answer an Error its peer can decode, not a frame it rejects.
+  Rng rng(60);
+  ASSERT_TRUE(registry_
+                  .Register("wide", std::make_unique<core::CausalityTransformer>(
+                                        TinyModelOptions(32, 8), &rng))
+                  .ok());
+  const size_t count = wire::kMaxPayload / (21 + 12 * 32 * 32 + 4) + 1;
+  const std::vector<Tensor> batches(count,
+                                    Tensor::Randn(Shape{1, 32, 8}, &rng));
+  const auto results = client_.DetectBatch("wide", batches);
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kOutOfRange)
+      << results.status().ToString();
+  // A request-level error: the connection stays open.
+  EXPECT_TRUE(client_.Ping(9).ok());
+}
+
+TEST_F(WireLoopbackTest, OversizedRequestIsRefusedBeforeSending) {
+  const Status st = client_.SendFrame(
+      wire::MessageType::kDetect, std::vector<uint8_t>(wire::kMaxPayload + 1));
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  // Nothing went out: the connection still answers.
+  EXPECT_TRUE(client_.Ping(10).ok());
 }
 
 TEST_F(WireLoopbackTest, DetectBatchWithUnknownModelFailsWhole) {

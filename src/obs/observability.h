@@ -22,8 +22,8 @@
 /// the WindowScheduler constructor. A null pointer means "observability
 /// off": every instrumentation site degrades to a pointer check, so the
 /// off path adds no clock reads, no atomics and no allocation (the
-/// foundation of the ≤ 2% overhead budget; the measured delta lives in
-/// BENCH_serve.json / BENCH_stream.json).
+/// foundation of the ≤ 2% overhead budget, which `bench_obs_overhead`
+/// measures into BENCH_obs.json).
 
 namespace causalformer {
 namespace obs {

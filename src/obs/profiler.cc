@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace causalformer {
 namespace obs {
@@ -68,29 +69,6 @@ uint64_t MonotonicNanos() {
   clock_gettime(CLOCK_MONOTONIC, &t);
   return static_cast<uint64_t>(t.tv_sec) * 1000000000ull +
          static_cast<uint64_t>(t.tv_nsec);
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Resolves one program counter to a human-readable frame name:
@@ -448,8 +426,9 @@ std::string Profiler::RenderChromeJson() const {
       if (!events.empty()) events += ",\n";
       events += "{\"ph\":\"M\",\"pid\":1,\"tid\":" +
                 std::to_string(it->second) +
-                ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-                JsonEscape(thread) + "\"}}";
+                ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+      AppendJsonEscaped(thread, &events);
+      events += "\"}}";
     }
     std::string stack;
     for (int i = sample.depth - 1; i >= 0; --i) {
@@ -467,8 +446,11 @@ std::string Profiler::RenderChromeJson() const {
                   it->second, static_cast<double>(sample.t_ns - t_base) / 1e3,
                   tick_us);
     events += buf;
-    events += "\"name\":\"" + JsonEscape(leaf) + "\",\"args\":{\"stack\":\"" +
-              JsonEscape(stack) + "\"}}";
+    events += "\"name\":\"";
+    AppendJsonEscaped(leaf, &events);
+    events += "\",\"args\":{\"stack\":\"";
+    AppendJsonEscaped(stack, &events);
+    events += "\"}}";
   }
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" + events + "\n]}\n";
 }

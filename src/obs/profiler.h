@@ -45,9 +45,9 @@
 /// Self-metrics (docs/observability.md): `cf_profiler_samples_total`,
 /// `cf_profiler_drops_total`, `cf_profiler_overhead_seconds` (cumulative
 /// wall time spent inside the signal handler), `cf_profiler_running`,
-/// `cf_profiler_hz`. The whole apparatus holds the repo's ≤ 2% obs-on
-/// overhead budget, proven by the profiler-on/off pair in
-/// `bench_serve_throughput`.
+/// `cf_profiler_hz`. The apparatus is budgeted at ≤ 2% of request latency
+/// like the rest of the diagnostics layer; the `profiler` pair of
+/// `bench_obs_overhead` measures it.
 
 namespace causalformer {
 namespace obs {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/string_util.h"
+
 namespace causalformer {
 namespace obs {
 
@@ -23,20 +25,6 @@ void AppendNumber(double value, std::string* out) {
   // locale-independent and monotonicity-preserving.
   std::snprintf(buf, sizeof(buf), "%.3f", value);
   *out += buf;
-}
-
-void AppendEscaped(const std::string& value, std::string* out) {
-  for (const char c : value) {
-    if (c == '"' || c == '\\') *out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      *out += buf;
-      continue;
-    }
-    *out += c;
-  }
 }
 
 }  // namespace
@@ -61,7 +49,7 @@ std::string RenderChromeTrace(
       if (spans[i].name == "execute") {
         for (const auto& [phase, seconds] : trace->phases()) {
           event.args += ",\"";
-          AppendEscaped(phase, &event.args);
+          AppendJsonEscaped(phase, &event.args);
           event.args += "_ms\":";
           AppendNumber(seconds * 1e3, &event.args);
         }
@@ -81,7 +69,7 @@ std::string RenderChromeTrace(
     const ChromeEvent& event = events[i];
     if (i > 0) out += ',';
     out += "\n{\"name\":\"";
-    AppendEscaped(event.name, &out);
+    AppendJsonEscaped(event.name, &out);
     out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
     out += std::to_string(event.tid);
     out += ",\"ts\":";

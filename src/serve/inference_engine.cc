@@ -158,24 +158,22 @@ void InferenceEngine::Submit(DiscoveryRequest request, DiscoveryCallback done) {
     done(std::move(response));
     return;
   }
-  if (options_.dedup_in_flight) {
-    // An identical query (same generation, window hash, options) already in
-    // flight makes this caller a follower: park on the leader's entry and
-    // share its result — error, cancellation and hot-swap outcomes included.
-    auto entry = inflight_.Join(key, &done, request.trace.get());
-    if (entry == nullptr) {
-      if (obs_.dedup_followers != nullptr) obs_.dedup_followers->Increment();
-      return;
-    }
-    // Whoever resolves the leader (executor, rejection, shutdown drain)
-    // calls the parked followers first: a follower must never observe its
-    // leader done while the entry is still open.
-    done = [this, entry = std::move(entry),
-            done = std::move(done)](DiscoveryResponse response) {
-      inflight_.Complete(entry, response);
-      done(std::move(response));
-    };
+  // An identical query (same generation, window hash, options) already in
+  // flight makes this caller a follower: park on the leader's entry and
+  // share its result — error, cancellation and hot-swap outcomes included.
+  auto entry = inflight_.Join(key, &done, request.trace.get());
+  if (entry == nullptr) {
+    if (obs_.dedup_followers != nullptr) obs_.dedup_followers->Increment();
+    return;
   }
+  // Whoever resolves the leader (executor, rejection, shutdown drain) calls
+  // the parked followers first: a follower must never observe its leader
+  // done while the entry is still open.
+  done = [this, entry = std::move(entry),
+          done = std::move(done)](DiscoveryResponse response) {
+    inflight_.Complete(entry, response);
+    done(std::move(response));
+  };
   if (request.trace != nullptr) request.trace->StartSpan("enqueue");
   batcher_.Submit(std::move(request), std::move(key), model, std::move(done));
 }

@@ -55,11 +55,6 @@ struct EngineOptions {
   /// Max age of a cached result in seconds (0 = never expires). Lets the
   /// windows of a dead stream age out even when capacity is never reached.
   double cache_ttl_seconds = 0;
-  /// Coalesce identical in-flight queries: a query whose exact cache key
-  /// (model generation, window hash, options fingerprint) is already running
-  /// parks on the running query's result instead of recomputing. Off, every
-  /// cache miss computes — the baseline the dedup bench compares against.
-  bool dedup_in_flight = true;
   /// Test seam: seconds-valued monotonic clock driving the cache's TTL
   /// (ScoreCacheOptions::clock_for_testing). Null uses steady_clock.
   std::function<double()> cache_clock_for_testing;
@@ -72,8 +67,8 @@ struct EngineOptions {
   std::function<void(const CacheKey&)> detect_observer_for_testing;
   /// Observability bundle (metrics + traces + clock), not owned; must
   /// outlive the engine. Null turns every instrumentation site into a
-  /// pointer check — the obs-off baseline of the overhead bench. When set
-  /// and `cache_clock_for_testing` is null, the cache TTL also reads the
+  /// pointer check — the off arm of `bench_obs_overhead`. When set and
+  /// `cache_clock_for_testing` is null, the cache TTL also reads the
   /// bundle's clock, so one injected clock drives expiry and spans alike.
   obs::Observability* obs = nullptr;
 };

@@ -25,6 +25,9 @@ namespace serve {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 64;
+// Accepted-connection bound: each accept beyond it is closed at once.
+constexpr size_t kMaxConnections = 256;
 
 // The Waker of the server whose poll thread is the calling thread (null on
 // every other thread). A fill made on a poll thread needs no wake byte: that
@@ -215,7 +218,7 @@ Status WireServer::Start() {
     port_ = 0;
     return status;
   };
-  auto listen = TcpListen(options_.port, options_.backlog);
+  auto listen = TcpListen(options_.port, kListenBacklog);
   if (!listen.ok()) return listen.status();
   listen_fd_ = *listen;
   const auto port = TcpLocalPort(listen_fd_);
@@ -425,7 +428,6 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         model.window = info.options.window;
         msg.models.push_back(std::move(model));
       }
-      // msg.shards stays empty: the v6 shard table goes out as zero rows.
       PushReady(conn, MessageType::kStatsResult, wire::EncodeStatsResult(msg));
       return true;
     }
@@ -716,7 +718,7 @@ void WireServer::PollLoop() {
       for (;;) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) break;
-        if (connections_.size() >= options_.max_connections) {
+        if (connections_.size() >= kMaxConnections) {
           TcpClose(fd);
           continue;
         }

@@ -55,10 +55,6 @@ class StreamBackend;
 struct WireServerOptions {
   /// TCP port to listen on; 0 binds an ephemeral port (see port()).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
-  /// Accepted-connection bound; excess connections are closed immediately.
-  size_t max_connections = 256;
   /// Permit LoadModel/UnloadModel frames. Off, they answer
   /// kFailedPrecondition — queries cannot mutate the registry.
   bool allow_admin = true;

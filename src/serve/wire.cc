@@ -734,21 +734,7 @@ std::vector<uint8_t> EncodeStatsResult(const StatsResultMsg& msg) {
     w.I64(model.num_series);
     w.I64(model.window);
   }
-  w.U32(static_cast<uint32_t>(msg.shards.size()));
-  for (const auto& shard : msg.shards) {
-    w.U32(shard.shard);
-    uint8_t flags = 0;
-    if (shard.live) flags |= 1u << 0;
-    if (shard.draining) flags |= 1u << 1;
-    w.U8(flags);
-    w.U64(shard.routed);
-    w.U64(shard.restarts);
-    w.U64(shard.cache_hits);
-    w.U64(shard.cache_misses);
-    w.U64(shard.cache_size);
-    w.U64(shard.dedup_hits);
-    w.U64(shard.batch_batches);
-  }
+  w.U32(0);  // shard_count, reserved (docs/wire-protocol.md §4.5)
   return payload;
 }
 
@@ -792,31 +778,10 @@ Status DecodeStatsResult(const std::vector<uint8_t>& payload,
   }
   uint32_t shard_count = 0;
   CF_RETURN_IF_ERROR(r.U32(&shard_count));
-  // Fixed 61-byte rows: a hostile count cannot out-allocate the payload.
-  if (static_cast<uint64_t>(shard_count) * 61 > r.remaining()) {
-    return Status::InvalidArgument("stats: implausible shard count " +
-                                   std::to_string(shard_count));
-  }
-  msg->shards.clear();
-  msg->shards.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    StatsResultMsg::Shard shard;
-    CF_RETURN_IF_ERROR(r.U32(&shard.shard));
-    uint8_t flags = 0;
-    CF_RETURN_IF_ERROR(r.U8(&flags));
-    if ((flags & ~0x03u) != 0) {
-      return Status::InvalidArgument("stats: reserved shard flag bits set");
-    }
-    shard.live = (flags & (1u << 0)) != 0;
-    shard.draining = (flags & (1u << 1)) != 0;
-    CF_RETURN_IF_ERROR(r.U64(&shard.routed));
-    CF_RETURN_IF_ERROR(r.U64(&shard.restarts));
-    CF_RETURN_IF_ERROR(r.U64(&shard.cache_hits));
-    CF_RETURN_IF_ERROR(r.U64(&shard.cache_misses));
-    CF_RETURN_IF_ERROR(r.U64(&shard.cache_size));
-    CF_RETURN_IF_ERROR(r.U64(&shard.dedup_hits));
-    CF_RETURN_IF_ERROR(r.U64(&shard.batch_batches));
-    msg->shards.push_back(shard);
+  if (shard_count != 0) {
+    return Status::InvalidArgument(
+        "stats: reserved shard_count must be 0, got " +
+        std::to_string(shard_count));
   }
   return r.ExpectEnd();
 }

@@ -46,12 +46,11 @@ inline constexpr uint8_t kMagic[4] = {0x43, 0x46, 0x57, 0x50};
 /// exposition plus per-histogram quantile summaries); version 5 added the
 /// diagnostics frames (kDump/kDumpResult: the flight recorder's bundle —
 /// log tail, metrics snapshot, chrome-trace JSON, engine state — fetched
-/// remotely); version 6 added the per-shard rows of StatsResult (this
-/// server runs one engine and always sends zero rows; the row layout stays
-/// for v6+ decoders); version 7 added the profiling frames
-/// (kProfile/kProfileResult: a timed sampling-profiler window returning
-/// folded stacks and chrome-trace JSON) — see docs/wire-protocol.md §3 for
-/// the version history and negotiation rules.
+/// remotely); version 6 added StatsResult's `shard_count` field, now
+/// reserved (always 0; decoders reject any other value); version 7 added
+/// the profiling frames (kProfile/kProfileResult: a timed sampling-profiler
+/// window returning folded stacks and chrome-trace JSON) — see
+/// docs/wire-protocol.md §3 for the version history and negotiation rules.
 inline constexpr uint8_t kVersion = 7;
 /// Fixed frame header size in bytes (payload follows immediately).
 inline constexpr size_t kHeaderSize = 16;
@@ -248,22 +247,6 @@ struct StatsResultMsg {
     int64_t num_series = 0;      ///< N the model was built for
     int64_t window = 0;          ///< T the model was built for
   };
-  /// One engine shard row (v6). This server runs one engine and always
-  /// sends zero rows; the codec keeps encoding, decoding and validating the
-  /// row layout so every v6+ peer parses the same bytes. The aggregate
-  /// fields at the top of the message are the engine's counters.
-  struct Shard {
-    uint32_t shard = 0;        ///< shard slot index
-    bool live = false;         ///< slot receives newly routed keys
-    bool draining = false;     ///< graceful drain in progress
-    uint64_t routed = 0;       ///< requests routed to this slot (lifetime)
-    uint64_t restarts = 0;     ///< fresh engines given to this slot
-    uint64_t cache_hits = 0;   ///< slot ScoreCache hits
-    uint64_t cache_misses = 0; ///< slot ScoreCache misses
-    uint64_t cache_size = 0;   ///< slot ScoreCache entries (gauge)
-    uint64_t dedup_hits = 0;   ///< slot in-flight dedup fan-ins
-    uint64_t batch_batches = 0;  ///< slot batches dispatched
-  };
   uint64_t cache_hits = 0;        ///< ScoreCache hits
   uint64_t cache_misses = 0;      ///< ScoreCache misses
   uint64_t cache_evictions = 0;   ///< ScoreCache evictions
@@ -287,7 +270,6 @@ struct StatsResultMsg {
   uint64_t server_frames = 0;       ///< request frames decoded
   uint64_t server_wire_errors = 0;  ///< malformed frames / protocol errors
   std::vector<Model> models;        ///< registered models, sorted by name
-  std::vector<Shard> shards;        ///< per-shard rows (v6; always empty)
 };
 
 /// kError response: a wire-mapped Status.

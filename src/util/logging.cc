@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/log_ring.h"
+#include "util/string_util.h"
 
 namespace causalformer {
 namespace {
@@ -73,37 +74,6 @@ const char* SeverityName(LogSeverity s) {
       return "F";
   }
   return "?";
-}
-
-void AppendJsonEscaped(const std::string& value, std::string* out) {
-  for (const char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 std::string FieldValueText(const LogField& field) {

@@ -5,7 +5,8 @@
 #include <vector>
 
 /// \file
-/// Small string helpers used by the table renderer, CSV I/O, and reports.
+/// Small string helpers used by the table renderer, CSV I/O, reports and
+/// the JSON writers (log lines, chrome traces, profiles).
 
 namespace causalformer {
 
@@ -26,6 +27,12 @@ std::string MeanStd(double mean, double stddev, int precision = 2);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
+
+/// Appends `value` to `*out` escaped for the inside of a JSON string: `"`
+/// and `\` get a backslash, newline, carriage return and tab become `\n`,
+/// `\r` and `\t`, any other byte below 0x20 becomes `\u00XX`, and every
+/// other byte passes through unchanged.
+void AppendJsonEscaped(const std::string& value, std::string* out);
 
 }  // namespace causalformer
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -520,6 +521,21 @@ TEST(TraceExportTest, EmptyRingRendersValidChromeJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+}
+
+TEST(TraceExportTest, PhaseNamesAreJsonEscaped) {
+  // A quote, a backslash and a newline in a phase name export as the same
+  // escapes the JSON log lines and profiles use.
+  FakeClock clock(2.0);
+  auto trace = std::make_shared<Trace>(3, clock.clock(), "execute");
+  trace->AddPhase("q\"b\\s\nl", 0.25);
+  clock.Advance(0.5);
+  trace->Finish();
+  EXPECT_EQ(RenderChromeTrace({trace}),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"name\":\"execute\",\"ph\":\"X\",\"pid\":1,\"tid\":3,"
+            "\"ts\":2000000.000,\"dur\":500000.000,"
+            "\"args\":{\"trace\":3,\"q\\\"b\\\\s\\nl_ms\":250.000}}\n]}\n");
 }
 
 // ---- Process metrics -------------------------------------------------------

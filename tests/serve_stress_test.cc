@@ -775,37 +775,6 @@ TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
   ExpectSameDetection(*hot_result, *expected.result);
 }
 
-// Dedup off (the bench baseline): identical concurrent queries all compute.
-TEST(ServeStressTest, DedupDisabledComputesEverySubmission) {
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
-  DetectCounter counter;
-  DetectGate gate;
-  EngineOptions opts;
-  opts.cache_capacity = 0;
-  opts.dedup_in_flight = false;
-  opts.detect_observer_for_testing = gate.hook(counter.hook());
-  InferenceEngine engine(&registry, opts);
-
-  constexpr int kThreads = 4;
-  const Tensor windows = RandomWindows(2, 970);
-  gate.Close();
-  std::vector<std::future<DiscoveryResponse>> futures;
-  for (int t = 0; t < kThreads; ++t) {
-    DiscoveryRequest request;
-    request.model = "m";
-    request.windows = windows;
-    futures.push_back(engine.SubmitAsync(std::move(request)));
-  }
-  gate.Release();
-  for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
-  // One key, but every submission computed (they coalesce into batches, so
-  // the *batch* count may be lower — the invocation count is per request).
-  EXPECT_EQ(counter.total(), kThreads);
-  EXPECT_EQ(counter.unique_keys(), 1u);
-  EXPECT_EQ(engine.dedup_stats().leaders, 0u);
-}
-
 }  // namespace
 }  // namespace serve
 }  // namespace causalformer

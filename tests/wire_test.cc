@@ -3,12 +3,14 @@
 #include <sys/time.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -357,88 +359,6 @@ TEST(WireFrameTest, DocumentedStatsResultFrameBytes) {
   msg.batch_shape_buckets = 1;
   msg.server_connections = 1;
   msg.server_frames = 12;
-  const auto frame = wire::EncodeFrame(wire::MessageType::kStatsResult,
-                                       wire::EncodeStatsResult(msg));
-  ASSERT_EQ(frame.size(), sizeof(kExpected));
-  EXPECT_EQ(std::memcmp(frame.data(), kExpected, sizeof(kExpected)), 0);
-}
-
-TEST(WireFrameTest, DocumentedShardedStatsResultFrameBytes) {
-  // The second §7.8 dump: the same counters from a two-shard pool mid-drain
-  // — shard 0 live (5 routed), shard 1 draining after 1 restart (4 routed).
-  const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x0c, 0x00, 0x00,
-      0x06, 0x01, 0x00, 0x00, 0x86, 0x82, 0xeb, 0x15,
-      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x04, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-  };
-  wire::StatsResultMsg msg;
-  msg.cache_hits = 7;
-  msg.cache_misses = 2;
-  msg.cache_evictions = 1;
-  msg.cache_size = 4;
-  msg.cache_capacity = 256;
-  msg.batch_requests = 9;
-  msg.batch_batches = 5;
-  msg.batch_coalesced = 4;
-  msg.batch_max = 3;
-  msg.dedup_hits = 6;
-  msg.dedup_in_flight = 1;
-  msg.batch_in_flight_limit = 2;
-  msg.batch_shape_buckets = 1;
-  msg.server_connections = 1;
-  msg.server_frames = 12;
-  wire::StatsResultMsg::Shard live;
-  live.shard = 0;
-  live.live = true;
-  live.routed = 5;
-  live.cache_hits = 4;
-  live.cache_misses = 1;
-  live.cache_size = 2;
-  live.dedup_hits = 3;
-  live.batch_batches = 3;
-  wire::StatsResultMsg::Shard draining;
-  draining.shard = 1;
-  draining.draining = true;
-  draining.routed = 4;
-  draining.restarts = 1;
-  draining.cache_hits = 3;
-  draining.cache_misses = 1;
-  draining.cache_size = 2;
-  draining.dedup_hits = 3;
-  draining.batch_batches = 2;
-  msg.shards = {live, draining};
   const auto frame = wire::EncodeFrame(wire::MessageType::kStatsResult,
                                        wire::EncodeStatsResult(msg));
   ASSERT_EQ(frame.size(), sizeof(kExpected));
@@ -1022,76 +942,31 @@ TEST(WireMessageTest, StatsResultRoundTrip) {
   ASSERT_EQ(decoded.models.size(), 1u);
   EXPECT_EQ(decoded.models[0].name, "m");
   EXPECT_EQ(decoded.models[0].window, 8);
-  EXPECT_TRUE(decoded.shards.empty());
-}
-
-TEST(WireMessageTest, StatsResultShardRowsRoundTrip) {
-  wire::StatsResultMsg msg;
-  msg.cache_hits = 3;
-  wire::StatsResultMsg::Shard live;
-  live.shard = 0;
-  live.live = true;
-  live.draining = false;
-  live.routed = 100;
-  live.restarts = 1;
-  live.cache_hits = 40;
-  live.cache_misses = 60;
-  live.cache_size = 7;
-  live.dedup_hits = 12;
-  live.batch_batches = 55;
-  wire::StatsResultMsg::Shard draining;
-  draining.shard = 3;
-  draining.live = false;
-  draining.draining = true;
-  draining.routed = 42;
-  msg.shards = {live, draining};
-
-  wire::StatsResultMsg decoded;
-  ASSERT_TRUE(
-      wire::DecodeStatsResult(wire::EncodeStatsResult(msg), &decoded).ok());
-  ASSERT_EQ(decoded.shards.size(), 2u);
-  EXPECT_EQ(decoded.shards[0].shard, 0u);
-  EXPECT_TRUE(decoded.shards[0].live);
-  EXPECT_FALSE(decoded.shards[0].draining);
-  EXPECT_EQ(decoded.shards[0].routed, 100u);
-  EXPECT_EQ(decoded.shards[0].restarts, 1u);
-  EXPECT_EQ(decoded.shards[0].cache_hits, 40u);
-  EXPECT_EQ(decoded.shards[0].cache_misses, 60u);
-  EXPECT_EQ(decoded.shards[0].cache_size, 7u);
-  EXPECT_EQ(decoded.shards[0].dedup_hits, 12u);
-  EXPECT_EQ(decoded.shards[0].batch_batches, 55u);
-  EXPECT_EQ(decoded.shards[1].shard, 3u);
-  EXPECT_FALSE(decoded.shards[1].live);
-  EXPECT_TRUE(decoded.shards[1].draining);
-  EXPECT_EQ(decoded.shards[1].routed, 42u);
-}
-
-TEST(WireMessageTest, StatsResultRejectsReservedShardFlagBits) {
-  wire::StatsResultMsg msg;
-  wire::StatsResultMsg::Shard shard;
-  shard.shard = 0;
-  shard.live = true;
-  msg.shards = {shard};
-  std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
-  // The shard row's flags byte sits 4 bytes into the 61-byte trailing row
-  // (after its u32 shard index). Set a reserved bit; decode must reject.
-  payload[payload.size() - 61 + 4] |= 0x80;
-  wire::StatsResultMsg decoded;
-  EXPECT_FALSE(wire::DecodeStatsResult(payload, &decoded).ok());
 }
 
 TEST(WireMessageTest, StatsResultRejectsHostileShardCount) {
-  // A count claiming more 61-byte rows than bytes remain must fail fast on
-  // the plausibility check, not attempt a giant reserve.
+  // shard_count is reserved and must be 0 (docs/wire-protocol.md §4.5).
   wire::StatsResultMsg msg;
-  std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
-  // Trailing u32 shard count: overwrite 0 with a hostile value.
-  payload[payload.size() - 4] = 0xff;
-  payload[payload.size() - 3] = 0xff;
-  payload[payload.size() - 2] = 0xff;
-  payload[payload.size() - 1] = 0x7f;
+  const std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
   wire::StatsResultMsg decoded;
-  EXPECT_FALSE(wire::DecodeStatsResult(payload, &decoded).ok());
+
+  // Trailing u32 shard count: overwrite 0 with a hostile value.
+  std::vector<uint8_t> hostile = payload;
+  hostile[hostile.size() - 4] = 0xff;
+  hostile[hostile.size() - 3] = 0xff;
+  hostile[hostile.size() - 2] = 0xff;
+  hostile[hostile.size() - 1] = 0x7f;
+  EXPECT_EQ(wire::DecodeStatsResult(hostile, &decoded).code(),
+            StatusCode::kInvalidArgument);
+
+  // A count of 1 followed by a well-formed 61-byte v6 row (u32 shard 0,
+  // flags 0x01 = live, seven zero u64 counters) is rejected too.
+  std::vector<uint8_t> one_row = payload;
+  one_row[one_row.size() - 4] = 0x01;
+  one_row.resize(one_row.size() + 61, 0);
+  one_row[one_row.size() - 61 + 4] = 0x01;
+  EXPECT_EQ(wire::DecodeStatsResult(one_row, &decoded).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---- Streaming messages (v2) ----------------------------------------------
@@ -1473,6 +1348,12 @@ class RawConn {
     ASSERT_TRUE(SendAll(fd_, bytes.data(), bytes.size()).ok());
   }
 
+  // For a connection the server may already have reset: the send's
+  // outcome is not the test's to judge.
+  void SendIgnoringErrors(const std::vector<uint8_t>& bytes) {
+    (void)SendAll(fd_, bytes.data(), bytes.size());
+  }
+
   // Reads one frame; false on EOF/close.
   bool Recv(wire::Frame* frame) {
     uint8_t header[wire::kHeaderSize];
@@ -1493,6 +1374,14 @@ class RawConn {
   bool Eof() {
     uint8_t byte;
     return !RecvAll(fd_, &byte, 1).ok();
+  }
+
+  // Stricter than Eof(): true only when the read sees EOF or a reset, never
+  // on a received byte or a receive timeout.
+  bool ClosedByPeer() {
+    uint8_t byte;
+    const ssize_t n = ::recv(fd_, &byte, 1, 0);
+    return n == 0 || (n < 0 && errno == ECONNRESET);
   }
 
  private:
@@ -1643,7 +1532,6 @@ TEST_F(WireLoopbackTest, StatsReportModelsAndTraffic) {
   EXPECT_GE(stats->batch_requests, 1u);
   EXPECT_GE(stats->server_frames, 2u);
   EXPECT_EQ(stats->server_connections, 1u);
-  EXPECT_TRUE(stats->shards.empty());
 }
 
 TEST_F(WireLoopbackTest, LoadAndUnloadOverTheWire) {
@@ -1956,6 +1844,28 @@ TEST_F(WireLoopbackTest, ManyConnectionsShareOneEngine) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(engine_->batcher_stats().requests, 8u * 3u);
+}
+
+TEST_F(WireLoopbackTest, ConnectionBeyondTheLimitIsClosedAtOnce) {
+  // The fixture's client is the first of the server's 256 connections. The
+  // listen queue is FIFO, so the 257th is accepted after all of them and
+  // closed at once: its Ping reads EOF or a reset, never a Pong.
+  constexpr int kMaxConnections = 256;
+  std::vector<std::unique_ptr<RawConn>> held;
+  for (int i = 1; i < kMaxConnections; ++i) {
+    held.push_back(std::make_unique<RawConn>(server_->port()));
+  }
+  RawConn extra(server_->port());
+  extra.SetRecvTimeout(10);
+  extra.SendIgnoringErrors(
+      wire::EncodeFrame(wire::MessageType::kPing, wire::EncodePing(1)));
+  EXPECT_TRUE(extra.ClosedByPeer());
+
+  const auto pong = client_.Ping(7);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(*pong, 7u);
+  EXPECT_EQ(server_->stats().connections_accepted,
+            static_cast<uint64_t>(kMaxConnections));
 }
 
 TEST_F(WireLoopbackTest, MetricsWithoutObservabilityAnswersPrecondition) {

@@ -514,7 +514,7 @@ int RunServe(const CliOptions& opts) {
           "  cache: %llu hits / %llu misses, %zu/%zu entries, "
           "%llu expired\n"
           "  batcher: %llu requests, %llu batches (max %d), %llu coalesced, "
-          "admission %d/%d\n"
+          "executors %d\n"
           "  dedup: %llu coalesced followers, %zu in flight\n",
           static_cast<unsigned long long>(cache.hits),
           static_cast<unsigned long long>(cache.misses), cache.size,
@@ -523,7 +523,7 @@ int RunServe(const CliOptions& opts) {
           static_cast<unsigned long long>(batch.requests),
           static_cast<unsigned long long>(batch.batches), batch.max_batch,
           static_cast<unsigned long long>(batch.coalesced),
-          batch.in_flight_limit, eopts.batcher.max_in_flight_batches,
+          batch.in_flight_limit,
           static_cast<unsigned long long>(stats.dedup.hits),
           stats.dedup.in_flight);
       continue;
@@ -631,7 +631,7 @@ int RunNetServe(const CliOptions& opts) {
     CF_LOG(kWarning) << "profiler disabled: " << pst.ToString();
   }
   // One engine (score cache, in-flight table, micro-batcher with the
-  // default adaptive in-flight batches) serves every Detect and stream.
+  // default executor count) serves every Detect and stream.
   cf::serve::EngineOptions eopts;
   eopts.cache_ttl_seconds = opts.cache_ttl;
   eopts.obs = &obs;
@@ -904,7 +904,7 @@ int RunQuery(const CliOptions& opts) {
           "  cache: %llu hits / %llu misses, %llu/%llu entries, "
           "%llu expired\n"
           "  batcher: %llu requests, %llu batches (max %d), %llu coalesced, "
-          "admission %d, %d buckets\n"
+          "executors %d, %d buckets\n"
           "  dedup: %llu coalesced followers, %llu in flight\n"
           "  server: %llu connections, %llu frames, %llu wire errors\n",
           static_cast<unsigned long long>(remote->cache_hits),

@@ -9,9 +9,8 @@
 /// Everything that measures time — Stopwatch call sites, the score cache's
 /// TTL, trace spans, latency histograms — reads seconds through an
 /// obs::Clock. The default clock is std::chrono::steady_clock; tests inject
-/// a scripted callable (the same `std::function<double()>` shape as the
-/// pre-existing `cache_clock_for_testing` seam and the test suite's
-/// ScriptedClock), so a single fake clock drives cache expiry, span
+/// a scripted callable (the `std::function<double()>` shape of the test
+/// suite's ScriptedClock), so a single fake clock drives cache expiry, span
 /// timestamps and histogram samples in lockstep instead of each layer
 /// needing its own hook.
 

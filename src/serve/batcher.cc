@@ -35,13 +35,8 @@ MicroBatcher::MicroBatcher(const BatcherOptions& options, ExecuteFn execute)
   CF_CHECK_GT(options_.max_batch_requests, 0);
   CF_CHECK_GT(options_.max_batch_windows, 0);
   CF_CHECK_GT(options_.max_in_flight_batches, 0);
-  CF_CHECK_GT(options_.min_in_flight_batches, 0);
-  CF_CHECK_LE(options_.min_in_flight_batches, options_.max_in_flight_batches);
   CF_CHECK(execute_ != nullptr);
-  // Admission starts wide open: sparse traffic dispatches with no extra
-  // latency, and the limit only tightens once observed occupancy shows that
-  // concurrent batches are running under-filled.
-  admitted_ = options_.max_in_flight_batches;
+  stats_.in_flight_limit = options_.max_in_flight_batches;
   executors_.reserve(options_.max_in_flight_batches);
   for (int i = 0; i < options_.max_in_flight_batches; ++i) {
     const std::string name = "cf-exec-" + std::to_string(i);
@@ -159,39 +154,6 @@ std::vector<BatchItem> MicroBatcher::CollectBatchLocked() {
   if (bucket.empty()) buckets_.erase(best);
   queued_ -= batch.size();
 
-  if (options_.adaptive_in_flight) {
-    // Occupancy feedback: full batches mean demand saturates every pass, so
-    // more may run side by side; sparse batches mean concurrency is
-    // fragmenting arrivals, so tighten admission and let them coalesce. A
-    // batch is "full" against whichever cap it hit — request count or the
-    // summed-window budget — so windows-saturated batches of few large
-    // requests never read as sparse.
-    const double occupancy =
-        std::max(static_cast<double>(batch.size()) /
-                     static_cast<double>(options_.max_batch_requests),
-                 static_cast<double>(windows_taken) /
-                     static_cast<double>(options_.max_batch_windows));
-    // Requests in different buckets can never coalesce, so serializing them
-    // buys nothing: admission is floored at one executor per pending shape
-    // (plus this batch), capped by the executor count.
-    const int distinct_floor =
-        std::min(static_cast<int>(buckets_.size()) + 1,
-                 options_.max_in_flight_batches);
-    if (admitted_ < distinct_floor) {
-      ++stats_.limit_grows;
-      admitted_ = distinct_floor;
-    } else if (occupancy >= options_.grow_occupancy &&
-               admitted_ < options_.max_in_flight_batches) {
-      ++admitted_;
-      ++stats_.limit_grows;
-    } else if (occupancy <= options_.shrink_occupancy &&
-               admitted_ >
-                   std::max(options_.min_in_flight_batches, distinct_floor)) {
-      --admitted_;
-      ++stats_.limit_shrinks;
-    }
-  }
-
   ++stats_.batches;
   stats_.max_batch = std::max(stats_.max_batch, static_cast<int>(batch.size()));
   if (batch.size() > 1) stats_.coalesced += batch.size();
@@ -203,31 +165,19 @@ void MicroBatcher::ExecutorLoop() {
     std::vector<BatchItem> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Admission gate: beyond having work, an executor needs a slot under
-      // the adaptive limit. Executors over the limit park here and requests
-      // pile into their buckets — that is the coalescing lever.
-      work_cv_.wait(lock, [this] {
-        return shutdown_ || (queued_ > 0 && active_ < admitted_);
-      });
+      // While every executor is inside execute_, requests pile into their
+      // buckets — that is the coalescing lever.
+      work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
       if (shutdown_) return;
       batch = CollectBatchLocked();
-      ++active_;
     }
     execute_(std::move(batch));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-    }
-    // A slot freed and the limit may have grown: wake peers, not just one —
-    // several parked executors might now be admissible.
-    work_cv_.notify_all();
   }
 }
 
 MicroBatcher::Stats MicroBatcher::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
-  s.in_flight_limit = admitted_;
   s.shape_buckets = static_cast<int>(buckets_.size());
   return s;
 }

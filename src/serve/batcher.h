@@ -18,34 +18,27 @@
 #include "util/stopwatch.h"
 
 /// \file
-/// Micro-batching request queue: shape-bucketed pending work plus adaptive
-/// executor admission.
+/// Micro-batching request queue: shape-bucketed pending work drained by a
+/// fixed set of executor threads.
 ///
 /// Concurrent discovery queries against the same model are coalesced into one
 /// batched forward + backward pass (core::DetectCausalGraphBatched), which
-/// amortises the per-pass fixed cost (tape construction, n backward walks)
-/// across every rider. Pending requests are kept in *shape buckets* — one
-/// queue per (model handle, detector options, N×T window geometry) — so a
-/// dispatch drains riders straight from the head of one bucket in O(batch)
-/// instead of scanning the whole mixed queue for compatible entries, and any
-/// compatible request can ride regardless of how much incompatible traffic
-/// arrived between it and the batch head. Across buckets, the bucket whose
-/// head request has waited longest dispatches first (no bucket starves).
+/// amortises the per-pass fixed cost (tape construction, the gradient and
+/// relevance walks) across every rider. Pending requests are kept in *shape
+/// buckets* — one queue per (model handle, detector options, N×T window
+/// geometry) — so a dispatch drains riders straight from the head of one
+/// bucket in O(batch) instead of scanning the whole mixed queue for
+/// compatible entries, and any compatible request can ride regardless of how
+/// much incompatible traffic arrived between it and the batch head. Across
+/// buckets, the bucket whose head request has waited longest dispatches
+/// first (no bucket starves).
 ///
-/// Batching is adaptive with no timed linger: while every admitted executor
-/// is busy, newly arriving requests pile up in their buckets, so batches grow
-/// exactly when the service is saturated and a lone request is dispatched
-/// immediately when it is not — the standard continuous-batching behaviour of
-/// model servers. On top of that, the *admission limit* (how many executors
-/// may run batches concurrently) adapts to observed batch occupancy — the
-/// fill fraction against whichever cap binds, request count or the summed-
-/// window budget: full batches grow the limit toward max_in_flight_batches
-/// (demand saturates every pass, parallelism drains the backlog), while
-/// sparse batches shrink it toward min_in_flight_batches so concurrent
-/// arrivals coalesce into fewer, fuller passes instead of fragmenting
-/// across executors. The limit never drops below one executor per pending
-/// shape bucket: requests of different shapes can never share a batch, so
-/// serializing them would cost latency and buy no coalescing.
+/// There is no timed linger and no admission limit: an idle executor takes
+/// the longest-waiting bucket's head plus its riders whenever work is queued.
+/// While every executor is busy, newly arriving requests pile up in their
+/// buckets, so batches grow exactly when the service is saturated and a lone
+/// request is dispatched immediately when it is not — the standard
+/// continuous-batching behaviour of model servers.
 ///
 /// Batches execute on dedicated executor threads (not on the global
 /// ThreadPool): a pool worker running a batch would force every nested
@@ -72,7 +65,7 @@ struct BatchItem {
   /// rejection or the shutdown drain.
   DiscoveryCallback done;
   Stopwatch since_submit;  ///< started at Submit() for end-to-end latency
-  uint64_t seq = 0;  ///< admission order, for cross-bucket FIFO fairness
+  uint64_t seq = 0;  ///< submission order, for cross-bucket FIFO fairness
 };
 
 /// MicroBatcher tuning knobs.
@@ -84,26 +77,13 @@ struct BatcherOptions {
   int64_t max_batch_windows = 256;
   /// Queued (not yet dispatched) request bound; Submit rejects beyond it.
   size_t max_queue = 1024;
-  /// Executor threads, i.e. the ceiling on batches executing concurrently.
-  /// Safe at any value: batched detection is re-entrant per model.
+  /// Executor threads, i.e. the most batches executing concurrently. Every
+  /// idle executor takes queued work. Safe at any value: batched detection is
+  /// re-entrant per model.
   int max_in_flight_batches = 2;
-  /// Adapt the admission limit between min_in_flight_batches and
-  /// max_in_flight_batches from observed batch occupancy. When off, every
-  /// executor is always admitted (the pre-adaptive behaviour).
-  bool adaptive_in_flight = true;
-  /// Floor of the adaptive admission limit (≥ 1 so a lone request always
-  /// dispatches immediately).
-  int min_in_flight_batches = 1;
-  /// Batch fill fraction — against whichever cap binds, max_batch_requests
-  /// or max_batch_windows — at or above which a dispatch grows the
-  /// admission limit by one.
-  double grow_occupancy = 0.75;
-  /// Batch fill fraction at or below which a dispatch shrinks it by one
-  /// (never below one executor per pending shape bucket).
-  double shrink_occupancy = 0.25;
 };
 
-/// The adaptive micro-batching queue between the engine and the detector.
+/// The micro-batching queue between the engine and the detector.
 class MicroBatcher {
  public:
   /// Executes one coalesced batch and resolves every item. Runs on a
@@ -138,10 +118,8 @@ class MicroBatcher {
     uint64_t coalesced = 0;  ///< requests that rode in a batch of size > 1
     int max_batch = 0;       ///< largest batch dispatched so far
     uint64_t rejected = 0;   ///< requests refused (queue full / shutdown)
-    int in_flight_limit = 0;  ///< current adaptive admission limit (gauge)
+    int in_flight_limit = 0;  ///< executor count, max_in_flight_batches
     int shape_buckets = 0;    ///< buckets holding pending requests (gauge)
-    uint64_t limit_grows = 0;    ///< admission-limit increments so far
-    uint64_t limit_shrinks = 0;  ///< admission-limit decrements so far
   };
   /// Snapshot of the batching counters.
   Stats stats() const;
@@ -169,12 +147,10 @@ class MicroBatcher {
     size_t operator()(const ShapeKey& key) const;
   };
 
-  /// Executor loop: await admission + work, pop a coalesced batch, run
-  /// execute_, repeat.
+  /// Executor loop: await work, pop a coalesced batch, run execute_, repeat.
   void ExecutorLoop();
   /// Pops the head of the longest-waiting bucket plus every rider within the
-  /// batch caps, and adapts the admission limit from the observed occupancy.
-  /// Holds mu_.
+  /// batch caps. Holds mu_.
   std::vector<BatchItem> CollectBatchLocked();
 
   BatcherOptions options_;
@@ -185,9 +161,7 @@ class MicroBatcher {
   /// Pending requests, one FIFO per compatibility shape.
   std::unordered_map<ShapeKey, std::deque<BatchItem>, ShapeKeyHash> buckets_;
   size_t queued_ = 0;      ///< total pending across buckets
-  uint64_t next_seq_ = 0;  ///< admission counter feeding BatchItem::seq
-  int admitted_ = 0;       ///< current adaptive admission limit
-  int active_ = 0;         ///< batches executing right now
+  uint64_t next_seq_ = 0;  ///< submission counter feeding BatchItem::seq
   bool shutdown_ = false;
   Stats stats_;
 

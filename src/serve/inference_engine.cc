@@ -17,23 +17,11 @@ DiscoveryResponse ErrorResponse(Status status) {
   return response;
 }
 
-}  // namespace
-
-namespace {
-
 ScoreCacheOptions CacheOptions(const EngineOptions& options) {
   ScoreCacheOptions cache;
   cache.capacity = options.cache_capacity;
   cache.ttl_seconds = options.cache_ttl_seconds;
-  cache.clock_for_testing = options.cache_clock_for_testing;
-  // One injected time source for everything: when the bundle carries a
-  // scripted clock and no cache-specific hook was given, the TTL reads the
-  // bundle's clock too (the real clock stays on the cheaper direct path).
-  if (!cache.clock_for_testing && options.obs != nullptr &&
-      options.obs->clock().is_scripted()) {
-    obs::Observability* obs = options.obs;
-    cache.clock_for_testing = [obs] { return obs->clock().Now(); };
-  }
+  if (options.obs != nullptr) cache.clock = options.obs->clock();
   return cache;
 }
 

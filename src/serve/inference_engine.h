@@ -55,9 +55,6 @@ struct EngineOptions {
   /// Max age of a cached result in seconds (0 = never expires). Lets the
   /// windows of a dead stream age out even when capacity is never reached.
   double cache_ttl_seconds = 0;
-  /// Test seam: seconds-valued monotonic clock driving the cache's TTL
-  /// (ScoreCacheOptions::clock_for_testing). Null uses steady_clock.
-  std::function<double()> cache_clock_for_testing;
   /// Test seam: invoked once per request the detector actually computes
   /// (inside the batch executor, per batch item, before the batch's detect
   /// runs and inside its log/trace context), with the request's cache key.
@@ -67,9 +64,9 @@ struct EngineOptions {
   std::function<void(const CacheKey&)> detect_observer_for_testing;
   /// Observability bundle (metrics + traces + clock), not owned; must
   /// outlive the engine. Null turns every instrumentation site into a
-  /// pointer check — the off arm of `bench_obs_overhead`. When set and
-  /// `cache_clock_for_testing` is null, the cache TTL also reads the
-  /// bundle's clock, so one injected clock drives expiry and spans alike.
+  /// pointer check — the off arm of `bench_obs_overhead`. When set, the
+  /// cache TTL reads the bundle's clock, so one injected clock drives expiry
+  /// and spans alike.
   obs::Observability* obs = nullptr;
 };
 

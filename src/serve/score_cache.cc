@@ -1,6 +1,5 @@
 #include "serve/score_cache.h"
 
-#include <chrono>
 #include <cstring>
 
 namespace causalformer {
@@ -139,13 +138,6 @@ ScoreCache::ScoreCache(size_t capacity) {
 
 ScoreCache::ScoreCache(const ScoreCacheOptions& options) : options_(options) {}
 
-double ScoreCache::Now() const {
-  if (options_.clock_for_testing) return options_.clock_for_testing();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 bool ScoreCache::ExpiredLocked(const Entry& entry, double now) const {
   return options_.ttl_seconds > 0 &&
          now - entry.put_time > options_.ttl_seconds;
@@ -159,7 +151,7 @@ std::shared_ptr<const core::DetectionResult> ScoreCache::Get(
     ++misses_;
     return nullptr;
   }
-  if (ExpiredLocked(it->second->second, Now())) {
+  if (ExpiredLocked(it->second->second, options_.clock.Now())) {
     lru_.erase(it->second);
     index_.erase(it);
     ++expirations_;
@@ -175,7 +167,7 @@ void ScoreCache::Put(const CacheKey& key,
                      std::shared_ptr<const core::DetectionResult> result) {
   if (options_.capacity == 0 || result == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const double now = Now();
+  const double now = options_.clock.Now();
   const auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second.result = std::move(result);
@@ -213,7 +205,7 @@ void ScoreCache::EraseModel(const std::string& model) {
 size_t ScoreCache::PruneExpired() {
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.ttl_seconds <= 0) return 0;
-  const double now = Now();
+  const double now = options_.clock.Now();
   size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (ExpiredLocked(it->second, now)) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/detector.h"
+#include "obs/clock.h"
 #include "tensor/tensor.h"
 
 /// \file
@@ -117,8 +118,8 @@ struct ScoreCacheOptions {
   /// its last Get — a result recomputed-and-refilled is young again, a result
   /// merely re-read is not.
   double ttl_seconds = 0;
-  /// Test seam: seconds-valued monotonic clock. Null uses steady_clock.
-  std::function<double()> clock_for_testing;
+  /// The time source entry ages are measured on. Default: steady_clock.
+  obs::Clock clock;
 };
 
 /// The bounded, thread-safe LRU cache of detection results with optional
@@ -174,7 +175,6 @@ class ScoreCache {
   };
   using LruList = std::list<std::pair<CacheKey, Entry>>;
 
-  double Now() const;
   /// True when `entry` is older than the TTL at clock time `now`.
   bool ExpiredLocked(const Entry& entry, double now) const;
 

@@ -25,7 +25,6 @@ namespace serve {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
-constexpr int kListenBacklog = 64;
 // Accepted-connection bound: each accept beyond it is closed at once.
 constexpr size_t kMaxConnections = 256;
 
@@ -218,7 +217,11 @@ Status WireServer::Start() {
     port_ = 0;
     return status;
   };
-  auto listen = TcpListen(options_.port, kListenBacklog);
+  // The accept queue holds as many pending connects as the server accepts
+  // (the kernel caps it at net.core.somaxconn). A shorter queue overflows on
+  // a burst of connects before the poll thread drains it, and each dropped
+  // SYN stalls its connect() for a one-second retransmit.
+  auto listen = TcpListen(options_.port, static_cast<int>(kMaxConnections));
   if (!listen.ok()) return listen.status();
   listen_fd_ = *listen;
   const auto port = TcpLocalPort(listen_fd_);

@@ -262,7 +262,8 @@ struct StatsResultMsg {
   uint64_t dedup_hits = 0;
   /// Unique queries currently in flight in the dedup table (gauge, v3).
   uint64_t dedup_in_flight = 0;
-  /// Current adaptive executor-admission limit of the batcher (gauge, v3).
+  /// Executor count of the batcher, fixed at startup (v3; carried an
+  /// occupancy-driven admission limit until that was removed).
   int32_t batch_in_flight_limit = 0;
   /// Shape buckets currently holding pending requests (gauge, v3).
   int32_t batch_shape_buckets = 0;

@@ -112,8 +112,6 @@ void ArenaAllocator::Deallocate(void* ptr, size_t bytes) {
   parent_->Deallocate(ptr, static_cast<size_t>(cls_bytes));
 }
 
-DeviceTag ArenaAllocator::device() const { return parent_->device(); }
-
 void ArenaAllocator::Reset() {
   std::array<std::vector<void*>, kNumClasses> drained;
   {
@@ -151,8 +149,6 @@ void TrackingAllocator::Deallocate(void* ptr, size_t bytes) {
   deallocate_calls_.fetch_add(1, std::memory_order_relaxed);
   parent_->Deallocate(ptr, bytes);
 }
-
-DeviceTag TrackingAllocator::device() const { return parent_->device(); }
 
 // ---- Scoped current allocator ------------------------------------------------
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 /// \file
-/// Device-tagged allocators and the TensorBuffer that Tensor storage rides on
+/// CPU allocators and the TensorBuffer that Tensor storage rides on
 /// (in the style of cavs' Allocator/TensorBufferBase split).
 ///
 /// Every Tensor owns a TensorBuffer obtained from an Allocator. The default
@@ -28,11 +28,6 @@
 /// outlives its last buffer by construction.
 
 namespace causalformer {
-
-/// Where a buffer's memory lives. CPU only; the tag is the seam a GPU or
-/// accelerator backend would plug into. None is planned: ROADMAP.md drops
-/// the CUDA and oneDNN backends, which need hardware or a download.
-enum class DeviceTag { kCpu };
 
 /// Alignment of every tensor buffer in bytes: one cache line, which also
 /// satisfies the 32-byte requirement of AVX2 aligned loads.
@@ -54,9 +49,6 @@ class Allocator {
 
   /// Releases a block previously returned by Allocate with the same `bytes`.
   virtual void Deallocate(void* ptr, size_t bytes) = 0;
-
-  /// The device this allocator's memory lives on.
-  virtual DeviceTag device() const { return DeviceTag::kCpu; }
 
   /// Human-readable allocator name (metrics, debug strings).
   virtual std::string name() const = 0;
@@ -109,7 +101,6 @@ class ArenaAllocator : public Allocator {
 
   void* Allocate(size_t bytes) override;
   void Deallocate(void* ptr, size_t bytes) override;
-  DeviceTag device() const override;
   std::string name() const override { return "cpu-arena"; }
 
   /// Returns pooled (free) blocks to the parent allocator. Outstanding blocks
@@ -139,7 +130,6 @@ class TrackingAllocator : public Allocator {
 
   void* Allocate(size_t bytes) override;
   void Deallocate(void* ptr, size_t bytes) override;
-  DeviceTag device() const override;
   std::string name() const override { return "tracking"; }
 
   /// Number of Allocate() calls that reached this allocator.
@@ -209,8 +199,6 @@ class TensorBuffer {
   float* data() const { return ptr_; }
   /// Element capacity.
   int64_t count() const { return count_; }
-  /// Device of the owning allocator.
-  DeviceTag device() const { return alloc_->device(); }
   /// The allocator this buffer came from (outlives the buffer).
   Allocator* allocator() const { return alloc_.get(); }
 

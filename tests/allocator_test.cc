@@ -28,7 +28,6 @@ TEST(CpuAllocatorTest, ReturnsAlignedMemory) {
 TEST(TensorBufferTest, AlignmentAndCount) {
   TensorBuffer buf(CpuAllocator::Global(), 13);
   EXPECT_EQ(buf.count(), 13);
-  EXPECT_EQ(buf.device(), DeviceTag::kCpu);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kTensorAlignment, 0u);
   // AVX2 aligned loads need 32 bytes; the cache-line alignment covers it.
   EXPECT_GE(kTensorAlignment, 32u);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -369,12 +369,15 @@ TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("m", TinyModel()).ok());
   ScriptedClock clock(100.0);
+  obs::ObservabilityOptions obs_options;
+  obs_options.clock = obs::Clock(clock.fn());
+  obs::Observability obs(obs_options);
   DetectCounter counter;
   DetectGate gate;
   EngineOptions opts;
   opts.cache_capacity = 16;
   opts.cache_ttl_seconds = 10.0;
-  opts.cache_clock_for_testing = clock.fn();
+  opts.obs = &obs;  // the bundle's scripted clock drives the cache TTL
   opts.detect_observer_for_testing = gate.hook(counter.hook());
   InferenceEngine engine(&registry, opts);
 
@@ -466,190 +469,26 @@ TEST(ServeStressTest, InterleavedOptionSetsFormHomogeneousFullBatches) {
   EXPECT_EQ(engine.batcher_stats().shape_buckets, 0);
 }
 
-// Adaptive admission at the MicroBatcher level, with a hand-driven executor:
-// consecutive sparse (size-1) dispatches shrink the limit to the floor;
-// a full batch grows it back. Deterministic — the executor only proceeds
-// when the test says so.
-TEST(ServeStressTest, AdaptiveAdmissionTracksBatchOccupancy) {
-  std::mutex mu;
-  std::condition_variable cv;
-  int release_budget = 0;
-  const auto release_one = [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++release_budget;
-    }
-    cv.notify_all();
-  };
-
+// Fixed admission at the MicroBatcher level, with a hand-driven executor
+// (a DetectGate held inside the execute function): lone dispatches never
+// park an executor — with one batch held, the next request runs on the idle
+// executor at once — and riders queued behind busy executors fill a batch up
+// to the summed-window budget, the rest dispatching as a later batch.
+TEST(ServeStressTest, EveryExecutorTakesWorkAndRidersFillTheWindowBudget) {
+  DetectGate gate;
   BatcherOptions opts;
-  opts.max_batch_requests = 4;
-  opts.max_in_flight_batches = 3;
-  opts.min_in_flight_batches = 1;
-  opts.adaptive_in_flight = true;
-  std::atomic<uint64_t> executed{0};
-  MicroBatcher batcher(opts, [&](std::vector<BatchItem> items) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release_budget > 0; });
-      --release_budget;
-    }
-    for (auto& item : items) {
-      DiscoveryResponse response;
-      response.batch_size = static_cast<int>(items.size());
-      item.done(std::move(response));
-    }
-    ++executed;
-  });
-
-  const auto submit_one = [&](uint64_t seed) {
-    DiscoveryRequest request;
-    request.model = "m";
-    request.windows = RandomWindows(1, seed);
-    std::future<DiscoveryResponse> future;
-    batcher.Submit(std::move(request), CacheKey{}, nullptr,
-                   FutureCallback(&future));
-    return future;
-  };
-
-  // Admission opens at the ceiling.
-  EXPECT_EQ(batcher.stats().in_flight_limit, 3);
-
-  // Two lone dispatches (occupancy 1/4 each) shrink 3 -> 2 -> 1.
-  for (int i = 0; i < 2; ++i) {
-    auto future = submit_one(940 + static_cast<uint64_t>(i));
-    release_one();
-    ASSERT_TRUE(future.get().status.ok());
-  }
-  EXPECT_EQ(batcher.stats().in_flight_limit, 1);
-  EXPECT_EQ(batcher.stats().limit_shrinks, 2u);
-
-  // Park one batch in the executor; admission 1 means the next submissions
-  // pile up instead of dispatching to the idle peer executors...
-  auto parked = submit_one(950);
-  ASSERT_TRUE(SpinUntil([&] { return batcher.stats().batches == 3u; }));
-  std::vector<std::future<DiscoveryResponse>> burst;
-  for (int i = 0; i < 4; ++i) {
-    burst.push_back(submit_one(951 + static_cast<uint64_t>(i)));
-  }
-  EXPECT_EQ(batcher.stats().batches, 3u);  // nothing else dispatched
-
-  // ...and when the parked batch finishes, they ride as one full batch whose
-  // occupancy (4/4) grows the limit again.
-  release_one();  // the parked singleton
-  release_one();  // the coalesced burst
-  ASSERT_TRUE(parked.get().status.ok());
-  for (auto& f : burst) {
-    const DiscoveryResponse r = f.get();
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.batch_size, 4);
-  }
-  // Four executions in total: two singles, the parked singleton, the burst.
-  ASSERT_TRUE(SpinUntil([&] { return executed.load() == 4u; }));
-  EXPECT_EQ(batcher.stats().in_flight_limit, 2);
-  EXPECT_GE(batcher.stats().limit_grows, 1u);
-}
-
-// Distinct shapes can never coalesce, so adaptive admission must not
-// serialize them: once a second shape bucket has pending work, the limit
-// is floored at one executor per bucket and climbs back even though every
-// batch is sparse.
-TEST(ServeStressTest, AdmissionNeverShrinksBelowDistinctPendingShapes) {
-  std::mutex mu;
-  std::condition_variable cv;
-  int release_budget = 0;
-  const auto release_one = [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++release_budget;
-    }
-    cv.notify_all();
-  };
-
-  BatcherOptions opts;
-  opts.max_batch_requests = 4;
   opts.max_in_flight_batches = 2;
-  opts.min_in_flight_batches = 1;
-  MicroBatcher batcher(opts, [&](std::vector<BatchItem> items) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release_budget > 0; });
-      --release_budget;
-    }
-    for (auto& item : items) item.done(DiscoveryResponse{});
-  });
-
-  // Distinct options strings put the two flows in distinct shape buckets.
-  const auto submit_shape = [&](const std::string& options, uint64_t seed) {
-    DiscoveryRequest request;
-    request.model = "m";
-    request.windows = RandomWindows(1, seed);
-    CacheKey key;
-    key.model = "m";
-    key.options = options;
-    std::future<DiscoveryResponse> future;
-    batcher.Submit(std::move(request), std::move(key), nullptr,
-                   FutureCallback(&future));
-    return future;
-  };
-
-  // A lone sparse dispatch with nothing else pending shrinks 2 -> 1.
-  {
-    auto future = submit_shape("A", 980);
-    release_one();
-    ASSERT_TRUE(future.get().status.ok());
-  }
-  EXPECT_EQ(batcher.stats().in_flight_limit, 1);
-
-  // Park one shape-A batch; queue shape B and more A behind it.
-  auto parked = submit_shape("A", 981);
-  ASSERT_TRUE(SpinUntil([&] { return batcher.stats().batches == 2u; }));
-  auto b_future = submit_shape("B", 982);
-  auto a_future = submit_shape("A", 983);
-  EXPECT_EQ(batcher.stats().shape_buckets, 2);
-
-  // Completing the parked batch lets the next dispatch observe a second
-  // pending bucket: the floor raises admission back to 2, so both shapes'
-  // batches dispatch concurrently — batches reaches 4 while both executors
-  // are still parked in the execute hook. (Without the floor, admission
-  // would stay at 1 and the A batch could never dispatch before B's
-  // executor is released, so this spin would time out.)
-  release_one();
-  ASSERT_TRUE(SpinUntil([&] { return batcher.stats().batches == 4u; }));
-  EXPECT_GE(batcher.stats().limit_grows, 1u);
-  release_one();
-  release_one();
-  ASSERT_TRUE(parked.get().status.ok());
-  ASSERT_TRUE(b_future.get().status.ok());
-  ASSERT_TRUE(a_future.get().status.ok());
-}
-
-// A batch full by the summed-window budget is a *full* batch even when its
-// request count is far below max_batch_requests: occupancy must read the
-// binding cap, so windows-saturated dispatches grow admission rather than
-// shrink it.
-TEST(ServeStressTest, WindowsSaturatedBatchesCountAsFullOccupancy) {
+  opts.max_batch_windows = 4;  // two 2-window requests fill a batch
   std::mutex mu;
-  std::condition_variable cv;
-  int release_budget = 0;
-  const auto release_one = [&] {
+  std::vector<int64_t> batch_windows;  // summed windows of each batch run
+  const auto hold = gate.hook();
+  MicroBatcher batcher(opts, [&](std::vector<BatchItem> items) {
+    hold(items.front().key);
+    int64_t windows = 0;
+    for (const auto& item : items) windows += item.request.windows.dim(0);
     {
       std::lock_guard<std::mutex> lock(mu);
-      ++release_budget;
-    }
-    cv.notify_all();
-  };
-
-  BatcherOptions opts;
-  opts.max_batch_requests = 8;
-  opts.max_batch_windows = 4;  // two B=2 requests saturate the window budget
-  opts.max_in_flight_batches = 3;
-  opts.min_in_flight_batches = 1;
-  MicroBatcher batcher(opts, [&](std::vector<BatchItem> items) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release_budget > 0; });
-      --release_budget;
+      batch_windows.push_back(windows);
     }
     for (auto& item : items) {
       DiscoveryResponse response;
@@ -668,32 +507,41 @@ TEST(ServeStressTest, WindowsSaturatedBatchesCountAsFullOccupancy) {
     return future;
   };
 
-  // Two lone single-window dispatches (occupancy 1/8 vs 1/4) shrink 3 -> 1.
+  // Two lone single-window dispatches: sparse batches leave every executor
+  // admitted.
   for (int i = 0; i < 2; ++i) {
-    auto future = submit(1, 990 + static_cast<uint64_t>(i));
-    release_one();
-    ASSERT_TRUE(future.get().status.ok());
+    ASSERT_EQ(submit(1, 940 + static_cast<uint64_t>(i)).get().batch_size, 1);
   }
-  EXPECT_EQ(batcher.stats().in_flight_limit, 1);
-
-  // Park a batch, queue two 2-window requests behind it; their combined
-  // dispatch hits max_batch_windows exactly.
-  auto parked = submit(1, 992);
-  ASSERT_TRUE(SpinUntil([&] { return batcher.stats().batches == 3u; }));
-  auto w1 = submit(2, 993);
-  auto w2 = submit(2, 994);
-  release_one();
-  release_one();
-  ASSERT_TRUE(parked.get().status.ok());
-  const DiscoveryResponse r1 = w1.get();
-  const DiscoveryResponse r2 = w2.get();
-  ASSERT_TRUE(r1.status.ok());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(r1.batch_size, 2);  // both rode one windows-saturated batch
-  EXPECT_EQ(r2.batch_size, 2);
-  // That batch read as full (4/4 windows), not sparse (2/8 requests).
   EXPECT_EQ(batcher.stats().in_flight_limit, 2);
-  EXPECT_EQ(batcher.stats().limit_shrinks, 2u);
+
+  // Hold one batch in the execute function; a second request must reach it
+  // on the idle executor while the first is still held.
+  gate.Close();
+  auto held = submit(1, 950);
+  ASSERT_TRUE(SpinUntil([&] { return gate.arrivals() == 3; }));
+  auto second = submit(1, 951);
+  EXPECT_TRUE(SpinUntil([&] { return gate.arrivals() == 4; }))
+      << "the second request waited behind the held batch";
+
+  // Three 2-window requests queue behind the two busy executors: the first
+  // two fill the 4-window budget as one batch, the third rides alone later.
+  std::vector<std::future<DiscoveryResponse>> riders;
+  for (int i = 0; i < 3; ++i) {
+    riders.push_back(submit(2, 952 + static_cast<uint64_t>(i)));
+  }
+  gate.Release();
+  EXPECT_EQ(held.get().batch_size, 1);
+  EXPECT_EQ(second.get().batch_size, 1);
+  EXPECT_EQ(riders[0].get().batch_size, 2);
+  EXPECT_EQ(riders[1].get().batch_size, 2);
+  EXPECT_EQ(riders[2].get().batch_size, 1);
+
+  const MicroBatcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 6u);
+  EXPECT_EQ(stats.in_flight_limit, 2);
+  std::lock_guard<std::mutex> lock(mu);
+  std::sort(batch_windows.begin(), batch_windows.end());
+  EXPECT_EQ(batch_windows, (std::vector<int64_t>{1, 1, 1, 1, 2, 4}));
 }
 
 // Mixed identical/perturbed sustained load: K threads × R rounds, half the

@@ -172,7 +172,7 @@ TEST(ScoreCacheTest, TtlExpiresIdleEntries) {
   ScoreCacheOptions options;
   options.capacity = 8;
   options.ttl_seconds = 10.0;
-  options.clock_for_testing = [&now] { return now; };
+  options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
 
@@ -204,7 +204,7 @@ TEST(ScoreCacheTest, PruneExpiredDropsEveryStaleEntry) {
   ScoreCacheOptions options;
   options.capacity = 8;
   options.ttl_seconds = 5.0;
-  options.clock_for_testing = [&now] { return now; };
+  options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
   cache.Put({"m", {1, 1}, "o"}, result);
@@ -224,7 +224,7 @@ TEST(ScoreCacheTest, ZeroTtlNeverExpires) {
   ScoreCacheOptions options;
   options.capacity = 4;
   options.ttl_seconds = 0;
-  options.clock_for_testing = [&now] { return now; };
+  options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
   cache.Put({"m", {1, 1}, "o"}, result);

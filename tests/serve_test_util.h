@@ -164,10 +164,10 @@ class Barrier {
 };
 
 // A deterministic, thread-safe test clock: time stands still until the test
-// advances it. Installed via ScoreCacheOptions/EngineOptions
-// `cache_clock_for_testing`, it makes TTL expiry a scripted event instead of
-// a wall-clock race — the stress harness uses it to force "cached result
-// just expired, identical queries must coalesce in flight, not recompute K
+// advances it. Installed as an obs::Clock (an Observability bundle's, or a
+// ScoreCacheOptions'), it makes TTL expiry a scripted event instead of a
+// wall-clock race — the stress harness uses it to force "cached result just
+// expired, identical queries must coalesce in flight, not recompute K
 // times".
 class ScriptedClock {
  public:
@@ -183,7 +183,7 @@ class ScriptedClock {
     now_ += seconds;
   }
 
-  // The clock as the std::function the cache options expect. The returned
+  // The clock as the std::function an obs::Clock wraps. The returned
   // callable references this clock; keep it alive for the cache's lifetime.
   std::function<double()> fn() {
     return [this] { return Now(); };

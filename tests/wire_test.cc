@@ -318,7 +318,7 @@ TEST(WireFrameTest, DocumentedAppendSamplesOkFrameBytes) {
 TEST(WireFrameTest, DocumentedStatsResultFrameBytes) {
   // The §7.8 StatsResult dump: cache 7 hits / 2 misses / 1 eviction /
   // 0 expirations, 4/256 entries; batcher 9 requests, 5 batches (max 3),
-  // 4 coalesced, 0 rejected; dedup 6 hits, 1 in flight; admission limit 2,
+  // 4 coalesced, 0 rejected; dedup 6 hits, 1 in flight; 2 executors,
   // 1 shape bucket; server 1 connection, 12 frames, 0 wire errors; no
   // models; no shard rows (the trailing v6 count of 0).
   const uint8_t kExpected[] = {

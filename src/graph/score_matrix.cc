@@ -22,6 +22,12 @@ double ScoreMatrix::at(int from, int to) const {
   return values_[static_cast<size_t>(from) * n_ + to];
 }
 
+const double* ScoreMatrix::row(int from) const {
+  CF_CHECK_GE(from, 0);
+  CF_CHECK_LT(from, n_);
+  return values_.data() + static_cast<size_t>(from) * n_;
+}
+
 void ScoreMatrix::set(int from, int to, double value) {
   CF_CHECK_GE(from, 0);
   CF_CHECK_LT(from, n_);

@@ -20,6 +20,9 @@ class ScoreMatrix {
 
   int num_series() const { return n_; }
   double at(int from, int to) const;
+  /// The n scores (from, 0..n) of one row, contiguous; one bounds check
+  /// for the whole row.
+  const double* row(int from) const;
   void set(int from, int to, double value);
   void add(int from, int to, double value);
 

@@ -38,9 +38,6 @@ class Clock {
   /// injected clocks are trusted to behave.
   double Now() const { return fn_ ? fn_() : SteadySeconds(); }
 
-  /// True when this clock reads the injected callable, not steady_clock.
-  bool is_scripted() const { return static_cast<bool>(fn_); }
-
  private:
   std::function<double()> fn_;
 };

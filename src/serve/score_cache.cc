@@ -1,76 +1,69 @@
 #include "serve/score_cache.h"
 
 #include <cstring>
+#include <initializer_list>
+
+#include "util/logging.h"
 
 namespace causalformer {
 namespace serve {
 
 namespace {
 
-constexpr uint64_t kPrime = 1099511628211ULL;
+// One lane of the 128-bit window hash: a seed and an odd multiplier. The two
+// lanes differ in both, so they are two hash functions rather than one
+// function under two seeds.
+struct Lane {
+  uint64_t seed;
+  uint64_t mul;
+};
+constexpr Lane kLo = {0xCBF29CE484222325ULL, 0x9E3779B97F4A7C15ULL};
+constexpr Lane kHi = {0x243F6A8885A308D3ULL, 0xC2B2AE3D27D4EB4FULL};
 
-// FNV-1a over a byte range, from a caller-chosen offset basis so two streams
-// with different bases act as independent hash functions.
-uint64_t Fnv1a(const void* data, size_t len, uint64_t basis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = basis;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kPrime;
-  }
-  return h;
+// Folds one word into a lane state. XOR and a product with an odd constant
+// (mod 2^64) are both bijections, so for a fixed word the step is a bijection
+// of the state, and for a fixed state it is injective in the word.
+inline uint64_t Step(uint64_t h, uint64_t word, uint64_t mul) {
+  return (h ^ word) * mul;
 }
 
-// FNV-1a over one strided float column (the series axis of one time step).
-uint64_t Fnv1aColumn(const float* data, int64_t n, int64_t stride,
-                     uint64_t basis) {
-  uint64_t h = basis;
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, data + i * stride, sizeof(bits));
-    for (int b = 0; b < 4; ++b) {
-      h ^= (bits >> (8 * b)) & 0xFFu;
-      h *= kPrime;
-    }
-  }
-  return h;
-}
+// The fold's multiplier, shared by both lanes (the FNV 64-bit prime; odd).
+constexpr uint64_t kFoldMul = 1099511628211ULL;
 
 // Folds one 64-bit column digest into a running window hash. The fold is
 // order-sensitive (columns are folded oldest first), so permuted windows
-// hash differently.
-uint64_t FoldDigest(uint64_t h, uint64_t digest) {
-  h ^= digest;
-  h *= kPrime;
-  h ^= h >> 29;
+// hash differently; the xorshift is a bijection too.
+inline uint64_t FoldDigest(uint64_t h, uint64_t digest) {
+  h = Step(h, digest, kFoldMul);
+  return h ^ (h >> 29);
+}
+
+// Seeds one lane with the window dims [b, n, t], one 64-bit word each.
+uint64_t DimsSeed(int64_t b, int64_t n, int64_t t, const Lane& lane) {
+  uint64_t h = lane.seed;
+  for (const int64_t dim : {b, n, t}) {
+    h = Step(h, static_cast<uint64_t>(dim), lane.mul);
+  }
   return h;
 }
-
-// Seeds one hash stream with the window dims [b, n, t] (hashed as int64
-// bytes, matching the historical dims prefix).
-uint64_t DimsSeed(int64_t b, int64_t n, int64_t t, uint64_t basis) {
-  const int64_t dims[3] = {b, n, t};
-  return Fnv1a(dims, sizeof(dims), basis);
-}
-
-constexpr uint64_t kBasisLo = 14695981039346656037ULL;
-constexpr uint64_t kBasisHi = 0x9E3779B97F4A7C15ULL;
 
 }  // namespace
 
 ColumnDigest HashWindowColumn(const float* data, int64_t n, int64_t stride) {
-  ColumnDigest d;
-  d.lo = Fnv1aColumn(data, n, stride, kBasisLo);
-  d.hi = Fnv1aColumn(data, n, stride, kBasisHi);
+  ColumnDigest d{kLo.seed, kHi.seed};
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, data + i * stride, sizeof(bits));
+    d.lo = Step(d.lo, bits, kLo.mul);
+    d.hi = Step(d.hi, bits, kHi.mul);
+  }
   return d;
 }
 
 WindowHash CombineColumnDigests(const std::vector<ColumnDigest>& digests,
                                 int64_t n) {
   const int64_t t = static_cast<int64_t>(digests.size());
-  WindowHash h;
-  h.lo = DimsSeed(1, n, t, kBasisLo);
-  h.hi = DimsSeed(1, n, t, kBasisHi);
+  WindowHash h{DimsSeed(1, n, t, kLo), DimsSeed(1, n, t, kHi)};
   for (const ColumnDigest& d : digests) {
     h.lo = FoldDigest(h.lo, d.lo);
     h.hi = FoldDigest(h.hi, d.hi);
@@ -79,34 +72,21 @@ WindowHash CombineColumnDigests(const std::vector<ColumnDigest>& digests,
 }
 
 WindowHash HashWindows(const Tensor& windows) {
-  WindowHash h;
-  if (!windows.defined()) return h;
-  if (windows.ndim() != 3) {
-    // Non-window tensors (not produced by the serving path) fall back to a
-    // flat byte hash; only the [B, N, T] form must be column-composable.
-    const auto& dims = windows.shape().dims();
-    const size_t dims_bytes = dims.size() * sizeof(int64_t);
-    const size_t data_bytes =
-        static_cast<size_t>(windows.numel()) * sizeof(float);
-    h.lo = Fnv1a(windows.data(), data_bytes,
-                 Fnv1a(dims.data(), dims_bytes, kBasisLo));
-    h.hi = Fnv1a(windows.data(), data_bytes,
-                 Fnv1a(dims.data(), dims_bytes, kBasisHi));
-    return h;
-  }
+  CF_CHECK(windows.defined() && windows.ndim() == 3)
+      << "HashWindows takes a [B, N, T] window batch";
   const int64_t b = windows.dim(0);
   const int64_t n = windows.dim(1);
   const int64_t t = windows.dim(2);
-  h.lo = DimsSeed(b, n, t, kBasisLo);
-  h.hi = DimsSeed(b, n, t, kBasisHi);
+  WindowHash h{DimsSeed(b, n, t, kLo), DimsSeed(b, n, t, kHi)};
   const float* base = windows.data();
   for (int64_t row = 0; row < b; ++row) {
     const float* batch = base + row * n * t;
     for (int64_t col = 0; col < t; ++col) {
       // Column `col` of batch row `row`: the n series values at one time
       // step, stride t apart in the row-major [B, N, T] layout.
-      h.lo = FoldDigest(h.lo, Fnv1aColumn(batch + col, n, t, kBasisLo));
-      h.hi = FoldDigest(h.hi, Fnv1aColumn(batch + col, n, t, kBasisHi));
+      const ColumnDigest d = HashWindowColumn(batch + col, n, t);
+      h.lo = FoldDigest(h.lo, d.lo);
+      h.hi = FoldDigest(h.hi, d.hi);
     }
   }
   return h;

@@ -18,29 +18,39 @@
 /// Bounded LRU cache of detection results keyed by
 /// (model name + registry generation, window-content hash, detector options).
 ///
-/// Discovery queries are expensive (N backward + relevance walks) and
-/// production traffic concentrates on hot windows — the newest sliding window
-/// of a monitored system is queried far more often than historical ones — so
-/// repeated queries skip recomputation entirely. Window identity is a 128-bit
-/// content hash (two independent FNV-1a streams over dims and data), options
-/// identity is an exact encoding, so false hits are vanishingly unlikely and
-/// cannot come from option differences.
+/// Discovery queries are expensive (a forward pass plus a gradient and a
+/// relevance walk) and production traffic concentrates on hot windows — the
+/// newest sliding window of a monitored system is queried far more often
+/// than historical ones — so repeated queries skip recomputation entirely.
+/// Window identity is a 128-bit content hash, options identity is an exact
+/// encoding, so false hits are vanishingly unlikely and cannot come from
+/// option differences. Keys never leave the process (they are not on the
+/// wire or in checkpoints, and a restart starts with an empty cache), so the
+/// hash function can change without a version bump.
 ///
-/// The window hash is *column-composable*: the data bytes are digested one
+/// The window hash runs two lanes, `lo` and `hi`, a word at a time: each
+/// lane XORs in one 32-bit float pattern (or one 64-bit dim or column
+/// digest), then multiplies by its own odd 64-bit constant. The lanes have
+/// different seeds and different multipliers, so they are two hash
+/// functions. Every step is a bijection of the lane state, so two windows of
+/// the same dims that differ in one element never share a lane value: both
+/// `lo` and `hi` differ.
+///
+/// The window hash is *column-composable*: the data are digested one
 /// time-step column at a time (HashWindowColumn) and the per-column digests
 /// are folded in layout order (CombineColumnDigests). A streaming caller that
 /// keeps the digests of previously seen columns can therefore hash the next
 /// overlapping sliding window in O(N·stride + window) instead of rehashing
-/// all O(N·window) bytes — and lands on the exact same cache key as a caller
-/// who hashed the materialised tensor (src/stream/ring_series.h).
+/// all O(N·window) values — and lands on the exact same cache key as a
+/// caller who hashed the materialised tensor (src/stream/ring_series.h).
 
 namespace causalformer {
 namespace serve {
 
-/// 128-bit content hash of a window tensor (shape + raw float bytes).
+/// 128-bit content hash of a window tensor (dims + raw float bit patterns).
 struct WindowHash {
-  uint64_t lo = 0;  ///< first independent FNV-1a stream
-  uint64_t hi = 0;  ///< second independent FNV-1a stream
+  uint64_t lo = 0;  ///< the first lane's window hash
+  uint64_t hi = 0;  ///< the second lane's (own seed and multiplier)
   /// Exact 128-bit equality.
   bool operator==(const WindowHash& o) const {
     return lo == o.lo && hi == o.hi;
@@ -52,8 +62,8 @@ struct WindowHash {
 /// appended sample and reuses it for every overlapping window that contains
 /// the sample.
 struct ColumnDigest {
-  uint64_t lo = 0;  ///< first independent FNV-1a stream
-  uint64_t hi = 0;  ///< second independent FNV-1a stream
+  uint64_t lo = 0;  ///< the first lane's column digest
+  uint64_t hi = 0;  ///< the second lane's (own seed and multiplier)
 };
 
 /// Digests one time-step column: `n` floats starting at `data`, consecutive
@@ -68,7 +78,9 @@ ColumnDigest HashWindowColumn(const float* data, int64_t n, int64_t stride);
 WindowHash CombineColumnDigests(const std::vector<ColumnDigest>& digests,
                                 int64_t n);
 
-/// Hashes a window tensor's dims and contents into a WindowHash.
+/// Hashes a [B, N, T] window batch's dims and contents into a WindowHash,
+/// one column digest per (batch row, time step) in layout order. Any other
+/// shape is a caller bug (CF_CHECK): the engine rejects it before hashing.
 WindowHash HashWindows(const Tensor& windows);
 
 /// Exact encoding of every DetectorOptions field in a fixed 21-byte binary

@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -27,6 +28,28 @@ inline T LoadLE(const uint8_t* p) {
   for (size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
   return v;
 }
+
+// A little-endian cursor over bytes already added to a payload: each call
+// stores one field and advances.
+class Cursor {
+ public:
+  explicit Cursor(uint8_t* p) : p_(p) {}
+  template <typename T>
+  void Put(T v) {
+    static_assert(std::is_unsigned<T>::value, "store the two's complement");
+    StoreLE(p_, v);
+    p_ += sizeof(T);
+  }
+  void F64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Put(bits);
+  }
+  const uint8_t* pos() const { return p_; }
+
+ private:
+  uint8_t* p_;
+};
 
 // Shared sub-blocks of several message types. Kept in lockstep with the
 // byte-offset tables in docs/wire-protocol.md §4.
@@ -633,30 +656,35 @@ size_t DetectResultSize(const core::DetectionResult& result) {
 void AppendDetectResult(PayloadWriter* w, bool cache_hit, bool deduped,
                         int32_t batch_size, double latency_seconds,
                         const core::DetectionResult& result) {
+  const size_t size = DetectResultSize(result);
+  uint8_t* const begin = w->Extend(size);
+  Cursor c(begin);
   const int n = result.scores.num_series();
   uint8_t flags = 0;
   if (cache_hit) flags |= 1u << 0;
   if (deduped) flags |= 1u << 1;
-  w->U8(flags);
-  w->I32(batch_size);
-  w->F64(latency_seconds);
-  w->U32(static_cast<uint32_t>(n));
+  c.Put(flags);
+  c.Put(static_cast<uint32_t>(batch_size));
+  c.F64(latency_seconds);
+  c.Put(static_cast<uint32_t>(n));
   for (int from = 0; from < n; ++from) {
-    for (int to = 0; to < n; ++to) w->F64(result.scores.at(from, to));
+    const double* scores = result.scores.row(from);
+    for (int to = 0; to < n; ++to) c.F64(scores[to]);
   }
   for (int from = 0; from < n; ++from) {
-    for (int to = 0; to < n; ++to) {
-      w->I32(result.delays[static_cast<size_t>(from)][static_cast<size_t>(to)]);
-    }
+    const int* delays = result.delays[static_cast<size_t>(from)].data();
+    for (int to = 0; to < n; ++to) c.Put(static_cast<uint32_t>(delays[to]));
   }
   const auto& edges = result.graph.edges();
-  w->U32(static_cast<uint32_t>(edges.size()));
+  c.Put(static_cast<uint32_t>(edges.size()));
   for (const auto& edge : edges) {
-    w->I32(edge.from);
-    w->I32(edge.to);
-    w->I32(edge.delay);
-    w->F64(edge.score);
+    c.Put(static_cast<uint32_t>(edge.from));
+    c.Put(static_cast<uint32_t>(edge.to));
+    c.Put(static_cast<uint32_t>(edge.delay));
+    c.F64(edge.score);
   }
+  CF_CHECK(c.pos() == begin + size)
+      << "DetectResult encoder did not end at DetectResultSize";
 }
 
 std::vector<uint8_t> EncodeDetectResult(const DetectResultMsg& msg) {
@@ -676,7 +704,10 @@ Status DecodeDetectResult(const std::vector<uint8_t>& payload,
 
 std::vector<uint8_t> EncodeDetectBatchResult(
     const std::vector<DetectResultMsg>& results) {
+  size_t payload_bytes = 4;
+  for (const auto& r : results) payload_bytes += DetectResultSize(r.result);
   std::vector<uint8_t> payload;
+  payload.reserve(payload_bytes);
   PayloadWriter w(&payload);
   w.U32(static_cast<uint32_t>(results.size()));
   for (const auto& r : results) {

@@ -156,11 +156,12 @@ class PayloadWriter {
   void F32Array(const float* v, size_t count);
   /// u32 byte length followed by the raw bytes (no terminator).
   void Str(const std::string& v);
-
- private:
-  // Grows the buffer by `n` bytes at once; returns the first new byte.
+  /// Grows the buffer by `n` bytes at once and returns the first new byte,
+  /// for an encoder that writes a block of known size through its own
+  /// cursor (AppendDetectResult).
   uint8_t* Extend(size_t n);
 
+ private:
   std::vector<uint8_t>* out_;
 };
 
@@ -456,8 +457,10 @@ std::vector<uint8_t> EncodeDetectResult(const DetectResultMsg& msg);
 size_t DetectResultSize(const core::DetectionResult& result);
 /// Appends one DetectResult unit (the whole kDetectResult payload, or one
 /// repeated unit of kDetectBatchResult) straight from a shared `result`,
-/// byte-identical to EncodeDetectResult of the equivalent DetectResultMsg
-/// but without copying the result into one.
+/// without copying the result into a DetectResultMsg. The payload grows once
+/// by DetectResultSize(result) and every field is written through one
+/// cursor that must end exactly there. EncodeDetectResult,
+/// EncodeDetectBatchResult and the server's responses all encode through it.
 void AppendDetectResult(PayloadWriter* w, bool cache_hit, bool deduped,
                         int32_t batch_size, double latency_seconds,
                         const core::DetectionResult& result);

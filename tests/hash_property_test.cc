@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -22,9 +24,10 @@
 //     land on the same dedup/cache key whenever their bytes agree.
 //
 //  2. Separation: epsilon- and data-perturbations of the smallest
-//     representable step, and every detector-option field, produce distinct
-//     fingerprints — dedup must never coalesce work the detector would
-//     treat differently.
+//     representable step, every single-bit flip of a window element (in
+//     each hash lane on its own), and every detector-option field produce
+//     distinct fingerprints — dedup must never coalesce work the detector
+//     would treat differently.
 
 namespace causalformer {
 namespace stream {
@@ -109,6 +112,35 @@ TEST(HashPropertyTest, SingleUlpWindowPerturbationsNeverCollide) {
           << "collision at element " << i;
     }
   }
+}
+
+TEST(HashPropertyTest, EverySingleBitFlipSeparatesBothLanes) {
+  // Each lane on its own separates one-element changes: every single-bit
+  // flip of every element, over several batch rows and an odd series count,
+  // moves `lo` and `hi` alike, and no two flips share a `lo` or a `hi`.
+  Rng rng(2030);
+  Tensor windows = Tensor::Randn(Shape{3, 5, 40}, &rng);
+  const serve::WindowHash base = serve::HashWindows(windows);
+  std::set<uint64_t> los{base.lo};
+  std::set<uint64_t> his{base.hi};
+  for (int64_t i = 0; i < windows.numel(); ++i) {
+    float* cell = windows.data() + i;
+    const float original = *cell;
+    for (int bit = 0; bit < 32; ++bit) {
+      uint32_t bits;
+      std::memcpy(&bits, cell, sizeof(bits));
+      bits ^= 1u << bit;
+      std::memcpy(cell, &bits, sizeof(bits));
+      const serve::WindowHash hash = serve::HashWindows(windows);
+      *cell = original;
+      ASSERT_TRUE(los.insert(hash.lo).second)
+          << "lo collides at element " << i << " bit " << bit;
+      ASSERT_TRUE(his.insert(hash.hi).second)
+          << "hi collides at element " << i << " bit " << bit;
+    }
+  }
+  EXPECT_EQ(los.size(), 1u + 32u * 3 * 5 * 40);
+  EXPECT_EQ(his.size(), los.size());
 }
 
 TEST(HashPropertyTest, EpsilonFingerprintsNeverCollide) {

@@ -503,7 +503,6 @@ TEST(ObservabilityTest, ScriptedClockDrivesEveryLayer) {
   opt.clock = clock.clock();
   opt.trace_ring_capacity = 8;
   Observability obs(opt);
-  EXPECT_TRUE(obs.clock().is_scripted());
   auto trace = obs.StartTrace("decode");
   clock.Advance(2.0);
   trace->Finish();

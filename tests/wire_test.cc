@@ -197,6 +197,41 @@ TEST(WireFrameTest, DocumentedDetectFrameBytes) {
   EXPECT_EQ(std::memcmp(frame.data(), kExpected, sizeof(kExpected)), 0);
 }
 
+TEST(WireFrameTest, DocumentedDetectResultFrameBytes) {
+  // The §7.3 DetectResult dump: cache_hit, batch 0, latency 0.25 s, n=2,
+  // scores {{1, 0.5}, {0, 2}}, delays {{1, 2}, {1, 1}}, one edge 0→1
+  // (delay 2, score 0.5).
+  const uint8_t kExpected[] = {
+      0x43, 0x46, 0x57, 0x50, 0x07, 0x08, 0x00, 0x00,
+      0x59, 0x00, 0x00, 0x00, 0xc8, 0x03, 0x7d, 0x0f,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0xd0, 0x3f, 0x02, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0,
+      0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0,
+      0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x40, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0,
+      0x3f,
+  };
+  wire::DetectResultMsg msg;
+  msg.cache_hit = true;
+  msg.latency_seconds = 0.25;
+  msg.result = core::DetectionResult(2);
+  msg.result.scores.set(0, 0, 1.0);
+  msg.result.scores.set(0, 1, 0.5);
+  msg.result.scores.set(1, 1, 2.0);
+  msg.result.delays = {{1, 2}, {1, 1}};
+  msg.result.graph.AddEdge(0, 1, 2, 0.5);
+  const auto frame = wire::EncodeFrame(wire::MessageType::kDetectResult,
+                                       wire::EncodeDetectResult(msg));
+  ASSERT_EQ(frame.size(), sizeof(kExpected));
+  EXPECT_EQ(std::memcmp(frame.data(), kExpected, sizeof(kExpected)), 0);
+}
+
 // The v2 streaming frames, byte for byte against the §7.4–§7.7 hex dumps of
 // docs/wire-protocol.md. One documented-frame test per new message type, so
 // any layout change must touch the spec too.

@@ -2,7 +2,8 @@
 // elementwise, reductions, relevance) once with the scalar reference kernel
 // table and once with the best vectorized table this build/CPU offers, in the
 // same process via simd::SetLevelForTesting. Reports per-kernel speedups and
-// their geometric mean, which CI gates at >= 3x on SIMD-capable hosts.
+// their geometric mean, which CI gates at > 2x on SIMD-capable hosts (and
+// checks that every case below is present).
 //
 // Self-contained (no google-benchmark): each case runs for a fixed iteration
 // budget, best-of-3 repetitions, single-threaded (CF_NUM_THREADS is pinned to
@@ -106,6 +107,22 @@ int main() {
   cf::Tensor conv_kg = conv_k.Clone().set_requires_grad(true);
   cf::Tensor conv_seed = cf::Tensor::Ones(cf::Shape{4, 8, 8, 128});
 
+  // The serving geometry of cfbench's cold_serving workload: one batch of 15
+  // requests of 4 windows each, N=4 series, T=8 steps, a kernel group per
+  // request. The detector reads only the kernel's cotangent.
+  constexpr int64_t kServeRequests = 15, kServeWindows = 4;
+  cf::Tensor serve_x = cf::Tensor::Randn(
+      cf::Shape{kServeRequests * kServeWindows, 4, 8}, &rng);
+  cf::Tensor serve_k =
+      cf::Tensor::Randn(cf::Shape{kServeRequests, 4, 4, 8}, &rng)
+          .set_requires_grad(true);
+  std::vector<int> serve_groups(kServeRequests * kServeWindows);
+  for (size_t b = 0; b < serve_groups.size(); ++b) {
+    serve_groups[b] = static_cast<int>(b / kServeWindows);
+  }
+  cf::Tensor serve_seed =
+      cf::Tensor::Ones(cf::Shape{kServeRequests * kServeWindows, 4, 4, 8});
+
   cf::core::ModelOptions mopt;
   mopt.num_series = 8;
   mopt.window = 32;
@@ -158,6 +175,12 @@ int main() {
                      cf::Tensor out =
                          cf::core::MultiKernelCausalConv(conv_xg, conv_kg);
                      out.Backward(conv_seed);
+                     g_sink = out.data()[0];
+                   }});
+  cases.push_back({"causal_conv_serving", 200, [&] {
+                     cf::Tensor out = cf::core::GroupedMultiKernelCausalConv(
+                         serve_x, serve_k, serve_groups);
+                     out.Backward(serve_seed);
                      g_sink = out.data()[0];
                    }});
   cases.push_back({"relevance_propagation", 10, [&] {

@@ -17,18 +17,6 @@ int64_t ConvItemCost(int64_t n, int64_t steps) {
   return n * steps * (steps + 1) / 2;
 }
 
-// The per-step averaging denominators [1, 2, ..., steps]. Dividing a whole
-// row at once through K.div replaces `steps` serial scalar divisions with a
-// vectorized pass; IEEE division is elementwise-exact, so the results are
-// bit-identical to dividing inside the t loop.
-std::vector<float> DenomRow(int64_t steps) {
-  std::vector<float> denom(static_cast<size_t>(steps));
-  for (int64_t t = 0; t < steps; ++t) {
-    denom[static_cast<size_t>(t)] = static_cast<float>(t + 1);
-  }
-  return denom;
-}
-
 }  // namespace
 
 Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
@@ -42,12 +30,12 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
   CF_CHECK_EQ(kernel.dim(1), shared_kernel ? 1 : n);
   CF_CHECK_EQ(kernel.dim(2), steps);
 
-  Tensor out = Tensor::Zeros(Shape{batch, n, n, steps});
+  Tensor out = Tensor::Empty(Shape{batch, n, n, steps});  // rows overwritten
   {
     const float* px = x.data();
     const float* pk = kernel.data();
     float* po = out.data();
-    const std::vector<float> denom = DenomRow(steps);
+    const simd::KernelTable& K = simd::Active();
     const int64_t item_cost = ConvItemCost(n, steps);
     ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
       for (int64_t bi = begin; bi < end; ++bi) {
@@ -56,16 +44,8 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         const float* xrow = px + (b * n + i) * steps;
         for (int64_t j = 0; j < n; ++j) {
           const int64_t kj = shared_kernel ? 0 : j;
-          const float* krow =
-              pk + (i * kernel.dim(1) + kj) * steps;
-          float* orow = po + ((b * n + i) * n + j) * steps;
-          const simd::KernelTable& K = simd::Active();
-          for (int64_t t = 0; t < steps; ++t) {
-            // Tap T-1-(t-tau) multiplies x[tau]: a contiguous dot of the
-            // kernel tail against the input prefix.
-            orow[t] = K.dot(krow + steps - 1 - t, xrow, t + 1);
-          }
-          K.div(orow, denom.data(), orow, steps);
+          const float* krow = pk + (i * kernel.dim(1) + kj) * steps;
+          K.conv_row(krow, xrow, po + ((b * n + i) * n + j) * steps, steps);
         }
       }
     });
@@ -89,26 +69,17 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         float* pgk = needs[1] ? gk.data() : nullptr;
         // Serial over (b, i, j); the grad-kernel buffer is shared across
         // batches so parallelising would race on pgk.
-        const std::vector<float> denom = DenomRow(steps);
-        std::vector<float> cs(static_cast<size_t>(steps));
+        const simd::KernelTable& K = simd::Active();
         for (int64_t b = 0; b < batch; ++b) {
           for (int64_t i = 0; i < n; ++i) {
             const float* xrow = px + (b * n + i) * steps;
             float* gxrow = pgx ? pgx + (b * n + i) * steps : nullptr;
             for (int64_t j = 0; j < n; ++j) {
               const int64_t kj = shared_kernel ? 0 : j;
-              const float* krow = pk + (i * kdim1 + kj) * steps;
-              float* gkrow = pgk ? pgk + (i * kdim1 + kj) * steps : nullptr;
-              const float* crow = pc + ((b * n + i) * n + j) * steps;
-              const simd::KernelTable& K = simd::Active();
-              K.div(crow, denom.data(), cs.data(), steps);
-              for (int64_t t = 0; t < steps; ++t) {
-                const float c = cs[static_cast<size_t>(t)];
-                if (c == 0.0f) continue;
-                // Two contiguous axpys: taps steps-1-t.. pair with x[0..t].
-                if (gxrow) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                if (gkrow) K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
-              }
+              const int64_t krow = (i * kdim1 + kj) * steps;
+              K.conv_row_vjp(pk + krow, xrow,
+                             pc + ((b * n + i) * n + j) * steps, gxrow,
+                             pgk ? pgk + krow : nullptr, steps);
             }
           }
         }
@@ -133,12 +104,12 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
     CF_CHECK_LT(g, groups);
   }
 
-  Tensor out = Tensor::Zeros(Shape{batch, n, n, steps});
+  Tensor out = Tensor::Empty(Shape{batch, n, n, steps});  // rows overwritten
   {
     const float* px = x.data();
     const float* pk = kernel.data();
     float* po = out.data();
-    const std::vector<float> denom = DenomRow(steps);
+    const simd::KernelTable& K = simd::Active();
     const int64_t item_cost = ConvItemCost(n, steps);
     ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
       for (int64_t bi = begin; bi < end; ++bi) {
@@ -147,13 +118,8 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         const int64_t g = row_groups[b];
         const float* xrow = px + (b * n + i) * steps;
         for (int64_t j = 0; j < n; ++j) {
-          const float* krow = pk + ((g * n + i) * n + j) * steps;
-          float* orow = po + ((b * n + i) * n + j) * steps;
-          const simd::KernelTable& K = simd::Active();
-          for (int64_t t = 0; t < steps; ++t) {
-            orow[t] = K.dot(krow + steps - 1 - t, xrow, t + 1);
-          }
-          K.div(orow, denom.data(), orow, steps);
+          K.conv_row(pk + ((g * n + i) * n + j) * steps, xrow,
+                     po + ((b * n + i) * n + j) * steps, steps);
         }
       }
     });
@@ -186,14 +152,14 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         for (int64_t b = 0; b < batch; ++b) {
           group_rows[static_cast<size_t>(row_groups[b])].push_back(b);
         }
-        const std::vector<float> denom = DenomRow(steps);
-        // One (group, source) item walks that group's rows, two axpy halves
-        // each; rows are spread evenly across groups on average.
+        // One (group, source) item walks that group's rows, each needed half
+        // a triangle per target; rows are spread evenly across groups on
+        // average.
         const int64_t halves = (needs[0] ? 1 : 0) + (needs[1] ? 1 : 0);
         const int64_t item_cost = (batch + groups - 1) / groups * halves *
                                   ConvItemCost(n, steps);
+        const simd::KernelTable& K = simd::Active();
         ParallelFor(groups * n, item_cost, [&](int64_t begin, int64_t end) {
-          std::vector<float> cs(static_cast<size_t>(steps));
           for (int64_t gi = begin; gi < end; ++gi) {
             const int64_t g = gi / n;
             const int64_t i = gi % n;
@@ -201,18 +167,10 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
               const float* xrow = px + (b * n + i) * steps;
               float* gxrow = pgx ? pgx + (b * n + i) * steps : nullptr;
               for (int64_t j = 0; j < n; ++j) {
-                const float* krow = pk + ((g * n + i) * n + j) * steps;
-                float* gkrow =
-                    pgk ? pgk + ((g * n + i) * n + j) * steps : nullptr;
-                const float* crow = pc + ((b * n + i) * n + j) * steps;
-                const simd::KernelTable& K = simd::Active();
-                K.div(crow, denom.data(), cs.data(), steps);
-                for (int64_t t = 0; t < steps; ++t) {
-                  const float c = cs[static_cast<size_t>(t)];
-                  if (c == 0.0f) continue;
-                  if (gxrow) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                  if (gkrow) K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
-                }
+                const int64_t krow = ((g * n + i) * n + j) * steps;
+                K.conv_row_vjp(pk + krow, xrow,
+                               pc + ((b * n + i) * n + j) * steps, gxrow,
+                               pgk ? pgk + krow : nullptr, steps);
               }
             }
           }

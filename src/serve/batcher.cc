@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/profiler.h"
@@ -26,7 +27,7 @@ size_t MicroBatcher::ShapeKeyHash::operator()(const ShapeKey& key) const {
   h ^= std::hash<int64_t>()(key.n) + 0x9E3779B97F4A7C15ULL + (h << 6);
   h ^= std::hash<int64_t>()(key.t) + 0x9E3779B97F4A7C15ULL + (h << 6);
   h ^= std::hash<std::string>()(key.name) + (h >> 2);
-  h ^= std::hash<std::string>()(key.options) + (h << 3);
+  h ^= std::hash<std::string_view>()(key.options.view()) + (h << 3);
   return h;
 }
 

@@ -135,7 +135,7 @@ class MicroBatcher {
     int64_t n = 0;        ///< window series count
     int64_t t = 0;        ///< window width
     std::string name;     ///< registry name the request addressed
-    std::string options;  ///< EncodeDetectorOptions of the request
+    OptionsKey options;   ///< EncodeDetectorOptions of the request
     /// Field-wise equality.
     bool operator==(const ShapeKey& o) const {
       return model == o.model && n == o.n && t == o.t && name == o.name &&

@@ -92,7 +92,7 @@ WindowHash HashWindows(const Tensor& windows) {
   return h;
 }
 
-std::string EncodeDetectorOptions(const core::DetectorOptions& options) {
+OptionsKey EncodeDetectorOptions(const core::DetectorOptions& options) {
   // A fixed layout of every field at full width, the float by its raw bit
   // pattern: rounded text would collide options that differ only in later
   // digits, breaking the "exact encoding" contract. The key never leaves the
@@ -101,15 +101,16 @@ std::string EncodeDetectorOptions(const core::DetectorOptions& options) {
                     sizeof(options.max_windows) == 8 &&
                     sizeof(options.epsilon) == 4,
                 "the options key layout assumes these field widths");
-  std::string out(21, '\0');
-  std::memcpy(&out[0], &options.num_clusters, 4);
-  std::memcpy(&out[4], &options.top_clusters, 4);
-  std::memcpy(&out[8], &options.max_windows, 8);
+  OptionsKey key;
+  char* out = key.bytes.data();
+  std::memcpy(out, &options.num_clusters, 4);
+  std::memcpy(out + 4, &options.top_clusters, 4);
+  std::memcpy(out + 8, &options.max_windows, 8);
   out[16] = static_cast<char>(
       options.use_interpretation | options.use_relevance << 1 |
       options.use_gradient << 2 | options.bias_absorption << 3);
-  std::memcpy(&out[17], &options.epsilon, 4);
-  return out;
+  std::memcpy(out + 17, &options.epsilon, 4);
+  return key;
 }
 
 ScoreCache::ScoreCache(size_t capacity) {

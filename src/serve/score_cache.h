@@ -1,12 +1,14 @@
 #ifndef CAUSALFORMER_SERVE_SCORE_CACHE_H_
 #define CAUSALFORMER_SERVE_SCORE_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,17 +85,29 @@ WindowHash CombineColumnDigests(const std::vector<ColumnDigest>& digests,
 /// shape is a caller bug (CF_CHECK): the engine rejects it before hashing.
 WindowHash HashWindows(const Tensor& windows);
 
-/// Exact encoding of every DetectorOptions field in a fixed 21-byte binary
-/// layout. Cache-key generation rule: every field at full width and floats
-/// by raw bit pattern (never rounded text), so two option sets collide iff
-/// the detector would treat them identically.
-std::string EncodeDetectorOptions(const core::DetectorOptions& options);
+/// The options component of a cache or batch key: DetectorOptions in a
+/// fixed 21-byte binary layout, held inline so building a key allocates
+/// nothing.
+struct OptionsKey {
+  std::array<char, 21> bytes{};
+
+  bool operator==(const OptionsKey& o) const { return bytes == o.bytes; }
+  bool operator!=(const OptionsKey& o) const { return bytes != o.bytes; }
+  /// The bytes, for hashing.
+  std::string_view view() const { return {bytes.data(), bytes.size()}; }
+};
+
+/// Exact encoding of every DetectorOptions field. Cache-key generation rule:
+/// every field at full width and floats by raw bit pattern (never rounded
+/// text), so two option sets collide iff the detector would treat them
+/// identically.
+OptionsKey EncodeDetectorOptions(const core::DetectorOptions& options);
 
 /// Identity of one cached detection result.
 struct CacheKey {
   std::string model;    ///< registry name the query addressed
   WindowHash windows;   ///< content hash of the window batch
-  std::string options;  ///< EncodeDetectorOptions output
+  OptionsKey options;   ///< EncodeDetectorOptions output
   /// Registry generation of the model the query was validated against. A
   /// same-name hot-swap bumps the generation, so results computed by queued
   /// requests still pinned to the old model can never be served for the new

@@ -9,43 +9,38 @@ namespace causalformer {
 namespace {
 
 // C[b] = A[b] (m x k) @ B[b] (k x n), row-major. `batch_stride_*` of 0
-// broadcasts that operand across batches. Each output row is one gemm_row
-// (plain B) or a run of dots (transposed B, where B's rows are contiguous in
-// the reduction dimension); the kernel table supplies the vectorized inner
-// loops.
+// broadcasts that operand across batches; with `transpose_a`, A[b] is stored
+// (k x m) and read down its columns. Each output row is one gemm_row.
 void MatMulKernel(const float* a, const float* b, float* c, int64_t batch,
                   int64_t m, int64_t k, int64_t n, int64_t a_bstride,
-                  int64_t b_bstride, int64_t c_bstride, bool transpose_a,
-                  bool transpose_b) {
+                  int64_t b_bstride, int64_t c_bstride, bool transpose_a) {
   const simd::KernelTable& K = simd::Active();
-  const int64_t rows_total = batch * m;
-  const int64_t row_cost = k * n;  // one output row: n length-k dots
-  ParallelFor(rows_total, row_cost, [&](int64_t begin, int64_t end) {
+  const int64_t row_cost = k * n;  // one output row: n length-k sums
+  ParallelFor(batch * m, row_cost, [&](int64_t begin, int64_t end) {
     for (int64_t r = begin; r < end; ++r) {
       const int64_t bi = r / m;
       const int64_t i = r % m;
       const float* ab = a + bi * a_bstride;
-      const float* bb = b + bi * b_bstride;
-      float* cb = c + bi * c_bstride + i * n;
-      const float* arow = transpose_a ? ab + i : ab + i * k;
-      const int64_t a_stride = transpose_a ? m : 1;
-      if (!transpose_b) {
-        K.gemm_row(arow, a_stride, bb, cb, k, n);
-      } else if (!transpose_a) {
-        for (int64_t j = 0; j < n; ++j) cb[j] = K.dot(arow, bb + j * k, k);
-      } else {
-        // Both transposed: neither operand is contiguous along the reduction
-        // axis; no caller uses this form, keep the plain loop.
-        for (int64_t j = 0; j < n; ++j) {
-          float acc = 0.0f;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            acc += ab[kk * m + i] * bb[j * k + kk];
-          }
-          cb[j] = acc;
-        }
-      }
+      K.gemm_row(transpose_a ? ab + i : ab + i * k, transpose_a ? m : 1,
+                 b + bi * b_bstride, c + bi * c_bstride + i * n, k, n);
     }
   });
+}
+
+// The transposes of `batch` row-major (rows x cols) matrices, as [batch,
+// cols, rows].
+Tensor PackTranspose(const float* src, int64_t batch, int64_t rows,
+                     int64_t cols) {
+  Tensor out = Tensor::Empty(Shape{batch, cols, rows});
+  float* dst = out.data();
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* s = src + bi * rows * cols;
+    float* d = dst + bi * rows * cols;
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
+    }
+  }
+  return out;
 }
 
 struct MatMulPlan {
@@ -93,7 +88,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     obs::ScopedPhaseTimer timer("kernel.matmul", /*kernel=*/true);
     MatMulKernel(a.data(), b.data(), out.data(), plan.batch, plan.m, plan.k,
                  plan.n, plan.a_bstride, plan.b_bstride, plan.m * plan.n,
-                 /*transpose_a=*/false, /*transpose_b=*/false);
+                 /*transpose_a=*/false);
   }
 
   return MakeOp("matmul", {a, b}, out, [a, b, plan](
@@ -109,10 +104,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       Tensor ga_full =
           Tensor::Empty(a_batched ? a.shape()
                                   : Shape({plan.batch, plan.m, plan.k}));
-      MatMulKernel(cot.data(), b.data(), ga_full.data(), plan.batch, plan.m,
+      // B^T packed once (per batch when B is batched), so every dA row is one
+      // gemm_row. Under the scalar table each element is still one
+      // sequential sum over n, as CF_SIMD=off's bit-identity requires.
+      const Tensor bt = PackTranspose(b.data(), b_batched ? plan.batch : 1,
+                                      plan.k, plan.n);
+      MatMulKernel(cot.data(), bt.data(), ga_full.data(), plan.batch, plan.m,
                    plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
-                   plan.m * plan.k, /*transpose_a=*/false,
-                   /*transpose_b=*/true);
+                   plan.m * plan.k, /*transpose_a=*/false);
       ga = a_batched || plan.batch == 1
                ? (a_batched ? ga_full : Reshape(ga_full, a.shape()))
                : ReduceToShape(ga_full, Shape({1, plan.m, plan.k}));
@@ -126,8 +125,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                                   : Shape({plan.batch, plan.k, plan.n}));
       MatMulKernel(a.data(), cot.data(), gb_full.data(), plan.batch, plan.k,
                    plan.m, plan.n, plan.a_bstride, plan.m * plan.n,
-                   plan.k * plan.n, /*transpose_a=*/true,
-                   /*transpose_b=*/false);
+                   plan.k * plan.n, /*transpose_a=*/true);
       gb = b_batched || plan.batch == 1
                ? (b_batched ? gb_full : Reshape(gb_full, b.shape()))
                : ReduceToShape(gb_full, Shape({1, plan.k, plan.n}));

@@ -21,9 +21,11 @@
 ///
 /// Numerics contract: vectorized kernels are bit-identical to the scalar
 /// reference for order-independent operations (elementwise arithmetic,
-/// accumulation, max) and within a small documented tolerance for horizontal
-/// reductions (dot/sum reassociate into lane partials) and the polynomial
-/// exp (|rel err| <= ~4 ulp; inputs below -87.33 flush to exactly 0). The
+/// accumulation, max) and for the causal-conv rows, whose lanes each add
+/// their terms in the scalar order. Horizontal reductions (dot/sum
+/// reassociate into lane partials), the matmul row (one fused multiply-add
+/// per term) and the polynomial exp (|rel err| <= ~4 ulp; inputs below
+/// -87.33 flush to exactly 0) carry a small documented tolerance. The
 /// scalar table preserves the seed kernels' exact accumulation order, so a
 /// CF_SIMD=off build reproduces pre-SIMD detector outputs bit-for-bit.
 /// tests/simd_kernel_test.cc sweeps every kernel over sizes 1..67 against
@@ -35,7 +37,8 @@ namespace simd {
 /// Instruction-set level of a kernel table.
 enum class IsaLevel { kScalar = 0, kAvx2 = 1 };
 
-/// One implementation of every vector primitive. All pointers are non-null.
+/// One implementation of every vector primitive. Pointer arguments are
+/// non-null unless an entry says otherwise.
 struct KernelTable {
   // -- Horizontal reductions (SIMD reassociates; scalar is sequential) ------
   /// sum_i a[i] * b[i].
@@ -90,6 +93,17 @@ struct KernelTable {
   /// a_stride = 1 walks a row of A; a_stride = m walks a column (A^T form).
   void (*gemm_row)(const float* a, int64_t a_stride, const float* b,
                    float* crow, int64_t k, int64_t n);
+
+  // -- Causal convolution rows (exact at every level) -----------------------
+  /// One (b, i, j) row of Eq. 3: for t in [0, steps),
+  /// o[t] = (sum_{tau=0..t} k[steps-1-t+tau] * x[tau]) / (t+1), each sum
+  /// taken in ascending tau from +0.
+  void (*conv_row)(const float* k, const float* x, float* o, int64_t steps);
+  /// Adjoint of conv_row for the cotangent row c. With cs[t] = c[t] / (t+1),
+  /// for ascending t with cs[t] != 0: gx[0..t] += cs[t] * k[steps-1-t..] and
+  /// gk[steps-1-t..] += cs[t] * x[0..t]. A null gx or gk skips that half.
+  void (*conv_row_vjp)(const float* k, const float* x, const float* c,
+                       float* gx, float* gk, int64_t steps);
 };
 
 /// The table the process dispatched to (resolved once, overridable by

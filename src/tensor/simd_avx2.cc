@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "tensor/simd_tables.h"
 
@@ -375,8 +377,12 @@ void Avx2StabRatio(const float* r, const float* f, float eps, float* o,
 
 // ---- Matmul row --------------------------------------------------------------
 
-void Avx2GemmRow(const float* a, int64_t a_stride, const float* b, float* crow,
-                 int64_t k, int64_t n) {
+// Pinned to a 64-byte boundary so that edits elsewhere in this file cannot
+// shift its inner loops across cache lines: one such shift cost matmul_128
+// about 4% in bench_perf_micro with the code unchanged.
+__attribute__((aligned(64))) void Avx2GemmRow(const float* a, int64_t a_stride,
+                                              const float* b, float* crow,
+                                              int64_t k, int64_t n) {
   int64_t j = 0;
   for (; j + 32 <= n; j += 32) {
     __m256 c0 = _mm256_setzero_ps();
@@ -411,6 +417,251 @@ void Avx2GemmRow(const float* a, int64_t a_stride, const float* b, float* crow,
   }
 }
 
+// ---- Causal convolution rows -------------------------------------------------
+//
+// Exact kernels. Lane l of an 8-step chunk holds one output element and adds
+// that element's terms in the scalar reference's order, each a separate
+// multiply and add. A lane outside a term's support adds -0, the additive
+// identity (v + -0 == v for every v, -0 and NaN included), and masked loads
+// and stores touch nothing outside the row. Up to four chunks run
+// interleaved, so the serial add chains of a long row overlap.
+
+alignas(32) constexpr int32_t kLaneTable[24] = {
+    0,  0,  0,  0,  0,  0,  0,  0,  -1, -1, -1, -1,
+    -1, -1, -1, -1, 0,  0,  0,  0,  0,  0,  0,  0};
+
+// Lanes lo <= l < hi set (0 <= lo <= 8, 0 <= hi <= 8).
+inline __m256i LaneRange(int64_t lo, int64_t hi) {
+  const __m256i from = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLaneTable + 8 - lo));
+  const __m256i below = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLaneTable + 16 - hi));
+  return _mm256_and_si256(from, below);
+}
+
+// The address of row[off]. `off` may lie before the row when the lanes that
+// would read or write there are masked off, so no pointer arithmetic leaves
+// the row.
+inline float* LaneAddress(const float* row, int64_t off) {
+  return reinterpret_cast<float*>(reinterpret_cast<uintptr_t>(row) +
+                                  static_cast<uintptr_t>(off) * sizeof(float));
+}
+
+inline __m256 LoadLanes(const float* row, int64_t off, __m256i mask) {
+  return _mm256_maskload_ps(LaneAddress(row, off), mask);
+}
+
+inline void StoreLanes(float* row, int64_t off, __m256i mask, __m256 v) {
+  _mm256_maskstore_ps(LaneAddress(row, off), mask, v);
+}
+
+// row[off + l] for lo <= l < hi, 0 elsewhere; a plain load when all 8 lanes
+// are live.
+inline __m256 LoadRange(const float* row, int64_t off, int64_t lo,
+                        int64_t hi) {
+  return lo == 0 && hi == 8 ? _mm256_loadu_ps(row + off)
+                            : LoadLanes(row, off, LaneRange(lo, hi));
+}
+
+// row[off + l] = v[l] for lo <= l < hi.
+inline void StoreRange(float* row, int64_t off, int64_t lo, int64_t hi,
+                       __m256 v) {
+  if (lo == 0 && hi == 8) {
+    _mm256_storeu_ps(row + off, v);
+  } else {
+    StoreLanes(row, off, LaneRange(lo, hi), v);
+  }
+}
+
+// acc[l] + v[l] * row[off + l] for lo <= l < hi; acc[l] + -0 (that is,
+// acc[l]) on the other lanes.
+inline __m256 MulAddRange(__m256 acc, __m256 v, const float* row, int64_t off,
+                          int64_t lo, int64_t hi) {
+  if (lo == 0 && hi == 8) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(v, _mm256_loadu_ps(row + off)));
+  }
+  if (lo >= hi) return acc;
+  const __m256i m = LaneRange(lo, hi);
+  const __m256 prod = _mm256_mul_ps(v, LoadLanes(row, off, m));
+  return _mm256_add_ps(acc, _mm256_blendv_ps(_mm256_set1_ps(-0.0f), prod,
+                                             _mm256_castsi256_ps(m)));
+}
+
+// float(t + 1 + l) in lane l.
+inline __m256 StepCounts(int64_t t) {
+  return _mm256_cvtepi32_ps(
+      _mm256_add_epi32(_mm256_set1_epi32(static_cast<int32_t>(t)),
+                       _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8)));
+}
+
+// Calls group(std::integral_constant<int, kChunks>(), start) for each run
+// of up to four 8-step chunks of a `steps`-long row.
+template <typename Group>
+void ForEachChunkGroup(int64_t steps, const Group& group) {
+  for (int64_t start = 0; start < steps; start += 32) {
+    switch ((std::min<int64_t>(32, steps - start) + 7) / 8) {
+      case 1:
+        group(std::integral_constant<int, 1>(), start);
+        break;
+      case 2:
+        group(std::integral_constant<int, 2>(), start);
+        break;
+      case 3:
+        group(std::integral_constant<int, 3>(), start);
+        break;
+      default:
+        group(std::integral_constant<int, 4>(), start);
+        break;
+    }
+  }
+}
+
+// Output steps t0 .. t0 + 8*kChunks - 1 (those below `steps`) of a conv row.
+// Lane t adds k[steps-1-s] * x[t-s] for s = t, t-1, ..., 0, which is the
+// scalar dot's ascending tau = t - s.
+template <int kChunks>
+void ConvRowChunks(const float* k, const float* x, float* o, int64_t steps,
+                   int64_t t0) {
+  __m256 acc[kChunks];
+  for (int c = 0; c < kChunks; ++c) acc[c] = _mm256_setzero_ps();
+  const int64_t live = std::min<int64_t>(8 * kChunks, steps - t0);
+  // Any lag: lanes with t - s < 0 (no term yet) or t >= steps are masked.
+  const auto masked_term = [&](int64_t s) {
+    const __m256 kv = _mm256_set1_ps(k[steps - 1 - s]);
+    for (int c = 0; c < kChunks; ++c) {
+      const int64_t off = t0 + 8 * c - s;  // x index of lane 0
+      acc[c] = MulAddRange(acc[c], kv, x, off, std::max<int64_t>(0, -off),
+                           std::min<int64_t>(8, live - 8 * c));
+    }
+  };
+  for (int64_t s = t0 + live - 1; s > t0; --s) masked_term(s);
+  if (live == 8 * kChunks) {
+    // Lags t0 .. 0 of full chunks: every lane has a term.
+    for (int64_t s = t0; s >= 0; --s) {
+      const __m256 kv = _mm256_set1_ps(k[steps - 1 - s]);
+      const float* xs = x + t0 - s;
+      for (int c = 0; c < kChunks; ++c) {
+        acc[c] = _mm256_add_ps(acc[c],
+                               _mm256_mul_ps(kv, _mm256_loadu_ps(xs + 8 * c)));
+      }
+    }
+  } else {
+    for (int64_t s = t0; s >= 0; --s) masked_term(s);
+  }
+  for (int c = 0; c < kChunks; ++c) {
+    const int64_t tc = t0 + 8 * c;
+    StoreRange(o, tc, 0, std::min<int64_t>(8, steps - tc),
+               _mm256_div_ps(acc[c], StepCounts(tc)));
+  }
+}
+
+void Avx2ConvRow(const float* k, const float* x, float* o, int64_t steps) {
+  ForEachChunkGroup(steps, [&](auto chunks, int64_t t0) {
+    ConvRowChunks<decltype(chunks)::value>(k, x, o, steps, t0);
+  });
+}
+
+// The adjoint over gx steps tau0 .. tau0 + 8*kChunks - 1 and their mirror gk
+// taps: chunk c pairs gx[tc, tc+8) (tc = tau0 + 8c) with gk[steps-8-tc,
+// steps-tc), and both take terms from t >= tc only. Each lane adds its terms
+// in ascending t, as the scalar axpys do.
+template <int kChunks, bool kGx, bool kGk>
+void ConvRowVjpChunks(const float* k, const float* x, const float* c,
+                      float* gx, float* gk, int64_t steps, int64_t tau0) {
+  __m256 ax[kChunks];
+  __m256 ak[kChunks];
+  for (int ch = 0; ch < kChunks; ++ch) {
+    const int64_t tc = tau0 + 8 * ch;
+    if constexpr (kGx) {
+      ax[ch] = LoadRange(gx, tc, 0, std::min<int64_t>(8, steps - tc));
+    }
+    if constexpr (kGk) {
+      ak[ch] = LoadRange(gk, steps - 8 - tc,
+                         std::max<int64_t>(0, tc + 8 - steps), 8);
+    }
+  }
+  // Any step: lanes outside the row or before their first term are masked.
+  const auto masked_term = [&](int64_t t, __m256 cs) {
+    for (int ch = 0; ch < kChunks; ++ch) {
+      const int64_t tc = tau0 + 8 * ch;
+      if (t < tc) break;  // later chunks start later still
+      if constexpr (kGx) {
+        // Lane l (tau = tc + l) takes cs * k[steps-1-t+tau] while tau <= t.
+        ax[ch] = MulAddRange(ax[ch], cs, k, steps - 1 - t + tc, 0,
+                             std::min<int64_t>({8, t - tc + 1, steps - tc}));
+      }
+      if constexpr (kGk) {
+        // Lane l (tap steps-8-tc+l) takes cs * x[t-tc-7+l] once that index
+        // reaches 0, on taps inside the row.
+        const int64_t off = t - tc - 7;
+        ak[ch] = MulAddRange(ak[ch], cs, x, off,
+                             std::max<int64_t>({0, -off, tc + 8 - steps}), 8);
+      }
+    }
+  };
+  // From this step on every lane of every chunk has a term (the chunks are
+  // then all full: a partial chunk's group ends before it).
+  const int64_t full_from = tau0 + 8 * kChunks - 1;
+  alignas(32) float cs8[8];
+  for (int64_t tb = tau0; tb < steps; tb += 8) {
+    // cs[tb, tb+8) = c / (tb+1, ...): the scalar divide, lane by lane.
+    const int64_t n = std::min<int64_t>(8, steps - tb);
+    _mm256_store_ps(cs8,
+                    _mm256_div_ps(LoadRange(c, tb, 0, n), StepCounts(tb)));
+    for (int64_t u = 0; u < n; ++u) {
+      if (cs8[u] == 0.0f) continue;
+      const __m256 cs = _mm256_set1_ps(cs8[u]);
+      const int64_t t = tb + u;
+      if (t < full_from) {
+        masked_term(t, cs);
+        continue;
+      }
+      const float* kt = k + steps - 1 - t + tau0;
+      const float* xt = x + t - tau0 - 7;
+      for (int ch = 0; ch < kChunks; ++ch) {
+        if constexpr (kGx) {
+          ax[ch] = _mm256_add_ps(
+              ax[ch], _mm256_mul_ps(cs, _mm256_loadu_ps(kt + 8 * ch)));
+        }
+        if constexpr (kGk) {
+          ak[ch] = _mm256_add_ps(
+              ak[ch], _mm256_mul_ps(cs, _mm256_loadu_ps(xt - 8 * ch)));
+        }
+      }
+    }
+  }
+  for (int ch = 0; ch < kChunks; ++ch) {
+    const int64_t tc = tau0 + 8 * ch;
+    if constexpr (kGx) {
+      StoreRange(gx, tc, 0, std::min<int64_t>(8, steps - tc), ax[ch]);
+    }
+    if constexpr (kGk) {
+      StoreRange(gk, steps - 8 - tc, std::max<int64_t>(0, tc + 8 - steps), 8,
+                 ak[ch]);
+    }
+  }
+}
+
+template <bool kGx, bool kGk>
+void ConvRowVjpHalves(const float* k, const float* x, const float* c,
+                      float* gx, float* gk, int64_t steps) {
+  ForEachChunkGroup(steps, [&](auto chunks, int64_t tau0) {
+    ConvRowVjpChunks<decltype(chunks)::value, kGx, kGk>(k, x, c, gx, gk,
+                                                         steps, tau0);
+  });
+}
+
+void Avx2ConvRowVjp(const float* k, const float* x, const float* c, float* gx,
+                    float* gk, int64_t steps) {
+  if (gx != nullptr && gk != nullptr) {
+    ConvRowVjpHalves<true, true>(k, x, c, gx, gk, steps);
+  } else if (gx != nullptr) {
+    ConvRowVjpHalves<true, false>(k, x, c, gx, gk, steps);
+  } else if (gk != nullptr) {
+    ConvRowVjpHalves<false, true>(k, x, c, gx, gk, steps);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2KernelTable() {
@@ -421,7 +672,8 @@ const KernelTable& Avx2KernelTable() {
       Avx2Scale,     Avx2AddScalar,   Avx2Accumulate,
       Avx2MaxInto,   Avx2FmaInto,     Avx2ExpShiftSum,
       Avx2ExpSub,    Avx2MulSub,      Avx2MulSubScalar,
-      Avx2StabRatio, Avx2GemmRow,
+      Avx2StabRatio, Avx2GemmRow,     Avx2ConvRow,
+      Avx2ConvRowVjp,
   };
   return table;
 }

@@ -121,6 +121,33 @@ void ScalarGemmRow(const float* a, int64_t a_stride, const float* b,
   }
 }
 
+// The seed's conv row: one sequential dot per output step, then the divide.
+void ScalarConvRow(const float* k, const float* x, float* o, int64_t steps) {
+  for (int64_t t = 0; t < steps; ++t) {
+    const float* kt = k + steps - 1 - t;  // tap steps-1-(t-tau) meets x[tau]
+    float acc = 0.0f;
+    for (int64_t tau = 0; tau <= t; ++tau) acc += kt[tau] * x[tau];
+    o[t] = acc / static_cast<float>(t + 1);
+  }
+}
+
+// The seed's conv adjoint: two axpys per nonzero output step, ascending t.
+void ScalarConvRowVjp(const float* k, const float* x, const float* c,
+                      float* gx, float* gk, int64_t steps) {
+  for (int64_t t = 0; t < steps; ++t) {
+    const float cs = c[t] / static_cast<float>(t + 1);
+    if (cs == 0.0f) continue;
+    if (gx != nullptr) {
+      const float* kt = k + steps - 1 - t;
+      for (int64_t tau = 0; tau <= t; ++tau) gx[tau] += cs * kt[tau];
+    }
+    if (gk != nullptr) {
+      float* gkt = gk + steps - 1 - t;
+      for (int64_t tau = 0; tau <= t; ++tau) gkt[tau] += cs * x[tau];
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarKernelTable() {
@@ -131,7 +158,8 @@ const KernelTable& ScalarKernelTable() {
       ScalarScale,     ScalarAddScalar,   ScalarAccumulate,
       ScalarMaxInto,   ScalarFmaInto,     ScalarExpShiftSum,
       ScalarExpSub,    ScalarMulSub,      ScalarMulSubScalar,
-      ScalarStabRatio, ScalarGemmRow,
+      ScalarStabRatio, ScalarGemmRow,     ScalarConvRow,
+      ScalarConvRowVjp,
   };
   return table;
 }

@@ -143,6 +143,11 @@ TEST(HashPropertyTest, EverySingleBitFlipSeparatesBothLanes) {
   EXPECT_EQ(his.size(), los.size());
 }
 
+// The options key's bytes, as an ordered set element.
+std::string Fingerprint(const core::DetectorOptions& options) {
+  return std::string(serve::EncodeDetectorOptions(options).view());
+}
+
 TEST(HashPropertyTest, EpsilonFingerprintsNeverCollide) {
   // Walk epsilon through consecutive representable floats and a spread of
   // magnitudes: every distinct bit pattern must produce a distinct options
@@ -152,22 +157,20 @@ TEST(HashPropertyTest, EpsilonFingerprintsNeverCollide) {
   float epsilon = 1e-6f;
   for (int i = 0; i < 200; ++i) {
     options.epsilon = epsilon;
-    EXPECT_TRUE(fingerprints.insert(serve::EncodeDetectorOptions(options))
-                    .second)
+    EXPECT_TRUE(fingerprints.insert(Fingerprint(options)).second)
         << "ulp step " << i;
     epsilon = std::nextafterf(epsilon, 1.0f);
   }
   for (const float magnitude : {1e-8f, 1e-7f, 2e-6f, 1e-3f, 0.5f}) {
     options.epsilon = magnitude;
-    EXPECT_TRUE(fingerprints.insert(serve::EncodeDetectorOptions(options))
-                    .second);
+    EXPECT_TRUE(fingerprints.insert(Fingerprint(options)).second);
   }
   EXPECT_EQ(fingerprints.size(), 205u);
 }
 
 TEST(HashPropertyTest, EveryOptionFieldAffectsTheFingerprint) {
   const core::DetectorOptions base;
-  const std::string base_fp = serve::EncodeDetectorOptions(base);
+  const serve::OptionsKey base_fp = serve::EncodeDetectorOptions(base);
 
   const auto differs = [&](core::DetectorOptions changed) {
     return serve::EncodeDetectorOptions(changed) != base_fp;
@@ -203,7 +206,8 @@ TEST(HashPropertyTest, DistinctGenerationsAndModelsSeparateKeys) {
   // model name or registry generation must compare (and hash) apart.
   Rng rng(2029);
   const Tensor windows = Tensor::Randn(Shape{1, 3, 8}, &rng);
-  serve::CacheKey a{"m", serve::HashWindows(windows), "o", 1};
+  serve::CacheKey a{"m", serve::HashWindows(windows),
+                    serve::EncodeDetectorOptions(core::DetectorOptions()), 1};
   serve::CacheKey b = a;
   EXPECT_TRUE(a == b);
   b.generation = 2;
@@ -212,7 +216,9 @@ TEST(HashPropertyTest, DistinctGenerationsAndModelsSeparateKeys) {
   b.model = "m2";
   EXPECT_FALSE(a == b);
   b = a;
-  b.options = "o2";
+  core::DetectorOptions other;
+  other.use_relevance = false;
+  b.options = serve::EncodeDetectorOptions(other);
   EXPECT_FALSE(a == b);
 }
 

@@ -69,7 +69,8 @@ class DetectCounter {
   static std::string KeyString(const CacheKey& key) {
     return key.model + "/" + std::to_string(key.generation) + "/" +
            std::to_string(key.windows.lo) + ":" +
-           std::to_string(key.windows.hi) + "/" + key.options;
+           std::to_string(key.windows.hi) + "/" +
+           std::string(key.options.view());
   }
 
   mutable std::mutex mu_;
@@ -213,7 +214,7 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
 // a broken promise.
 TEST(ServeStressTest, FollowersFanInOnLeaderError) {
   InFlightTable table;
-  CacheKey key{"m", {7, 9}, "o", 1};
+  CacheKey key{"m", {7, 9}, {}, 1};
   DiscoveryCallback leader_done = [](DiscoveryResponse) {};
   const auto leader = table.Join(key, &leader_done);
   ASSERT_NE(leader, nullptr);

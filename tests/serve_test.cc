@@ -117,9 +117,9 @@ TEST(ScoreCacheTest, LruEvictionAndStats) {
   auto result = [&](int n) {
     return std::make_shared<const core::DetectionResult>(n);
   };
-  CacheKey a{"m", {1, 1}, "o"};
-  CacheKey b{"m", {2, 2}, "o"};
-  CacheKey c{"m", {3, 3}, "o"};
+  CacheKey a{"m", {1, 1}, {}};
+  CacheKey b{"m", {2, 2}, {}};
+  CacheKey c{"m", {3, 3}, {}};
 
   EXPECT_EQ(cache.Get(a), nullptr);
   cache.Put(a, result(2));
@@ -141,11 +141,11 @@ TEST(ScoreCacheTest, LruEvictionAndStats) {
 TEST(ScoreCacheTest, EraseModelDropsOnlyThatModel) {
   ScoreCache cache(8);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m1", {1, 1}, "o"}, result);
-  cache.Put({"m2", {1, 1}, "o"}, result);
+  cache.Put({"m1", {1, 1}, {}}, result);
+  cache.Put({"m2", {1, 1}, {}}, result);
   cache.EraseModel("m1");
-  EXPECT_EQ(cache.Get({"m1", {1, 1}, "o"}), nullptr);
-  EXPECT_NE(cache.Get({"m2", {1, 1}, "o"}), nullptr);
+  EXPECT_EQ(cache.Get({"m1", {1, 1}, {}}), nullptr);
+  EXPECT_NE(cache.Get({"m2", {1, 1}, {}}), nullptr);
 }
 
 TEST(ScoreCacheTest, DifferentOptionsDifferentEntries) {
@@ -176,8 +176,8 @@ TEST(ScoreCacheTest, TtlExpiresIdleEntries) {
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
 
-  CacheKey a{"m", {1, 1}, "o"};
-  CacheKey b{"m", {2, 2}, "o"};
+  CacheKey a{"m", {1, 1}, {}};
+  CacheKey b{"m", {2, 2}, {}};
   cache.Put(a, result);
   now += 6;
   cache.Put(b, result);
@@ -207,10 +207,10 @@ TEST(ScoreCacheTest, PruneExpiredDropsEveryStaleEntry) {
   options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m", {1, 1}, "o"}, result);
-  cache.Put({"m", {2, 2}, "o"}, result);
+  cache.Put({"m", {1, 1}, {}}, result);
+  cache.Put({"m", {2, 2}, {}}, result);
   now = 4;
-  cache.Put({"m", {3, 3}, "o"}, result);
+  cache.Put({"m", {3, 3}, {}}, result);
   EXPECT_EQ(cache.PruneExpired(), 0u);  // nothing past 5s yet
   now = 7;
   EXPECT_EQ(cache.PruneExpired(), 2u);  // the two 7s-old entries
@@ -227,9 +227,9 @@ TEST(ScoreCacheTest, ZeroTtlNeverExpires) {
   options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m", {1, 1}, "o"}, result);
+  cache.Put({"m", {1, 1}, {}}, result);
   now = 1e9;
-  EXPECT_NE(cache.Get({"m", {1, 1}, "o"}), nullptr);
+  EXPECT_NE(cache.Get({"m", {1, 1}, {}}), nullptr);
   EXPECT_EQ(cache.PruneExpired(), 0u);
   EXPECT_EQ(cache.stats().expirations, 0u);
 }

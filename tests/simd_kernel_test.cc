@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -10,13 +11,15 @@
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
+#include "util/rng.h"
 
 // Exhaustive tail sweep: every kernel in each built vectorized table is
 // compared against the scalar reference over sizes 1..67, so every
 // vector-width remainder path (0..width-1 tail lanes, the blocked and
-// unblocked main loops) is exercised. Elementwise/accumulate/max kernels must
-// match the scalar table exactly; horizontal reductions and the polynomial
-// exp carry the tolerance documented in tensor/simd.h.
+// unblocked main loops) is exercised. Elementwise/accumulate/max kernels and
+// the causal-conv rows must match the scalar table exactly; horizontal
+// reductions, the matmul row and the polynomial exp carry the tolerance
+// documented in tensor/simd.h.
 
 namespace causalformer {
 namespace {
@@ -253,6 +256,265 @@ TEST_F(SimdKernelTest, GemmRowSweepContiguousAndStrided) {
           }
         }
       }
+    }
+  }
+}
+
+// ---- Causal-conv rows ---------------------------------------------------------
+
+// Row lengths of the conv sweeps: every tail at 1..67, plus the 128-step rows
+// bench_perf_micro times.
+std::vector<int64_t> ConvSteps() {
+  std::vector<int64_t> steps;
+  for (int64_t n = 1; n <= kMaxN; ++n) steps.push_back(n);
+  steps.push_back(128);
+  return steps;
+}
+
+// Same bits, or NaN on both sides (NaN payloads are not part of the contract).
+bool SameFloat(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// A row with kGuard canary floats on each side; a write outside the row
+// changes a canary. Input rows use NaN canaries, so a read outside the row
+// that reached a result would show up as a NaN there.
+class GuardedRow {
+ public:
+  static constexpr int64_t kGuard = 16;
+
+  GuardedRow(int64_t n, float canary)
+      : n_(n), canary_(canary), buf_(n + 2 * kGuard, canary) {}
+
+  float* data() { return buf_.data() + kGuard; }
+  const float* data() const { return buf_.data() + kGuard; }
+  float& operator[](int64_t i) { return data()[i]; }
+  float operator[](int64_t i) const { return data()[i]; }
+
+  bool CanariesIntact() const {
+    for (int64_t i = 0; i < kGuard; ++i) {
+      if (!SameFloat(buf_[i], canary_) ||
+          !SameFloat(buf_[kGuard + n_ + i], canary_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  int64_t n_;
+  float canary_;
+  std::vector<float> buf_;
+};
+
+constexpr float kOutCanary = 123.25f;
+constexpr float kInCanary = std::numeric_limits<float>::quiet_NaN();
+
+GuardedRow FilledRow(int64_t n, uint32_t seed, float canary) {
+  GuardedRow row(n, canary);
+  std::vector<float> v(n);
+  Fill(&v, seed);
+  for (int64_t i = 0; i < n; ++i) row[i] = v[i];
+  return row;
+}
+
+// One conv row's inputs: kernel taps k, inputs x, cotangent c.
+struct ConvCase {
+  GuardedRow k, x, c;
+};
+
+ConvCase MakeConvCase(int64_t steps, uint32_t seed) {
+  ConvCase cc{FilledRow(steps, seed, kInCanary),
+              FilledRow(steps, seed + 100, kInCanary),
+              FilledRow(steps, seed + 200, kInCanary)};
+  // Zero cotangents, both signs, at tail-sensitive positions: those steps
+  // must add nothing.
+  cc.c[0] = 0.0f;
+  if (steps > 2) cc.c[steps / 2] = -0.0f;
+  if (steps > 9) cc.c[9] = 0.0f;
+  if (steps > 1) cc.c[steps - 1] = 0.0f;
+  return cc;
+}
+
+// Runs conv_row and conv_row_vjp (with each half on or off) through `got`
+// and the scalar table, and requires the same bits everywhere.
+void ExpectConvRowsExact(const simd::KernelTable& got, const ConvCase& cc,
+                         int64_t steps, uint32_t seed) {
+  const simd::KernelTable& ref = Scalar();
+  GuardedRow want_o(steps, kOutCanary), got_o(steps, kOutCanary);
+  ref.conv_row(cc.k.data(), cc.x.data(), want_o.data(), steps);
+  got.conv_row(cc.k.data(), cc.x.data(), got_o.data(), steps);
+  ASSERT_TRUE(got_o.CanariesIntact()) << "conv_row wrote outside its row";
+  for (int64_t t = 0; t < steps; ++t) {
+    ASSERT_TRUE(SameFloat(got_o[t], want_o[t]))
+        << "conv_row t=" << t << " got " << got_o[t] << " want " << want_o[t];
+  }
+
+  for (const bool with_gx : {true, false}) {
+    for (const bool with_gk : {true, false}) {
+      SCOPED_TRACE(std::string("gx ") + (with_gx ? "on" : "null") + ", gk " +
+                   (with_gk ? "on" : "null"));
+      GuardedRow want_gx = FilledRow(steps, seed + 300, kOutCanary);
+      GuardedRow got_gx = want_gx;
+      GuardedRow want_gk = FilledRow(steps, seed + 400, kOutCanary);
+      GuardedRow got_gk = want_gk;
+      // A -0 accumulator must survive every step that does not touch it.
+      want_gx[steps - 1] = got_gx[steps - 1] = -0.0f;
+      want_gk[0] = got_gk[0] = -0.0f;
+      ref.conv_row_vjp(cc.k.data(), cc.x.data(), cc.c.data(),
+                       with_gx ? want_gx.data() : nullptr,
+                       with_gk ? want_gk.data() : nullptr, steps);
+      got.conv_row_vjp(cc.k.data(), cc.x.data(), cc.c.data(),
+                       with_gx ? got_gx.data() : nullptr,
+                       with_gk ? got_gk.data() : nullptr, steps);
+      ASSERT_TRUE(got_gx.CanariesIntact()) << "gx written outside its row";
+      ASSERT_TRUE(got_gk.CanariesIntact()) << "gk written outside its row";
+      for (int64_t t = 0; t < steps; ++t) {
+        ASSERT_TRUE(SameFloat(got_gx[t], want_gx[t]))
+            << "gx " << t << " got " << got_gx[t] << " want " << want_gx[t];
+        ASSERT_TRUE(SameFloat(got_gk[t], want_gk[t]))
+            << "gk " << t << " got " << got_gk[t] << " want " << want_gk[t];
+      }
+    }
+  }
+}
+
+std::vector<std::pair<std::string, const simd::KernelTable*>> AllTables() {
+  auto tables = VectorTables();
+  tables.emplace_back("scalar", &Scalar());
+  return tables;
+}
+
+TEST_F(SimdKernelTest, ConvRowsMatchScalarExactly) {
+  for (const auto& [name, table] : AllTables()) {
+    for (const int64_t steps : ConvSteps()) {
+      SCOPED_TRACE(name + " steps=" + std::to_string(steps));
+      const uint32_t seed = static_cast<uint32_t>(steps) * 7919u;
+      ExpectConvRowsExact(*table, MakeConvCase(steps, seed), steps, seed);
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, ConvRowsMatchScalarExactlyWithNonFiniteValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [name, table] : AllTables()) {
+    for (const int64_t steps : ConvSteps()) {
+      for (const float bad : {inf, -inf, nan}) {
+        for (const char* row_name : {"x", "k", "c"}) {
+          // One non-finite value in x, k or the cotangent, at the first, a
+          // middle and the last position in turn.
+          for (const int64_t pos : {int64_t{0}, steps / 2, steps - 1}) {
+            SCOPED_TRACE(name + " steps=" + std::to_string(steps) + " " +
+                         row_name + "[" + std::to_string(pos) +
+                         "]=" + std::to_string(bad));
+            const uint32_t seed = static_cast<uint32_t>(steps * 31 + pos);
+            ConvCase cc = MakeConvCase(steps, seed);
+            GuardedRow& row = *row_name == 'x'   ? cc.x
+                              : *row_name == 'k' ? cc.k
+                                                 : cc.c;
+            row[pos] = bad;
+            ExpectConvRowsExact(*table, cc, steps, seed);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The scalar rows give the seed's bits: a per-step dot then one divide pass
+// for the forward, and per-step axpys (skipping zero steps) for the adjoint,
+// all through the scalar table's own dot, div and axpy.
+TEST_F(SimdKernelTest, ScalarConvRowsMatchTheSeedLoops) {
+  const simd::KernelTable& ref = Scalar();
+  for (const int64_t steps : ConvSteps()) {
+    SCOPED_TRACE("steps=" + std::to_string(steps));
+    const uint32_t seed = static_cast<uint32_t>(steps) * 104729u;
+    const ConvCase cc = MakeConvCase(steps, seed);
+    std::vector<float> denom(steps);
+    for (int64_t t = 0; t < steps; ++t) denom[t] = static_cast<float>(t + 1);
+
+    std::vector<float> want_o(steps), got_o(steps);
+    for (int64_t t = 0; t < steps; ++t) {
+      want_o[t] = ref.dot(cc.k.data() + steps - 1 - t, cc.x.data(), t + 1);
+    }
+    ref.div(want_o.data(), denom.data(), want_o.data(), steps);
+    ref.conv_row(cc.k.data(), cc.x.data(), got_o.data(), steps);
+
+    std::vector<float> cs(steps);
+    ref.div(cc.c.data(), denom.data(), cs.data(), steps);
+    std::vector<float> want_gx(steps), want_gk(steps);
+    Fill(&want_gx, seed + 1);
+    Fill(&want_gk, seed + 2);
+    std::vector<float> got_gx = want_gx, got_gk = want_gk;
+    for (int64_t t = 0; t < steps; ++t) {
+      if (cs[t] == 0.0f) continue;
+      ref.axpy(cs[t], cc.k.data() + steps - 1 - t, want_gx.data(), t + 1);
+      ref.axpy(cs[t], cc.x.data(), want_gk.data() + steps - 1 - t, t + 1);
+    }
+    ref.conv_row_vjp(cc.k.data(), cc.x.data(), cc.c.data(), got_gx.data(),
+                     got_gk.data(), steps);
+
+    for (int64_t t = 0; t < steps; ++t) {
+      ASSERT_TRUE(SameFloat(got_o[t], want_o[t])) << "conv_row " << t;
+      ASSERT_TRUE(SameFloat(got_gx[t], want_gx[t])) << "gx " << t;
+      ASSERT_TRUE(SameFloat(got_gk[t], want_gk[t])) << "gk " << t;
+    }
+  }
+}
+
+// ---- MatMul adjoint -------------------------------------------------------------
+
+// dA = cot @ B^T against the dot form (one scalar dot per element, B's rows
+// contiguous): the same bits under the scalar table, within the reduction
+// tolerance under a vector table. `batched_b` gives every batch its own B.
+void ExpectMatMulGradMatchesDotForm(bool batched_b, simd::IsaLevel level) {
+  const int64_t batch = 3, m = 5, k = 19, n = 13;
+  Rng rng(batched_b ? 11 : 7);
+  Tensor a = Tensor::Randn(Shape{batch, m, k}, &rng, /*requires_grad=*/true);
+  Tensor b = batched_b ? Tensor::Randn(Shape{batch, k, n}, &rng)
+                       : Tensor::Randn(Shape{k, n}, &rng);
+  Tensor cot = Tensor::Randn(Shape{batch, m, n}, &rng);
+
+  simd::SetLevelForTesting(level);
+  MatMul(a, b).Backward(cot);
+  const Tensor ga = a.grad();
+  ASSERT_TRUE(ga.defined());
+
+  const simd::KernelTable& ref = Scalar();
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* bb = b.data() + (batched_b ? bi * k * n : 0);
+    for (int64_t i = 0; i < m; ++i) {
+      const float* crow = cot.data() + (bi * m + i) * n;
+      for (int64_t j = 0; j < k; ++j) {
+        const float want = ref.dot(crow, bb + j * n, n);
+        const float got = ga.data()[(bi * m + i) * k + j];
+        if (level == simd::IsaLevel::kScalar) {
+          ASSERT_TRUE(SameFloat(got, want))
+              << "dA[" << bi << "," << i << "," << j << "]";
+        } else {
+          double l1 = 0;
+          for (int64_t jj = 0; jj < n; ++jj) {
+            l1 += std::fabs(static_cast<double>(crow[jj]) * bb[j * n + jj]);
+          }
+          ExpectReduction(want, got, l1);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, MatMulGradOfAMatchesTheDotForm) {
+  std::vector<simd::IsaLevel> levels = {simd::IsaLevel::kScalar};
+  if (simd::TableForLevel(simd::IsaLevel::kAvx2) != nullptr) {
+    levels.push_back(simd::IsaLevel::kAvx2);
+  }
+  for (const simd::IsaLevel level : levels) {
+    for (const bool batched_b : {false, true}) {
+      SCOPED_TRACE(std::string(simd::LevelName(level)) +
+                   (batched_b ? " batched B" : " shared B"));
+      ExpectMatMulGradMatchesDotForm(batched_b, level);
     }
   }
 }

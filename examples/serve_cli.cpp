@@ -524,8 +524,7 @@ int RunServe(const CliOptions& opts) {
           static_cast<unsigned long long>(batch.batches), batch.max_batch,
           static_cast<unsigned long long>(batch.coalesced),
           batch.in_flight_limit,
-          static_cast<unsigned long long>(stats.dedup.hits),
-          stats.dedup.in_flight);
+          static_cast<unsigned long long>(cache.followers), cache.running);
       continue;
     }
     if (cmd == "q") {
@@ -630,7 +629,7 @@ int RunNetServe(const CliOptions& opts) {
   if (const cf::Status pst = profiler.Start(); !pst.ok()) {
     CF_LOG(kWarning) << "profiler disabled: " << pst.ToString();
   }
-  // One engine (score cache, in-flight table, micro-batcher with the
+  // One engine (score table for cache and dedup, micro-batcher with the
   // default executor count) serves every Detect and stream.
   cf::serve::EngineOptions eopts;
   eopts.cache_ttl_seconds = opts.cache_ttl;
@@ -662,10 +661,10 @@ int RunNetServe(const CliOptions& opts) {
            " shape_buckets=" + std::to_string(s.batcher.shape_buckets) +
            " in_flight_limit=" + std::to_string(s.batcher.in_flight_limit) +
            "\n";
-    out += "inflight: leaders=" + std::to_string(s.dedup.leaders) +
-           " hits=" + std::to_string(s.dedup.hits) +
-           " failed_fanins=" + std::to_string(s.dedup.failed_fanins) +
-           " open=" + std::to_string(s.dedup.in_flight) + "\n";
+    out += "inflight: leaders=" + std::to_string(s.cache.leaders) +
+           " hits=" + std::to_string(s.cache.followers) +
+           " failed_fanins=" + std::to_string(s.cache.failed_fanins) +
+           " open=" + std::to_string(s.cache.running) + "\n";
     const cf::ArenaTotals arenas = cf::TotalArenaStats();
     out += "arena: live=" + std::to_string(arenas.arenas) +
            " pooled_bytes=" + std::to_string(arenas.stats.pooled_bytes) +

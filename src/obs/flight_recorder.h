@@ -23,7 +23,7 @@
 ///    (obs/trace_export.h), loadable in Perfetto;
 ///  * `traces.txt`  — the same traces as one ToString() line each;
 ///  * `state.txt`   — registered state providers (engine shape buckets,
-///    in-flight table occupancy, per-stream ring depths, server counters);
+///    running score-table entries, per-stream ring depths, server counters);
 ///  * `profile.folded` — folded CPU stacks from the attached sampling
 ///    profiler (obs/profiler.h), present only when one is attached via
 ///    set_profiler().

@@ -47,8 +47,8 @@ struct TraceSpan {
 
 /// The record of one request's path through the pipeline. Thread-safe:
 /// the poll thread, an executor thread and whichever thread completes the
-/// request touch a trace at different stages, and the in-flight table may
-/// read a leader's id concurrently.
+/// request touch a trace at different stages, and the score table may read
+/// a leader's id concurrently.
 class Trace {
  public:
   /// A trace with `id`, reading time from `clock` (copied), opening its

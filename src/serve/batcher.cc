@@ -120,7 +120,7 @@ void MicroBatcher::Submit(DiscoveryRequest request, CacheKey key,
   work_cv_.notify_one();
 }
 
-std::vector<BatchItem> MicroBatcher::CollectBatchLocked() {
+void MicroBatcher::CollectBatchLocked(std::vector<BatchItem>* batch) {
   // Serve the bucket whose head request has waited longest: cross-bucket
   // FIFO, so a hot shape cannot starve a lone request of another shape.
   auto best = buckets_.end();
@@ -133,46 +133,48 @@ std::vector<BatchItem> MicroBatcher::CollectBatchLocked() {
   CF_CHECK(best != buckets_.end());
   std::deque<BatchItem>& bucket = best->second;
 
-  std::vector<BatchItem> batch;
-  batch.reserve(static_cast<size_t>(options_.max_batch_requests));
-  batch.push_back(std::move(bucket.front()));
+  batch->push_back(std::move(bucket.front()));
   bucket.pop_front();
   int64_t windows_taken =
-      std::min<int64_t>(batch.front().request.windows.dim(0),
-                        batch.front().request.options.max_windows);
+      std::min<int64_t>(batch->front().request.windows.dim(0),
+                        batch->front().request.options.max_windows);
   // Every bucket entry is compatible by construction, so riders come
   // straight off the front — no compatibility scan over unrelated traffic.
   while (!bucket.empty() &&
-         static_cast<int>(batch.size()) < options_.max_batch_requests) {
+         static_cast<int>(batch->size()) < options_.max_batch_requests) {
     const int64_t cost =
         std::min<int64_t>(bucket.front().request.windows.dim(0),
                           bucket.front().request.options.max_windows);
     if (windows_taken + cost > options_.max_batch_windows) break;
-    batch.push_back(std::move(bucket.front()));
+    batch->push_back(std::move(bucket.front()));
     bucket.pop_front();
     windows_taken += cost;
   }
   if (bucket.empty()) buckets_.erase(best);
-  queued_ -= batch.size();
+  queued_ -= batch->size();
 
   ++stats_.batches;
-  stats_.max_batch = std::max(stats_.max_batch, static_cast<int>(batch.size()));
-  if (batch.size() > 1) stats_.coalesced += batch.size();
-  return batch;
+  stats_.max_batch =
+      std::max(stats_.max_batch, static_cast<int>(batch->size()));
+  if (batch->size() > 1) stats_.coalesced += batch->size();
 }
 
 void MicroBatcher::ExecutorLoop() {
+  // One batch vector for the executor's life, sized once outside mu_: a
+  // dispatch under the lock only moves items into it.
+  std::vector<BatchItem> batch;
+  batch.reserve(static_cast<size_t>(options_.max_batch_requests));
   for (;;) {
-    std::vector<BatchItem> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       // While every executor is inside execute_, requests pile into their
       // buckets — that is the coalescing lever.
       work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
       if (shutdown_) return;
-      batch = CollectBatchLocked();
+      CollectBatchLocked(&batch);
     }
-    execute_(std::move(batch));
+    execute_(batch);
+    batch.clear();  // the items die here, on the executor thread
   }
 }
 

@@ -54,7 +54,7 @@ namespace serve {
 /// One queued request plus its completion callback and bookkeeping.
 struct BatchItem {
   DiscoveryRequest request;  ///< the query as submitted
-  CacheKey key;  ///< precomputed by the engine; reused for the cache fill
+  CacheKey key;  ///< the engine's score-table key (options feed the bucket)
   /// The validated model handle, pinned at submit. Executing against this
   /// handle (never re-resolving by name) means a same-name hot-swap or unload
   /// while the request is queued cannot change — or abort — what it runs
@@ -87,8 +87,9 @@ struct BatcherOptions {
 class MicroBatcher {
  public:
   /// Executes one coalesced batch and resolves every item. Runs on a
-  /// dedicated executor thread.
-  using ExecuteFn = std::function<void(std::vector<BatchItem>)>;
+  /// dedicated executor thread; the vector is that executor's own, reused
+  /// for every batch it runs, and cleared (freeing the items) on return.
+  using ExecuteFn = std::function<void(std::vector<BatchItem>&)>;
 
   /// Spawns `options.max_in_flight_batches` executor threads running
   /// `execute` on each coalesced batch.
@@ -149,9 +150,9 @@ class MicroBatcher {
 
   /// Executor loop: await work, pop a coalesced batch, run execute_, repeat.
   void ExecutorLoop();
-  /// Pops the head of the longest-waiting bucket plus every rider within the
-  /// batch caps. Holds mu_.
-  std::vector<BatchItem> CollectBatchLocked();
+  /// Moves the head of the longest-waiting bucket plus every rider within
+  /// the batch caps into the empty `batch`. Holds mu_.
+  void CollectBatchLocked(std::vector<BatchItem>* batch);
 
   BatcherOptions options_;
   ExecuteFn execute_;

@@ -33,9 +33,7 @@ InferenceEngine::InferenceEngine(ModelRegistry* registry,
       options_(options),
       cache_(CacheOptions(options)),
       batcher_(options.batcher,
-               [this](std::vector<BatchItem> items) {
-                 ExecuteBatch(std::move(items));
-               }) {
+               [this](std::vector<BatchItem>& items) { ExecuteBatch(items); }) {
   CF_CHECK(registry != nullptr);
   if (options_.obs != nullptr) {
     obs::MetricsRegistry& metrics = options_.obs->metrics();
@@ -70,7 +68,6 @@ EngineStats InferenceEngine::stats() const {
   EngineStats s;
   s.cache = cache_.stats();
   s.batcher = batcher_.stats();
-  s.dedup = inflight_.stats();
   return s;
 }
 
@@ -133,10 +130,14 @@ void InferenceEngine::Submit(DiscoveryRequest request, DiscoveryCallback done) {
   key.options = EncodeDetectorOptions(request.options);
   key.generation = generation;
 
-  if (auto cached = cache_.Get(key)) {
+  // One lookup decides the query's role: answered from a cached result, a
+  // follower parked on an identical running query (sharing its result —
+  // error, cancellation and hot-swap outcomes included), or the leader.
+  ScoreCache::Joined joined = cache_.Join(key, &done, request.trace.get());
+  if (joined.cached != nullptr) {
     if (request.trace != nullptr) request.trace->StartSpan("cache_hit");
     DiscoveryResponse response;
-    response.result = std::move(cached);
+    response.result = std::move(joined.cached);
     response.cache_hit = true;
     response.latency_seconds = latency.ElapsedSeconds();
     if (obs_.cache_hits != nullptr) obs_.cache_hits->Increment();
@@ -146,20 +147,17 @@ void InferenceEngine::Submit(DiscoveryRequest request, DiscoveryCallback done) {
     done(std::move(response));
     return;
   }
-  // An identical query (same generation, window hash, options) already in
-  // flight makes this caller a follower: park on the leader's entry and
-  // share its result — error, cancellation and hot-swap outcomes included.
-  auto entry = inflight_.Join(key, &done, request.trace.get());
-  if (entry == nullptr) {
+  if (joined.lead == 0) {
     if (obs_.dedup_followers != nullptr) obs_.dedup_followers->Increment();
     return;
   }
-  // Whoever resolves the leader (executor, rejection, shutdown drain) calls
-  // the parked followers first: a follower must never observe its leader
-  // done while the entry is still open.
-  done = [this, entry = std::move(entry),
+  // Whoever resolves the leader (executor, rejection, shutdown drain)
+  // completes its entry first, caching the result and calling the parked
+  // followers: a follower must never observe its leader done while the entry
+  // is still running.
+  done = [this, key, lead = joined.lead,
           done = std::move(done)](DiscoveryResponse response) {
-    inflight_.Complete(entry, response);
+    cache_.Complete(key, lead, response);
     done(std::move(response));
   };
   if (request.trace != nullptr) request.trace->StartSpan("enqueue");
@@ -172,7 +170,7 @@ Status InferenceEngine::UnloadModel(const std::string& name) {
   return Status::Ok();
 }
 
-void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
+void InferenceEngine::ExecuteBatch(std::vector<BatchItem>& items) {
   CF_CHECK(!items.empty());
   // Run on the handle pinned at submit, never a by-name re-resolve: a
   // same-name hot-swap to a different architecture while requests were queued
@@ -270,13 +268,10 @@ void InferenceEngine::ExecuteBatch(std::vector<BatchItem> items) {
   }
 
   for (size_t i = 0; i < items.size(); ++i) {
-    auto shared =
-        std::make_shared<const core::DetectionResult>(std::move(results[i]));
-    // Cache fill before the callback: once followers (and the leader) see the
-    // result, any brand-new identical query must already find it cached.
-    cache_.Put(items[i].key, shared);
+    // The leader's callback caches the result before anyone sees it.
     DiscoveryResponse response;
-    response.result = std::move(shared);
+    response.result =
+        std::make_shared<const core::DetectionResult>(std::move(results[i]));
     response.batch_size = static_cast<int>(items.size());
     response.latency_seconds = items[i].since_submit.ElapsedSeconds();
     if (obs_.request_latency != nullptr) {

@@ -12,7 +12,6 @@
 
 #include "obs/observability.h"
 #include "serve/batcher.h"
-#include "serve/inflight.h"
 #include "serve/model_registry.h"
 #include "serve/score_cache.h"
 #include "serve/types.h"
@@ -23,13 +22,14 @@
 /// answer many queries concurrently".
 ///
 /// Request path:
-///   Submit -> validate against the registry -> ScoreCache probe
+///   Submit -> validate against the registry -> ScoreCache::Join(key)
 ///     -> hit: called back inline, no model work at all
-///     -> miss, identical query already in flight: park as a dedup follower
-///        on the leader's InFlightTable entry — no model work of its own
-///     -> miss, novel: lead an in-flight entry -> MicroBatcher shape bucket
-///        -> coalesced DetectCausalGraphBatched on an executor thread
-///        -> cache fill -> parked followers, then the leader, called back.
+///     -> follow (an identical query is running): parked on the leader's
+///        entry — no model work of its own
+///     -> lead (novel, or the cached result expired): MicroBatcher shape
+///        bucket -> coalesced DetectCausalGraphBatched on an executor thread
+///        -> ScoreCache::Complete caches the result and calls the parked
+///        followers, then the leader is called back.
 ///
 /// Every request is answered through one callback, called exactly once; the
 /// promise-returning SubmitAsync/Discover are thin adapters over it for
@@ -50,7 +50,8 @@ inline constexpr uint64_t kKernelSampleStride = 8;
 /// InferenceEngine construction knobs.
 struct EngineOptions {
   BatcherOptions batcher;  ///< micro-batching limits
-  /// LRU entries kept per engine (0 disables caching).
+  /// Cached results kept per engine (0 disables caching; identical running
+  /// queries still dedup).
   size_t cache_capacity = 256;
   /// Max age of a cached result in seconds (0 = never expires). Lets the
   /// windows of a dead stream age out even when capacity is never reached.
@@ -70,12 +71,12 @@ struct EngineOptions {
   obs::Observability* obs = nullptr;
 };
 
-/// One point-in-time snapshot of every engine counter family — cache,
-/// batcher and in-flight dedup — taken for stats endpoints and tests.
+/// One point-in-time snapshot of every engine counter family — the score
+/// table (cache and in-flight dedup) and the batcher — taken for stats
+/// endpoints and tests.
 struct EngineStats {
-  ScoreCache::Stats cache;       ///< score-cache counters
-  MicroBatcher::Stats batcher;   ///< micro-batcher counters
-  InFlightTable::Stats dedup;    ///< in-flight dedup counters
+  ScoreCache::Stats cache;      ///< score-table counters, cache and dedup
+  MicroBatcher::Stats batcher;  ///< micro-batcher counters
 };
 
 /// The long-lived service object answering discovery queries.
@@ -91,12 +92,12 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;             ///< not copyable
   InferenceEngine& operator=(const InferenceEngine&) = delete;  ///< not copyable
 
-  /// Validates and enqueues one discovery query, calling `done` exactly once
-  /// with its response. Never blocks on model work. `done` runs inline,
-  /// before Submit returns, for rejections and cache hits; on the executor
-  /// for results this request computed; and wherever its leader resolves
-  /// (InFlightTable::Complete) for a dedup follower. Callers must not hold a
-  /// lock `done` takes.
+  /// Validates one discovery query and joins its key's entry in the score
+  /// table (one ScoreCache::Join), calling `done` exactly once with the
+  /// response. Never blocks on model work. `done` runs inline, before Submit
+  /// returns, for rejections and cache hits; on the executor for results
+  /// this request led; and wherever its leader resolves (ScoreCache::Complete)
+  /// for a dedup follower. Callers must not hold a lock `done` takes.
   void Submit(DiscoveryRequest request, DiscoveryCallback done);
 
   /// Promise adapter over Submit for in-process callers.
@@ -112,18 +113,16 @@ class InferenceEngine {
 
   /// Eagerly drops cached results older than the configured TTL, returning
   /// how many were dropped (0 when no TTL is set). TTL expiry is otherwise
-  /// lazy — a dead stream's windows are never Get() again, so the streaming
+  /// lazy — a dead stream's windows are never joined again, so the streaming
   /// layer calls this when a stream closes.
   size_t PruneExpiredCache() { return cache_.PruneExpired(); }
 
   /// The registry this engine validates queries against.
   ModelRegistry& registry() { return *registry_; }
-  /// Snapshot of the score-cache counters.
+  /// Snapshot of the score-table counters (cache and in-flight dedup).
   ScoreCache::Stats cache_stats() const { return cache_.stats(); }
   /// Snapshot of the micro-batcher counters.
   MicroBatcher::Stats batcher_stats() const { return batcher_.stats(); }
-  /// Snapshot of the in-flight dedup counters.
-  InFlightTable::Stats dedup_stats() const { return inflight_.stats(); }
   /// One snapshot of every counter family.
   EngineStats stats() const;
 
@@ -147,8 +146,8 @@ class InferenceEngine {
   };
 
   /// Batch executor: runs the coalesced detection and resolves every rider
-  /// (and, through each rider's in-flight entry, its parked followers).
-  void ExecuteBatch(std::vector<BatchItem> items);
+  /// (and, through each rider's score-table entry, its parked followers).
+  void ExecuteBatch(std::vector<BatchItem>& items);
 
   ModelRegistry* registry_;
   EngineOptions options_;
@@ -159,10 +158,9 @@ class InferenceEngine {
   /// always-on detector phase timers stay exact.
   std::atomic<uint64_t> kernel_sample_seq_{0};
   ScoreCache cache_;
-  InFlightTable inflight_;
   MicroBatcher batcher_;  // last member: its threads touch the layers above,
                           // and its destructor resolves queued leaders while
-                          // inflight_ is still alive to fan followers in
+                          // cache_ is still alive to fan followers in
 };
 
 }  // namespace serve

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <initializer_list>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -119,64 +120,123 @@ ScoreCache::ScoreCache(size_t capacity) {
 
 ScoreCache::ScoreCache(const ScoreCacheOptions& options) : options_(options) {}
 
+ScoreCache::~ScoreCache() {
+  // Every leader resolves its entry through Complete() on success, rejection
+  // and shutdown alike, so this loop is a failsafe: if an entry is somehow
+  // still running, failing its followers beats never calling them.
+  std::vector<DiscoveryCallback> orphans;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [key, entry] : index_) {
+      for (auto& follower : entry.followers) {
+        orphans.push_back(std::move(follower));
+      }
+    }
+  }
+  DiscoveryResponse failure;
+  failure.status = Status::FailedPrecondition("engine shutting down");
+  failure.deduped = true;
+  for (auto& orphan : orphans) orphan(failure);
+}
+
 bool ScoreCache::ExpiredLocked(const Entry& entry, double now) const {
   return options_.ttl_seconds > 0 &&
-         now - entry.put_time > options_.ttl_seconds;
+         now - entry.cached_at > options_.ttl_seconds;
 }
 
-std::shared_ptr<const core::DetectionResult> ScoreCache::Get(
-    const CacheKey& key) {
+ScoreCache::Joined ScoreCache::Join(const CacheKey& key,
+                                    DiscoveryCallback* done,
+                                    obs::Trace* trace) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (ExpiredLocked(it->second->second, options_.clock.Now())) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++expirations_;
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->second.result;
-}
-
-void ScoreCache::Put(const CacheKey& key,
-                     std::shared_ptr<const core::DetectionResult> result) {
-  if (options_.capacity == 0 || result == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const double now = options_.clock.Now();
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second.result = std::move(result);
-    it->second->second.put_time = now;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, Entry{std::move(result), now});
-  index_[key] = lru_.begin();
-  while (index_.size() > options_.capacity) {
-    // The LRU tail is the natural expiry candidate too: if it is past its
-    // TTL the drop counts as an expiration, not an eviction.
-    if (ExpiredLocked(lru_.back().second, now)) {
-      ++expirations_;
-    } else {
-      ++evictions_;
+  const auto [it, inserted] = index_.try_emplace(key);
+  Entry& entry = it->second;
+  if (!inserted && entry.lead == 0) {  // a cached result
+    if (!ExpiredLocked(entry, options_.clock.Now())) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, entry.lru);  // refresh recency
+      return {entry.result, 0};
     }
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
+    // Expired: the entry re-leads in place, and later joins follow it.
+    ++expirations_;
+    lru_.erase(entry.lru);
+    entry.result = nullptr;
   }
+  ++misses_;
+  if (entry.lead != 0) {
+    ++followers_;
+    if (trace != nullptr) {
+      // The follower's wait is the leader's remaining work; link the trace
+      // so a slow deduped response names the run that actually executed.
+      // Marked here, not by the caller, because the leader may resolve the
+      // follower the moment the lock drops.
+      trace->SetLeader(entry.leader_trace_id);
+      trace->StartSpan("dedup_wait");
+    }
+    entry.followers.push_back(std::move(*done));
+    return {};
+  }
+  entry.lead = ++leaders_;
+  entry.leader_trace_id = trace != nullptr ? trace->id() : 0;
+  return {nullptr, entry.lead};
+}
+
+void ScoreCache::Complete(const CacheKey& key, uint64_t lead,
+                          const DiscoveryResponse& response) {
+  std::vector<DiscoveryCallback> followers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    // Tokens are never reused, so a leader whose entry was since cached, or
+    // cached and re-led, finds another token (or none) and changes nothing.
+    if (it == index_.end() || it->second.lead != lead) return;
+    Entry& entry = it->second;
+    followers.swap(entry.followers);
+    if (!response.status.ok()) {
+      failed_fanins_ += static_cast<uint64_t>(followers.size());
+    }
+    if (response.status.ok() && response.result != nullptr &&
+        options_.capacity > 0) {
+      // Cache before the fan-out: once anyone sees the result, a brand-new
+      // identical query must find it.
+      const double now = options_.clock.Now();
+      entry.lead = 0;
+      entry.result = response.result;
+      entry.cached_at = now;
+      lru_.push_front(&it->first);
+      entry.lru = lru_.begin();
+      while (lru_.size() > options_.capacity) {
+        const auto victim = index_.find(*lru_.back());
+        // The LRU tail is the natural expiry candidate too: if it is past its
+        // TTL the drop counts as an expiration, not an eviction.
+        if (ExpiredLocked(victim->second, now)) {
+          ++expirations_;
+        } else {
+          ++evictions_;
+        }
+        lru_.pop_back();
+        index_.erase(victim);
+      }
+    } else {
+      index_.erase(it);
+    }
+  }
+  // Call outside the lock: a follower's callback may submit new work, which
+  // joins this table again. The shared result pointer is copied, not cloned,
+  // so every follower reads the exact bytes the leader computed; the latency
+  // is the leader's (submit-to-completion of the work that actually ran).
+  if (followers.empty()) return;
+  DiscoveryResponse fanned = response;
+  fanned.deduped = true;
+  fanned.cache_hit = false;
+  for (auto& follower : followers) follower(fanned);
 }
 
 void ScoreCache::EraseModel(const std::string& model) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.model == model) {
-      index_.erase(it->first);
-      it = lru_.erase(it);
+  for (auto it = index_.begin(); it != index_.end();) {
+    if (it->second.lead == 0 && it->first.model == model) {
+      lru_.erase(it->second.lru);
+      it = index_.erase(it);
     } else {
       ++it;
     }
@@ -188,10 +248,10 @@ size_t ScoreCache::PruneExpired() {
   if (options_.ttl_seconds <= 0) return 0;
   const double now = options_.clock.Now();
   size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (ExpiredLocked(it->second, now)) {
-      index_.erase(it->first);
-      it = lru_.erase(it);
+  for (auto it = index_.begin(); it != index_.end();) {
+    if (it->second.lead == 0 && ExpiredLocked(it->second, now)) {
+      lru_.erase(it->second.lru);
+      it = index_.erase(it);
       ++dropped;
     } else {
       ++it;
@@ -201,12 +261,6 @@ size_t ScoreCache::PruneExpired() {
   return dropped;
 }
 
-void ScoreCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 ScoreCache::Stats ScoreCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
@@ -214,9 +268,13 @@ ScoreCache::Stats ScoreCache::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.expirations = expirations_;
-  s.size = index_.size();
+  s.size = lru_.size();
   s.capacity = options_.capacity;
   s.ttl_seconds = options_.ttl_seconds;
+  s.leaders = leaders_;
+  s.followers = followers_;
+  s.failed_fanins = failed_fanins_;
+  s.running = index_.size() - lru_.size();
   return s;
 }
 

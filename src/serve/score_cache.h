@@ -14,21 +14,42 @@
 
 #include "core/detector.h"
 #include "obs/clock.h"
+#include "obs/trace.h"
+#include "serve/types.h"
 #include "tensor/tensor.h"
 
 /// \file
-/// Bounded LRU cache of detection results keyed by
-/// (model name + registry generation, window-content hash, detector options).
+/// The engine's one table of detection work, keyed by (model name + registry
+/// generation, window-content hash, detector options): every query key's
+/// whole life, from the first submission through its cached result.
 ///
 /// Discovery queries are expensive (a forward pass plus a gradient and a
 /// relevance walk) and production traffic concentrates on hot windows — the
 /// newest sliding window of a monitored system is queried far more often
-/// than historical ones — so repeated queries skip recomputation entirely.
+/// than historical ones, and overlapping streams replaying one feed submit
+/// content-identical windows within milliseconds of each other (the
+/// TTCD-style workload of src/stream/). An entry is therefore in one of two
+/// states:
+///
+///  - *running*: the first submitter *leads* — it runs the query and later
+///    Complete()s the entry — and every identical submission meanwhile parks
+///    as a *follower*, receiving the leader's very same shared result
+///    (bit-identical scores) or error when it resolves;
+///  - *cached*: the leader succeeded, so later identical submissions are
+///    answered from the shared result, bounded by an LRU capacity and an
+///    optional max age (TTL).
+///
+/// Join() answers hit, lead or follow under one lock and one lookup, and
+/// Complete() fans out to the followers and caches the result in the same
+/// critical section, so a new identical query either follows the running
+/// entry or hits the cached one — it never runs the work a second time.
+///
 /// Window identity is a 128-bit content hash, options identity is an exact
 /// encoding, so false hits are vanishingly unlikely and cannot come from
-/// option differences. Keys never leave the process (they are not on the
-/// wire or in checkpoints, and a restart starts with an empty cache), so the
-/// hash function can change without a version bump.
+/// option differences: an epsilon-perturbed window or option set is a
+/// different key and runs on its own. Keys never leave the process (they are
+/// not on the wire or in checkpoints, and a restart starts with an empty
+/// table), so the hash function can change without a version bump.
 ///
 /// The window hash runs two lanes, `lo` and `hi`, a word at a time: each
 /// lane XORs in one 32-bit float pattern (or one 64-bit dim or column
@@ -48,16 +69,6 @@
 
 namespace causalformer {
 namespace serve {
-
-/// 128-bit content hash of a window tensor (dims + raw float bit patterns).
-struct WindowHash {
-  uint64_t lo = 0;  ///< the first lane's window hash
-  uint64_t hi = 0;  ///< the second lane's (own seed and multiplier)
-  /// Exact 128-bit equality.
-  bool operator==(const WindowHash& o) const {
-    return lo == o.lo && hi == o.hi;
-  }
-};
 
 /// 128-bit digest of one time-step column (the N series values at one t).
 /// The unit of incremental window hashing: a stream computes one digest per
@@ -103,7 +114,7 @@ struct OptionsKey {
 /// identically.
 OptionsKey EncodeDetectorOptions(const core::DetectorOptions& options);
 
-/// Identity of one cached detection result.
+/// Identity of one query's detection work: the ScoreCache key.
 struct CacheKey {
   std::string model;    ///< registry name the query addressed
   WindowHash windows;   ///< content hash of the window batch
@@ -111,7 +122,8 @@ struct CacheKey {
   /// Registry generation of the model the query was validated against. A
   /// same-name hot-swap bumps the generation, so results computed by queued
   /// requests still pinned to the old model can never be served for the new
-  /// one (their Put lands under the old generation and ages out via LRU).
+  /// one (their entry completes under the old generation and ages out via
+  /// LRU).
   uint64_t generation = 0;
 
   /// Field-wise equality (hash collisions can never merge distinct keys).
@@ -121,9 +133,8 @@ struct CacheKey {
   }
 };
 
-/// Hash functor over CacheKey — the key machinery shared by the ScoreCache
-/// (completed results) and the InFlightTable (running queries), so both
-/// layers agree byte-for-byte on what "the same query" means.
+/// Hash functor over CacheKey, the ScoreCache's index hash: one key names a
+/// query from its first submission (running) through its cached result.
 struct CacheKeyHash {
   /// Mixes the 128-bit window hash, generation and model name.
   size_t operator()(const CacheKey& key) const {
@@ -135,83 +146,127 @@ struct CacheKeyHash {
 
 /// ScoreCache construction knobs.
 struct ScoreCacheOptions {
-  /// LRU entry bound (0 disables caching).
+  /// LRU bound on cached results (0 disables caching; identical running
+  /// queries still dedup).
   size_t capacity = 256;
   /// Max age in seconds before an entry expires (0 = entries never expire).
   /// TTL complements the LRU bound for streaming workloads: the stale windows
   /// of a dead stream should age out even when capacity is never reached.
-  /// Age is measured from the entry's last Put (insert or refresh), not from
-  /// its last Get — a result recomputed-and-refilled is young again, a result
-  /// merely re-read is not.
+  /// Age is measured from when the leader's Complete() cached the result, not
+  /// from its last hit — a result recomputed after expiry is young again, a
+  /// result merely re-read is not.
   double ttl_seconds = 0;
   /// The time source entry ages are measured on. Default: steady_clock.
   obs::Clock clock;
 };
 
-/// The bounded, thread-safe LRU cache of detection results with optional
-/// max-age (TTL) expiry.
+/// The thread-safe table of running and cached detection work: in-flight
+/// dedup of identical running queries, then a bounded LRU cache of their
+/// results with optional max-age (TTL) expiry.
 class ScoreCache {
  public:
-  /// Point-in-time cache counters.
+  /// Point-in-time counters of both entry states.
   struct Stats {
-    uint64_t hits = 0;         ///< Get() calls answered from the cache
-    uint64_t misses = 0;       ///< Get() calls that found nothing
-    uint64_t evictions = 0;    ///< entries dropped by the LRU bound
-    uint64_t expirations = 0;  ///< entries dropped by the TTL bound
-    size_t size = 0;           ///< current entry count
+    uint64_t hits = 0;         ///< joins answered from a cached result
+    uint64_t misses = 0;       ///< every other join: leaders and followers
+    uint64_t evictions = 0;    ///< cached entries dropped by the LRU bound
+    uint64_t expirations = 0;  ///< cached entries dropped by the TTL bound
+    size_t size = 0;           ///< cached entries (gauge)
     size_t capacity = 0;       ///< configured bound (0 = caching disabled)
     double ttl_seconds = 0;    ///< configured max age (0 = never expires)
+    uint64_t leaders = 0;      ///< joins that led (queries run)
+    uint64_t followers = 0;    ///< joins parked on a running entry (dedup)
+    uint64_t failed_fanins = 0;  ///< followers resolved with a non-ok status
+    size_t running = 0;        ///< running entries (gauge)
   };
 
-  /// A cache holding at most `capacity` results (0 disables caching),
-  /// entries never expiring by age.
+  /// What Join made of a query: a hit, a lead or a follow.
+  struct Joined {
+    /// A hit: the cached result. Null on a lead or a follow.
+    std::shared_ptr<const core::DetectionResult> cached;
+    /// A lead: the token Complete() takes. 0 on a hit, and on a follow, whose
+    /// `*done` is parked on the running entry.
+    uint64_t lead = 0;
+  };
+
+  /// A table caching at most `capacity` results (0 disables caching, not
+  /// dedup), entries never expiring by age.
   explicit ScoreCache(size_t capacity);
-  /// A cache with explicit capacity/TTL options.
+  /// A table with explicit capacity/TTL options.
   explicit ScoreCache(const ScoreCacheOptions& options);
+  /// Fails any still-running entry's followers (engine teardown), so no
+  /// parked callback is ever dropped uncalled.
+  ~ScoreCache();
   ScoreCache(const ScoreCache&) = delete;             ///< not copyable
   ScoreCache& operator=(const ScoreCache&) = delete;  ///< not copyable
 
-  /// The cached result (refreshing recency), or null on a miss. An entry
-  /// older than the TTL is dropped and counted as expired + missed.
-  std::shared_ptr<const core::DetectionResult> Get(const CacheKey& key);
+  /// Joins the life of `key`, atomically — exactly one concurrent caller per
+  /// key leads:
+  ///  - a cached result younger than the TTL is a hit (refreshing recency);
+  ///  - a running entry makes the caller a follower: `*done` is moved onto
+  ///    it, to be called once by the leader's Complete();
+  ///  - otherwise the caller leads a new running entry (an expired result
+  ///    counts as expired and re-leads in place): it keeps `*done`, runs the
+  ///    query and passes the returned token to Complete() exactly once.
+  /// `trace` (optional): a leader's id is recorded on the entry; a follower's
+  /// trace is linked to it and opens `dedup_wait` under the table lock,
+  /// before the leader can resolve the follower.
+  Joined Join(const CacheKey& key, DiscoveryCallback* done,
+              obs::Trace* trace = nullptr);
 
-  /// Inserts or refreshes `result` (resetting its age); evicts the least
-  /// recently used entry when over capacity. A capacity of zero disables
-  /// caching.
-  void Put(const CacheKey& key,
-           std::shared_ptr<const core::DetectionResult> result);
+  /// Resolves the running entry that `lead` (a Join token) opened under
+  /// `key`. When `response` succeeded and capacity > 0, the entry becomes a
+  /// cached result in the same critical section (evicting the least recently
+  /// used past capacity); otherwise it is dropped. Then every parked follower
+  /// is called with `response` — same status, same shared result, with
+  /// DiscoveryResponse::deduped set — on the calling thread, outside the
+  /// lock. A no-op unless `lead` still holds the entry, so a repeated call,
+  /// or a finished leader's call after the key was re-led, changes nothing.
+  void Complete(const CacheKey& key, uint64_t lead,
+                const DiscoveryResponse& response);
 
-  /// Drops every entry of `model` (on checkpoint unload/replace).
+  /// Drops every cached entry of `model` (on checkpoint unload/replace).
+  /// Running entries stay: their leaders, pinned to the unloaded model,
+  /// still resolve their followers and cache under the old generation.
   void EraseModel(const std::string& model);
 
-  /// Drops every entry older than the TTL, returning how many were dropped
-  /// (0 when no TTL is configured). Expiry is otherwise lazy — checked on
-  /// Get — so long-idle caches can call this to release memory eagerly.
+  /// Drops every cached entry older than the TTL, returning how many were
+  /// dropped (0 when no TTL is configured). Expiry is otherwise lazy —
+  /// checked on Join — so long-idle tables can call this to release memory
+  /// eagerly. Running entries are never dropped.
   size_t PruneExpired();
 
-  /// Drops every entry.
-  void Clear();
-  /// Snapshot of the cache counters.
+  /// Snapshot of the counters.
   Stats stats() const;
 
  private:
+  /// One key's entry: running while `lead` is non-zero, else cached.
   struct Entry {
-    std::shared_ptr<const core::DetectionResult> result;
-    double put_time = 0;  ///< clock seconds at the last Put
+    uint64_t lead = 0;  ///< running: the leader's Join token
+    /// Running: the leader's trace id (0 when untraced), which followers
+    /// link their own traces to.
+    uint64_t leader_trace_id = 0;
+    std::vector<DiscoveryCallback> followers;  ///< running: parked callbacks
+    std::shared_ptr<const core::DetectionResult> result;  ///< cached: result
+    double cached_at = 0;  ///< cached: clock seconds when it was cached
+    std::list<const CacheKey*>::iterator lru;  ///< cached: its LRU position
   };
-  using LruList = std::list<std::pair<CacheKey, Entry>>;
 
-  /// True when `entry` is older than the TTL at clock time `now`.
+  /// True when the cached `entry` is older than the TTL at clock time `now`.
   bool ExpiredLocked(const Entry& entry, double now) const;
 
   mutable std::mutex mu_;
   ScoreCacheOptions options_;
-  LruList lru_;  // front = most recent
-  std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index_;
+  std::unordered_map<CacheKey, Entry, CacheKeyHash> index_;
+  /// The cached entries' keys (pointing into index_), most recent first.
+  std::list<const CacheKey*> lru_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
   uint64_t expirations_ = 0;
+  uint64_t leaders_ = 0;  ///< also the last lead token handed out
+  uint64_t followers_ = 0;
+  uint64_t failed_fanins_ = 0;
 };
 
 }  // namespace serve

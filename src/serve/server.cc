@@ -416,8 +416,8 @@ bool WireServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       msg.batch_rejected = batch.rejected;
       msg.batch_in_flight_limit = batch.in_flight_limit;
       msg.batch_shape_buckets = batch.shape_buckets;
-      msg.dedup_hits = engine_stats.dedup.hits;
-      msg.dedup_in_flight = engine_stats.dedup.in_flight;
+      msg.dedup_hits = cache.followers;
+      msg.dedup_in_flight = cache.running;
       const Stats server = stats();
       msg.server_connections = server.connections_accepted;
       msg.server_frames = server.frames;

@@ -8,7 +8,6 @@
 
 #include "core/detector.h"
 #include "obs/trace.h"
-#include "serve/score_cache.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -27,6 +26,17 @@ namespace causalformer {
 /// engine, micro-batcher, score cache, and the TCP wire protocol
 /// (docs/architecture.md, docs/wire-protocol.md).
 namespace serve {
+
+/// 128-bit content hash of a window tensor (dims + raw float bit patterns),
+/// the window component of a CacheKey (serve/score_cache.h computes it).
+struct WindowHash {
+  uint64_t lo = 0;  ///< the first lane's window hash
+  uint64_t hi = 0;  ///< the second lane's (own seed and multiplier)
+  /// Exact 128-bit equality.
+  bool operator==(const WindowHash& o) const {
+    return lo == o.lo && hi == o.hi;
+  }
+};
 
 /// One causal-discovery query against a registered model.
 struct DiscoveryRequest {
@@ -72,19 +82,6 @@ struct DiscoveryResponse {
 /// once (InferenceEngine::Submit says on which thread), so it must not block
 /// on further engine work of its own and must not throw.
 using DiscoveryCallback = std::function<void(DiscoveryResponse)>;
-
-/// Equality of every field the detector's output depends on. Used to decide
-/// which queued requests may coalesce into one batched pass (hash collisions
-/// must not be able to merge requests with different options).
-inline bool SameDetectorOptions(const core::DetectorOptions& a,
-                                const core::DetectorOptions& b) {
-  return a.num_clusters == b.num_clusters && a.top_clusters == b.top_clusters &&
-         a.max_windows == b.max_windows &&
-         a.use_interpretation == b.use_interpretation &&
-         a.use_relevance == b.use_relevance &&
-         a.use_gradient == b.use_gradient &&
-         a.bias_absorption == b.bias_absorption && a.epsilon == b.epsilon;
-}
 
 }  // namespace serve
 }  // namespace causalformer

@@ -401,7 +401,6 @@ uint8_t* PayloadWriter::Extend(size_t n) {
 }
 
 void PayloadWriter::U8(uint8_t v) { out_->push_back(v); }
-void PayloadWriter::U16(uint16_t v) { StoreLE(Extend(2), v); }
 void PayloadWriter::U32(uint32_t v) { StoreLE(Extend(4), v); }
 void PayloadWriter::U64(uint64_t v) { StoreLE(Extend(8), v); }
 void PayloadWriter::I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
@@ -447,13 +446,6 @@ Status PayloadReader::U8(uint8_t* v) {
   const uint8_t* p;
   CF_RETURN_IF_ERROR(Take(1, &p));
   *v = p[0];
-  return Status::Ok();
-}
-
-Status PayloadReader::U16(uint16_t* v) {
-  const uint8_t* p;
-  CF_RETURN_IF_ERROR(Take(2, &p));
-  *v = LoadLE<uint16_t>(p);
   return Status::Ok();
 }
 

@@ -144,7 +144,6 @@ class PayloadWriter {
   explicit PayloadWriter(std::vector<uint8_t>* out) : out_(out) {}
 
   void U8(uint8_t v);    ///< 1 byte
-  void U16(uint16_t v);  ///< 2 bytes LE
   void U32(uint32_t v);  ///< 4 bytes LE
   void U64(uint64_t v);  ///< 8 bytes LE
   void I32(int32_t v);   ///< 4 bytes LE, two's complement
@@ -174,7 +173,6 @@ class PayloadReader {
       : data_(data), size_(size) {}
 
   Status U8(uint8_t* v);    ///< reads 1 byte
-  Status U16(uint16_t* v);  ///< reads 2 bytes LE
   Status U32(uint32_t* v);  ///< reads 4 bytes LE
   Status U64(uint64_t* v);  ///< reads 8 bytes LE
   Status I32(int32_t* v);   ///< reads 4 bytes LE, two's complement
@@ -261,7 +259,8 @@ struct StatsResultMsg {
   uint64_t batch_rejected = 0;    ///< requests rejected (queue full/shutdown)
   /// Followers coalesced onto an identical in-flight query (v3).
   uint64_t dedup_hits = 0;
-  /// Unique queries currently in flight in the dedup table (gauge, v3).
+  /// Running entries of the score table: unique queries in flight (gauge,
+  /// v3).
   uint64_t dedup_in_flight = 0;
   /// Executor count of the batcher, fixed at startup (v3; carried an
   /// occupancy-driven admission limit until that was removed).

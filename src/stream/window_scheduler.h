@@ -25,9 +25,9 @@
 /// (RollingWindowHasher — O(stride·N + width) per window, and the hash
 /// doubles as the ScoreCache key, so identical windows across streams or
 /// replays skip detection entirely; when the identical window is still *in
-/// flight* rather than cached, the engine's InFlightTable parks this
-/// stream's submission on the running one instead of double-running it,
-/// counted as StreamStats::windows_deduped), and submits them through
+/// flight* rather than cached, the engine's ScoreCache parks this stream's
+/// submission as a follower on the running entry instead of double-running
+/// it, counted as StreamStats::windows_deduped), and submits them through
 /// InferenceEngine::Submit — the same entry point one-shot queries use, so
 /// windows from concurrent streams coalesce with each other and with ad-hoc
 /// Detect traffic in the micro-batcher. Each window's completion callback

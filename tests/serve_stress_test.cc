@@ -13,7 +13,6 @@
 
 #include "core/detector.h"
 #include "serve/inference_engine.h"
-#include "serve/inflight.h"
 #include "serve/model_registry.h"
 #include "serve/score_cache.h"
 #include "serve_test_util.h"
@@ -122,10 +121,10 @@ TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
   for (auto& c : clients) c.join();
 
   // All K submissions are in: exactly one leader, K-1 parked followers.
-  const auto parked = engine.dedup_stats();
+  const auto parked = engine.cache_stats();
   EXPECT_EQ(parked.leaders, 1u);
-  EXPECT_EQ(parked.hits, static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(parked.in_flight, 1u);
+  EXPECT_EQ(parked.followers, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(parked.running, 1u);
 
   gate.Release();
   std::vector<DiscoveryResponse> responses;
@@ -149,8 +148,8 @@ TEST(ServeStressTest, IdenticalConcurrentRequestsRunOnce) {
   // The engine-wide snapshot surfaces the same gauges the wire StatsResult
   // reports, and the table drained.
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.dedup.hits, static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.dedup.in_flight, 0u);
+  EXPECT_EQ(stats.cache.followers, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.cache.running, 0u);
 }
 
 TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
@@ -194,8 +193,8 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
   for (auto& c : clients) c.join();
 
   // Every perturbed request is its own leader; nothing parked on anything.
-  EXPECT_EQ(engine.dedup_stats().leaders, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(engine.dedup_stats().hits, 0u);
+  EXPECT_EQ(engine.cache_stats().leaders, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(engine.cache_stats().followers, 0u);
 
   gate.Release();
   for (auto& f : futures) {
@@ -213,11 +212,11 @@ TEST(ServeStressTest, EpsilonPerturbedRequestsNeverCoalesce) {
 // receives that same error (counted as failed fan-ins) — never a hang, never
 // a broken promise.
 TEST(ServeStressTest, FollowersFanInOnLeaderError) {
-  InFlightTable table;
+  ScoreCache table(/*capacity=*/16);
   CacheKey key{"m", {7, 9}, {}, 1};
   DiscoveryCallback leader_done = [](DiscoveryResponse) {};
-  const auto leader = table.Join(key, &leader_done);
-  ASSERT_NE(leader, nullptr);
+  const uint64_t leader = table.Join(key, &leader_done).lead;
+  ASSERT_NE(leader, 0u);
 
   constexpr int kFollowers = 5;
   Barrier barrier(kFollowers + 1);
@@ -228,18 +227,20 @@ TEST(ServeStressTest, FollowersFanInOnLeaderError) {
       barrier.Wait();
       DiscoveryCallback done =
           FutureCallback(&futures[static_cast<size_t>(t)]);
-      EXPECT_EQ(table.Join(key, &done), nullptr);
+      const ScoreCache::Joined joined = table.Join(key, &done);
+      EXPECT_EQ(joined.cached, nullptr);
+      EXPECT_EQ(joined.lead, 0u);  // parked as a follower
     });
   }
   barrier.Wait();
   for (auto& t : threads) t.join();
-  EXPECT_EQ(table.stats().hits, static_cast<uint64_t>(kFollowers));
+  EXPECT_EQ(table.stats().followers, static_cast<uint64_t>(kFollowers));
 
   DiscoveryResponse failure;
   failure.status = Status::Internal("leader exploded");
-  table.Complete(leader, failure);
+  table.Complete(key, leader, failure);
   // Completion is idempotent: a second resolve must not double-fan.
-  table.Complete(leader, failure);
+  table.Complete(key, leader, failure);
 
   for (auto& f : futures) {
     const DiscoveryResponse r = f.get();
@@ -247,7 +248,8 @@ TEST(ServeStressTest, FollowersFanInOnLeaderError) {
     EXPECT_TRUE(r.deduped);
   }
   EXPECT_EQ(table.stats().failed_fanins, static_cast<uint64_t>(kFollowers));
-  EXPECT_EQ(table.stats().in_flight, 0u);
+  EXPECT_EQ(table.stats().running, 0u);
+  EXPECT_EQ(table.stats().size, 0u);  // a failed leader caches nothing
 }
 
 // The leader-cancelled path end to end: the engine shuts down while the
@@ -282,7 +284,7 @@ TEST(ServeStressTest, EngineTeardownFailsParkedFollowersDeterministically) {
     request.windows = windows;
     futures.push_back(engine->SubmitAsync(std::move(request)));
   }
-  EXPECT_EQ(engine->dedup_stats().hits, static_cast<uint64_t>(kFollowers));
+  EXPECT_EQ(engine->cache_stats().followers, static_cast<uint64_t>(kFollowers));
 
   // Tear the engine down on a side thread: its batcher marks shutdown and
   // orphans the queued leader immediately, then blocks joining the stuck
@@ -340,7 +342,8 @@ TEST(ServeStressTest, UnloadWhileParkedFollowersGetPinnedModelResult) {
     request.windows = windows;
     futures.push_back(engine.SubmitAsync(std::move(request)));
   }
-  EXPECT_EQ(engine.dedup_stats().hits, static_cast<uint64_t>(kCallers - 1));
+  EXPECT_EQ(engine.cache_stats().followers,
+            static_cast<uint64_t>(kCallers - 1));
 
   // Swap "m" to a different architecture while leader + followers are
   // parked/queued.
@@ -410,7 +413,8 @@ TEST(ServeStressTest, ExpiredCacheEntryRefillsThroughDedupOnce) {
   // One expiry-triggered recompute total, not one per caller.
   EXPECT_EQ(counter.total(), 2);
   EXPECT_EQ(engine.cache_stats().expirations, 1u);
-  EXPECT_EQ(engine.dedup_stats().hits, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(engine.cache_stats().followers,
+            static_cast<uint64_t>(kThreads - 1));
 }
 
 // Shape-bucketed batching: requests with two different detector-option sets
@@ -483,7 +487,7 @@ TEST(ServeStressTest, EveryExecutorTakesWorkAndRidersFillTheWindowBudget) {
   std::mutex mu;
   std::vector<int64_t> batch_windows;  // summed windows of each batch run
   const auto hold = gate.hook();
-  MicroBatcher batcher(opts, [&](std::vector<BatchItem> items) {
+  MicroBatcher batcher(opts, [&](std::vector<BatchItem>& items) {
     hold(items.front().key);
     int64_t windows = 0;
     for (const auto& item : items) windows += item.request.windows.dim(0);
@@ -609,7 +613,7 @@ TEST(ServeStressTest, SustainedMixedLoadComputesEachUniqueKeyOnce) {
       1 + kThreads * (kRounds / 2);
   EXPECT_EQ(counter.total(), unique);
   EXPECT_EQ(counter.unique_keys(), static_cast<size_t>(unique));
-  EXPECT_EQ(engine.dedup_stats().hits,
+  EXPECT_EQ(engine.cache_stats().followers,
             static_cast<uint64_t>(kThreads * ((kRounds + 1) / 2) - 1));
 
   // Spot-check the hot window's scores against an independent engine.

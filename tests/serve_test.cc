@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <future>
@@ -112,6 +113,38 @@ TEST(ModelRegistryTest, TrainedRoundTripDetectsIdentically) {
   std::remove(path.c_str());
 }
 
+// A callback for joins whose outcome the test reads from the table itself.
+DiscoveryCallback Ignore() {
+  return [](DiscoveryResponse) {};
+}
+
+// Fills `key` the way the engine does: a Join that misses and leads, then
+// that leader's successful Complete, which caches `result`.
+void Fill(ScoreCache* cache, const CacheKey& key,
+          std::shared_ptr<const core::DetectionResult> result) {
+  DiscoveryCallback done = Ignore();
+  const ScoreCache::Joined joined = cache->Join(key, &done);
+  ASSERT_EQ(joined.cached, nullptr) << "Fill expects a miss";
+  ASSERT_NE(joined.lead, 0u) << "Fill expects to lead";
+  DiscoveryResponse response;
+  response.result = std::move(result);
+  cache->Complete(key, joined.lead, response);
+}
+
+// One lookup of `key`: the cached result on a hit, else null. A miss leads,
+// and the probe fails that lead at once, so nothing is left running.
+std::shared_ptr<const core::DetectionResult> Probe(ScoreCache* cache,
+                                                   const CacheKey& key) {
+  DiscoveryCallback done = Ignore();
+  ScoreCache::Joined joined = cache->Join(key, &done);
+  if (joined.lead != 0) {
+    DiscoveryResponse failed;
+    failed.status = Status::Internal("probe");
+    cache->Complete(key, joined.lead, failed);
+  }
+  return std::move(joined.cached);
+}
+
 TEST(ScoreCacheTest, LruEvictionAndStats) {
   ScoreCache cache(/*capacity=*/2);
   auto result = [&](int n) {
@@ -121,31 +154,33 @@ TEST(ScoreCacheTest, LruEvictionAndStats) {
   CacheKey b{"m", {2, 2}, {}};
   CacheKey c{"m", {3, 3}, {}};
 
-  EXPECT_EQ(cache.Get(a), nullptr);
-  cache.Put(a, result(2));
-  cache.Put(b, result(3));
-  EXPECT_NE(cache.Get(a), nullptr);  // refreshes a; b is now LRU
-  cache.Put(c, result(4));           // evicts b
-  EXPECT_EQ(cache.Get(b), nullptr);
-  EXPECT_NE(cache.Get(a), nullptr);
-  EXPECT_NE(cache.Get(c), nullptr);
+  Fill(&cache, a, result(2));  // misses, then caches
+  Fill(&cache, b, result(3));
+  EXPECT_NE(Probe(&cache, a), nullptr);  // refreshes a; b is now LRU
+  Fill(&cache, c, result(4));            // evicts b
+  EXPECT_EQ(Probe(&cache, b), nullptr);
+  EXPECT_NE(Probe(&cache, a), nullptr);
+  EXPECT_NE(Probe(&cache, c), nullptr);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.size, 2u);
   EXPECT_EQ(stats.capacity, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 2u);
+  // Every non-hit join is a miss: the three fills and the probe of b.
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.leaders, 4u);
+  EXPECT_EQ(stats.running, 0u);
 }
 
 TEST(ScoreCacheTest, EraseModelDropsOnlyThatModel) {
   ScoreCache cache(8);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m1", {1, 1}, {}}, result);
-  cache.Put({"m2", {1, 1}, {}}, result);
+  Fill(&cache, {"m1", {1, 1}, {}}, result);
+  Fill(&cache, {"m2", {1, 1}, {}}, result);
   cache.EraseModel("m1");
-  EXPECT_EQ(cache.Get({"m1", {1, 1}, {}}), nullptr);
-  EXPECT_NE(cache.Get({"m2", {1, 1}, {}}), nullptr);
+  EXPECT_EQ(Probe(&cache, {"m1", {1, 1}, {}}), nullptr);
+  EXPECT_NE(Probe(&cache, {"m2", {1, 1}, {}}), nullptr);
 }
 
 TEST(ScoreCacheTest, DifferentOptionsDifferentEntries) {
@@ -153,8 +188,12 @@ TEST(ScoreCacheTest, DifferentOptionsDifferentEntries) {
   core::DetectorOptions b;
   b.use_relevance = false;
   EXPECT_NE(EncodeDetectorOptions(a), EncodeDetectorOptions(b));
-  EXPECT_FALSE(SameDetectorOptions(a, b));
-  EXPECT_TRUE(SameDetectorOptions(a, a));
+  EXPECT_EQ(EncodeDetectorOptions(a),
+            EncodeDetectorOptions(core::DetectorOptions{}));
+  // epsilon compares bit for bit: one ulp apart is a different key.
+  core::DetectorOptions c;
+  c.epsilon = std::nextafterf(a.epsilon, 1.0f);
+  EXPECT_NE(EncodeDetectorOptions(a), EncodeDetectorOptions(c));
 }
 
 TEST(ScoreCacheTest, WindowHashSensitivity) {
@@ -178,13 +217,13 @@ TEST(ScoreCacheTest, TtlExpiresIdleEntries) {
 
   CacheKey a{"m", {1, 1}, {}};
   CacheKey b{"m", {2, 2}, {}};
-  cache.Put(a, result);
+  Fill(&cache, a, result);
   now += 6;
-  cache.Put(b, result);
-  EXPECT_NE(cache.Get(a), nullptr);  // age 6 < ttl; Get does not reset age
-  now += 6;                          // a is 12 old, b is 6 old
-  EXPECT_EQ(cache.Get(a), nullptr);  // expired, counted below
-  EXPECT_NE(cache.Get(b), nullptr);
+  Fill(&cache, b, result);
+  EXPECT_NE(Probe(&cache, a), nullptr);  // age 6 < ttl; a hit keeps the age
+  now += 6;                              // a is 12 old, b is 6 old
+  EXPECT_EQ(Probe(&cache, a), nullptr);  // expired, counted below
+  EXPECT_NE(Probe(&cache, b), nullptr);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.expirations, 1u);
@@ -192,11 +231,12 @@ TEST(ScoreCacheTest, TtlExpiresIdleEntries) {
   EXPECT_EQ(stats.size, 1u);
   EXPECT_EQ(stats.ttl_seconds, 10.0);
 
-  // A Put refresh makes the entry young again.
+  // An expired entry re-leads, and its completion makes it young again.
   now += 6;  // b is 12 old
-  cache.Put(b, result);
+  Fill(&cache, b, result);
+  EXPECT_EQ(cache.stats().expirations, 2u);
   now += 6;
-  EXPECT_NE(cache.Get(b), nullptr);  // 6 since the refresh
+  EXPECT_NE(Probe(&cache, b), nullptr);  // 6 since the refill
 }
 
 TEST(ScoreCacheTest, PruneExpiredDropsEveryStaleEntry) {
@@ -207,10 +247,10 @@ TEST(ScoreCacheTest, PruneExpiredDropsEveryStaleEntry) {
   options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m", {1, 1}, {}}, result);
-  cache.Put({"m", {2, 2}, {}}, result);
+  Fill(&cache, {"m", {1, 1}, {}}, result);
+  Fill(&cache, {"m", {2, 2}, {}}, result);
   now = 4;
-  cache.Put({"m", {3, 3}, {}}, result);
+  Fill(&cache, {"m", {3, 3}, {}}, result);
   EXPECT_EQ(cache.PruneExpired(), 0u);  // nothing past 5s yet
   now = 7;
   EXPECT_EQ(cache.PruneExpired(), 2u);  // the two 7s-old entries
@@ -227,11 +267,152 @@ TEST(ScoreCacheTest, ZeroTtlNeverExpires) {
   options.clock = obs::Clock([&now] { return now; });
   ScoreCache cache(options);
   auto result = std::make_shared<const core::DetectionResult>(2);
-  cache.Put({"m", {1, 1}, {}}, result);
+  Fill(&cache, {"m", {1, 1}, {}}, result);
   now = 1e9;
-  EXPECT_NE(cache.Get({"m", {1, 1}, {}}), nullptr);
+  EXPECT_NE(Probe(&cache, {"m", {1, 1}, {}}), nullptr);
   EXPECT_EQ(cache.PruneExpired(), 0u);
   EXPECT_EQ(cache.stats().expirations, 0u);
+}
+
+// An unload or a TTL sweep while a query runs must not strand its
+// followers: both drop cached entries only, and the leader still resolves
+// the followers and caches its result under the key it joined.
+TEST(ScoreCacheTest, EraseAndPruneLeaveRunningEntriesAlone) {
+  double now = 0.0;
+  ScoreCacheOptions options;
+  options.capacity = 8;
+  options.ttl_seconds = 5.0;
+  options.clock = obs::Clock([&now] { return now; });
+  ScoreCache cache(options);
+  auto result = std::make_shared<const core::DetectionResult>(2);
+  const CacheKey running{"m", {1, 1}, {}, 1};
+  const CacheKey cached{"m", {2, 2}, {}, 1};
+  const CacheKey stale{"other", {3, 3}, {}, 1};
+  Fill(&cache, cached, result);
+  Fill(&cache, stale, result);
+
+  DiscoveryCallback leader_done = Ignore();
+  const ScoreCache::Joined leader = cache.Join(running, &leader_done);
+  ASSERT_NE(leader.lead, 0u);
+  std::vector<std::future<DiscoveryResponse>> followers(2);
+  for (auto& future : followers) {
+    DiscoveryCallback done = FutureCallback(&future);
+    const ScoreCache::Joined joined = cache.Join(running, &done);
+    EXPECT_EQ(joined.cached, nullptr);
+    EXPECT_EQ(joined.lead, 0u);  // parked as a follower
+  }
+
+  cache.EraseModel("m");  // drops `cached` only
+  EXPECT_EQ(cache.stats().size, 1u);
+  EXPECT_EQ(cache.stats().running, 1u);
+  now = 100;
+  EXPECT_EQ(cache.PruneExpired(), 1u);  // `stale` only: running has no age
+  EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_EQ(cache.stats().running, 1u);
+  for (auto& future : followers) {
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+  }
+
+  DiscoveryResponse response;
+  response.result = result;
+  cache.Complete(running, leader.lead, response);
+  for (auto& future : followers) {
+    const DiscoveryResponse r = future.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.deduped);
+    EXPECT_EQ(r.result.get(), result.get());
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.followers, 2u);
+  EXPECT_EQ(Probe(&cache, running).get(), result.get());
+}
+
+// A leader that already completed holds a dead token: it can resolve
+// neither a successor leader's entry for the same key nor that successor's
+// followers, whether its own entry was dropped or cached and re-led.
+TEST(ScoreCacheTest, FinishedLeaderCannotCompleteASuccessor) {
+  double now = 0.0;
+  ScoreCacheOptions options;
+  options.capacity = 8;
+  options.ttl_seconds = 5.0;
+  options.clock = obs::Clock([&now] { return now; });
+  ScoreCache cache(options);
+  const CacheKey key{"m", {4, 4}, {}, 1};
+  auto first = std::make_shared<const core::DetectionResult>(2);
+  auto second = std::make_shared<const core::DetectionResult>(2);
+  DiscoveryResponse ok_first;
+  ok_first.result = first;
+  DiscoveryResponse failed;
+  failed.status = Status::Internal("leader failed");
+
+  for (const bool cache_first : {false, true}) {
+    SCOPED_TRACE(cache_first ? "cached, expired, re-led" : "failed, re-led");
+    DiscoveryCallback done = Ignore();
+    const uint64_t finished = cache.Join(key, &done).lead;
+    ASSERT_NE(finished, 0u);
+    cache.Complete(key, finished, cache_first ? ok_first : failed);
+    if (cache_first) now += 10;  // the cached result expires
+
+    DiscoveryCallback successor_done = Ignore();
+    const uint64_t successor = cache.Join(key, &successor_done).lead;
+    ASSERT_NE(successor, 0u);
+    EXPECT_NE(successor, finished);
+    std::future<DiscoveryResponse> follower;
+    DiscoveryCallback follower_done = FutureCallback(&follower);
+    EXPECT_EQ(cache.Join(key, &follower_done).lead, 0u);
+
+    cache.Complete(key, finished, ok_first);  // stale: changes nothing
+    EXPECT_EQ(follower.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    EXPECT_EQ(cache.stats().running, 1u);
+
+    DiscoveryResponse ok_second;
+    ok_second.result = second;
+    cache.Complete(key, successor, ok_second);
+    EXPECT_EQ(follower.get().result.get(), second.get());
+    EXPECT_EQ(Probe(&cache, key).get(), second.get());
+    now += 10;  // expire `second` before the next round
+    EXPECT_EQ(cache.PruneExpired(), 1u);
+  }
+}
+
+// Capacity 0 turns caching off, not dedup: followers still coalesce on a
+// running entry, but its completion caches nothing.
+TEST(ScoreCacheTest, ZeroCapacityCoalescesButCachesNothing) {
+  ScoreCache cache(/*capacity=*/0);
+  const CacheKey key{"m", {5, 5}, {}, 1};
+  auto result = std::make_shared<const core::DetectionResult>(2);
+  DiscoveryCallback leader_done = Ignore();
+  const uint64_t lead = cache.Join(key, &leader_done).lead;
+  ASSERT_NE(lead, 0u);
+  constexpr int kFollowers = 3;
+  std::vector<std::future<DiscoveryResponse>> followers(kFollowers);
+  for (auto& future : followers) {
+    DiscoveryCallback done = FutureCallback(&future);
+    EXPECT_EQ(cache.Join(key, &done).lead, 0u);
+  }
+  DiscoveryResponse response;
+  response.result = result;
+  cache.Complete(key, lead, response);
+  for (auto& future : followers) {
+    const DiscoveryResponse r = future.get();
+    EXPECT_TRUE(r.deduped);
+    EXPECT_EQ(r.result.get(), result.get());
+  }
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.leaders, 1u);
+  EXPECT_EQ(stats.followers, static_cast<uint64_t>(kFollowers));
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.running, 0u);
+  // Nothing was cached, so the next join leads again.
+  EXPECT_EQ(Probe(&cache, key), nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.leaders, 2u);
+  EXPECT_EQ(stats.misses, 2u + kFollowers);
 }
 
 TEST(ScoreCacheTest, ColumnDigestsComposeToHashWindows) {
@@ -502,7 +683,7 @@ TEST(MicroBatcherTest, QueueFullRejectsAndShutdownDrains) {
   opts.max_batch_requests = 1;
   opts.max_queue = 2;
   opts.max_in_flight_batches = 1;
-  auto executor = [&](std::vector<BatchItem> items) {
+  auto executor = [&](std::vector<BatchItem>& items) {
     {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return release; });

@@ -66,7 +66,7 @@ inline void ExpectSameDetection(const core::DetectionResult& a,
 
 // A DiscoveryCallback that fulfils a promise whose future lands in
 // `*future`: tests that drive the callback-form layers (MicroBatcher,
-// InFlightTable) directly read results back the way SubmitAsync callers do.
+// ScoreCache) directly read results back the way SubmitAsync callers do.
 inline DiscoveryCallback FutureCallback(std::future<DiscoveryResponse>* future) {
   auto promise = std::make_shared<std::promise<DiscoveryResponse>>();
   *future = promise->get_future();

@@ -630,7 +630,7 @@ TEST_F(SchedulerTest, IdenticalWindowsAcrossStreamsDedupInFlight) {
   EXPECT_EQ(b_ack->windows_emitted, 9u);
 
   // All 9 of a's windows are in flight; all 9 of b's parked on them.
-  EXPECT_EQ(engine.dedup_stats().hits, 9u);
+  EXPECT_EQ(engine.cache_stats().followers, 9u);
   gate.Release();
   scheduler.Flush();
 

@@ -803,7 +803,8 @@ TEST(WireMessageTest, DetectRoundTrip) {
   wire::DetectMsg decoded;
   ASSERT_TRUE(wire::DecodeDetect(wire::EncodeDetect(msg), &decoded).ok());
   EXPECT_EQ(decoded.model, "prod");
-  EXPECT_TRUE(SameDetectorOptions(decoded.options, msg.options));
+  EXPECT_EQ(EncodeDetectorOptions(decoded.options),
+            EncodeDetectorOptions(msg.options));
   ASSERT_EQ(decoded.windows.shape(), msg.windows.shape());
   EXPECT_EQ(std::memcmp(decoded.windows.data(), msg.windows.data(),
                         sizeof(float) * static_cast<size_t>(
@@ -1770,7 +1771,7 @@ TEST_F(WireLoopbackTest, StopWhileAGateHoldsRequestsDropsTheirResponses) {
                   .SendFrame(wire::MessageType::kDetectBatch,
                              wire::EncodeDetectBatch(batch))
                   .ok());
-  while (engine_->dedup_stats().hits < 1 ||
+  while (engine_->cache_stats().followers < 1 ||
          engine_->batcher_stats().requests < 3) {
     std::this_thread::yield();
   }
@@ -2036,9 +2037,9 @@ TEST_F(WireObsLoopbackTest, DedupFollowerTraceLinksLeader) {
   // first in flight and parks as a dedup follower.
   gate_.Close();
   ASSERT_TRUE(client_.SendFrame(wire::MessageType::kDetect, payload).ok());
-  while (engine_->dedup_stats().in_flight < 1) std::this_thread::yield();
+  while (engine_->cache_stats().running < 1) std::this_thread::yield();
   ASSERT_TRUE(follower.SendFrame(wire::MessageType::kDetect, payload).ok());
-  while (engine_->dedup_stats().hits < 1) std::this_thread::yield();
+  while (engine_->cache_stats().followers < 1) std::this_thread::yield();
   gate_.Release();
 
   auto leader_frame = client_.RecvFrame();

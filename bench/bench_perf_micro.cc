@@ -1,7 +1,7 @@
 // Kernel microbenchmarks: times the tensor hot loops (conv, matmul, softmax,
-// elementwise, reductions, relevance) once with the scalar reference kernel
-// table and once with the best vectorized table this build/CPU offers, in the
-// same process via simd::SetLevelForTesting. Reports per-kernel speedups and
+// elementwise, reductions, relevance) and one serving-size detect once with
+// the scalar reference kernel table and once with the best vectorized table
+// this build/CPU offers, in the same process via simd::SetLevelForTesting. Reports per-kernel speedups and
 // their geometric mean, which CI gates at > 2x on SIMD-capable hosts (and
 // checks that every case below is present).
 //
@@ -23,6 +23,7 @@
 
 #include "core/causal_conv.h"
 #include "core/causality_transformer.h"
+#include "core/detector.h"
 #include "interpret/relevance.h"
 #include "tensor/allocator.h"
 #include "tensor/ops.h"
@@ -135,6 +136,21 @@ int main() {
   const auto model_fwd = model.Forward(model_x);
   cf::Tensor rel_seed = cf::Tensor::Ones(model_fwd.prediction.shape());
 
+  // cfbench's cold_serving detect: one micro-batch of 16 requests of 4
+  // windows each at the Diamond serving geometry (N=4, T=8, d=16, 2 heads).
+  cf::core::ModelOptions serve_opt;
+  serve_opt.num_series = 4;
+  serve_opt.window = 8;
+  serve_opt.d_model = 16;
+  serve_opt.d_qk = 16;
+  serve_opt.heads = 2;
+  serve_opt.d_ffn = 16;
+  cf::core::CausalityTransformer serve_model(serve_opt, &rng);
+  std::vector<cf::Tensor> serve_requests;
+  for (int r = 0; r < 16; ++r) {
+    serve_requests.push_back(cf::Tensor::Randn(cf::Shape{4, 4, 8}, &rng));
+  }
+
   std::vector<BenchCase> cases;
   cases.push_back({"matmul_128", 60, [&] {
                      g_sink = cf::MatMul(mm_a, mm_b).data()[0];
@@ -154,8 +170,9 @@ int main() {
   // op dispatch/autograd overhead): at op level the fixed per-op cost is the
   // same for both tables and would measure dispatch, not the kernel.
   cases.push_back({"elementwise_add_4k", 20000, [&] {
-                     cf::simd::Active().add(ew_a.data(), ew_b.data(),
-                                            ew_o.data(), 4096);
+                     cf::simd::Active().binary_tiled(
+                         cf::simd::ArithOp::kAdd, ew_a.data(), ew_b.data(),
+                         4096, ew_o.data(), 4096);
                      g_sink = ew_o.data()[0];
                    }});
   cases.push_back({"elementwise_fma_4k", 20000, [&] {
@@ -187,6 +204,11 @@ int main() {
                      const auto map = cf::interpret::PropagateRelevance(
                          model_fwd.prediction, rel_seed);
                      g_sink = static_cast<float>(map.size());
+                   }});
+  cases.push_back({"detect_serving", 100, [&] {
+                     const auto results = cf::core::DetectCausalGraphBatched(
+                         serve_model, serve_requests, {});
+                     g_sink = static_cast<float>(results[0].scores.at(0, 1));
                    }});
 
   const cf::simd::IsaLevel best_level = cf::simd::ActiveLevel();

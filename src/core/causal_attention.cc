@@ -1,5 +1,6 @@
 #include "core/causal_attention.h"
 
+#include "tensor/simd.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -17,24 +18,16 @@ Tensor AttentionCombine(const Tensor& attention, const Tensor& value) {
   CF_CHECK_EQ(value.dim(2), n);
   const int64_t steps = value.dim(3);
 
-  Tensor out = Tensor::Zeros(Shape{batch, n, steps});
+  Tensor out = Tensor::Empty(Shape{batch, n, steps});  // the kernel writes it
   {
     const float* pa = attention.data();
     const float* pv = value.data();
     float* po = out.data();
-    const int64_t item_cost = n * steps;  // one output row: n axpys
-    ParallelFor(batch * n, item_cost, [&](int64_t begin, int64_t end) {
-      for (int64_t bi = begin; bi < end; ++bi) {
-        const int64_t b = bi / n;
-        const int64_t i = bi % n;
-        float* orow = po + (b * n + i) * steps;
-        for (int64_t j = 0; j < n; ++j) {
-          const float a = pa[(b * n + i) * n + j];
-          if (a == 0.0f) continue;
-          const float* vrow = pv + ((b * n + j) * n + i) * steps;
-          for (int64_t t = 0; t < steps; ++t) orow[t] += a * vrow[t];
-        }
-      }
+    const simd::KernelTable& K = simd::Active();
+    const int64_t item_cost = n * n * steps;  // one batch item: n^2 axpys
+    ParallelFor(batch, item_cost, [&](int64_t begin, int64_t end) {
+      K.attention_combine(pa + begin * n * n, pv + begin * n * n * steps,
+                          po + begin * n * steps, end - begin, n, steps);
     });
   }
 
@@ -42,32 +35,11 @@ Tensor AttentionCombine(const Tensor& attention, const Tensor& value) {
       "attention_combine", {attention, value}, out,
       [attention, value](const Tensor&, const Tensor& cot,
                          const std::vector<bool>&) {
-        const int64_t batch = attention.dim(0);
-        const int64_t n = attention.dim(1);
-        const int64_t steps = value.dim(3);
-        Tensor ga = Tensor::Zeros(attention.shape());
-        Tensor gv = Tensor::Zeros(value.shape());
-        const float* pa = attention.data();
-        const float* pv = value.data();
-        const float* pc = cot.data();
-        float* pga = ga.data();
-        float* pgv = gv.data();
-        for (int64_t b = 0; b < batch; ++b) {
-          for (int64_t i = 0; i < n; ++i) {
-            const float* crow = pc + (b * n + i) * steps;
-            for (int64_t j = 0; j < n; ++j) {
-              const float* vrow = pv + ((b * n + j) * n + i) * steps;
-              float* gvrow = pgv + ((b * n + j) * n + i) * steps;
-              const float a = pa[(b * n + i) * n + j];
-              float acc = 0.0f;
-              for (int64_t t = 0; t < steps; ++t) {
-                acc += crow[t] * vrow[t];
-                gvrow[t] += a * crow[t];
-              }
-              pga[(b * n + i) * n + j] += acc;
-            }
-          }
-        }
+        Tensor ga = Tensor::Empty(attention.shape());
+        Tensor gv = Tensor::Empty(value.shape());
+        simd::Active().attention_combine_vjp(
+            attention.data(), value.data(), cot.data(), ga.data(), gv.data(),
+            attention.dim(0), attention.dim(1), value.dim(3));
         return std::vector<Tensor>{ga, gv};
       });
 }

@@ -1,8 +1,8 @@
 #include "core/detector.h"
 
 #include <cmath>
+#include <cstring>
 
-#include "data/windowing.h"
 #include "interpret/gradient_modulation.h"
 #include "interpret/relevance.h"
 #include "obs/trace.h"
@@ -97,7 +97,6 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
 
   // Per request: truncate to the interpretation budget, then stack all
   // requests into one batch with a row -> request map.
-  std::vector<Tensor> parts;
   std::vector<int64_t> offsets(num_requests, 0);
   std::vector<int64_t> counts(num_requests, 0);
   std::vector<int> row_groups;
@@ -109,15 +108,19 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     CF_CHECK_EQ(w.dim(2), t_window);
     const int64_t use = std::min<int64_t>(w.dim(0), options.max_windows);
     CF_CHECK_GT(use, 0);
-    std::vector<int64_t> idx(use);
-    for (int64_t i = 0; i < use; ++i) idx[i] = i;
-    parts.push_back(data::GatherWindows(w, idx));
     offsets[r] = total_rows;
     counts[r] = use;
     total_rows += use;
     row_groups.insert(row_groups.end(), static_cast<size_t>(use), r);
   }
-  const Tensor x = num_requests == 1 ? parts[0] : Concat(parts, /*axis=*/0);
+  // Each request's first `use` windows, copied once into the batch.
+  const int64_t window_floats = n * t_window;
+  Tensor x = Tensor::Empty(Shape{total_rows, n, t_window});
+  for (int r = 0; r < num_requests; ++r) {
+    std::memcpy(x.data() + offsets[r] * window_floats,
+                window_batches[r].data(),
+                static_cast<size_t>(counts[r] * window_floats) * sizeof(float));
+  }
 
   results.reserve(num_requests);
   for (int r = 0; r < num_requests; ++r) results.emplace_back(n);

@@ -24,7 +24,8 @@ Tensor SafeRatio(const Tensor& relevance, const Tensor& f, float eps) {
 Tensor HadamardRaw(const Tensor& a, const Tensor& b) {
   CF_CHECK(a.shape() == b.shape());
   Tensor out = Tensor::Empty(a.shape());
-  simd::Active().mul(a.data(), b.data(), out.data(), a.numel());
+  simd::Active().binary_tiled(simd::ArithOp::kMul, a.data(), b.data(),
+                              a.numel(), out.data(), a.numel());
   return out;
 }
 

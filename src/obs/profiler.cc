@@ -7,6 +7,7 @@
 #include <signal.h>
 #include <sys/time.h>
 #include <time.h>
+#include <ucontext.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -30,10 +31,29 @@ namespace {
 /// to this.
 constexpr int kMaxFrameSlots = 48;
 
-/// Frames the signal handler's own capture contributes (the handler plus
-/// the kernel's signal trampoline), dropped at record time so folded
-/// stacks start at the interrupted frame.
+/// Frames a tick may capture above the interrupted one: the tick, the
+/// signal handler and the kernel's signal trampoline, plus room for
+/// interposed frames (a sanitizer's backtrace interceptor adds one).
+constexpr int kHandlerMaxFrames = 8;
+
+/// Frames dropped from a tick's capture when the interrupted program
+/// counter is not among them (the tick and the handler, so the trampoline
+/// stays as the leaf).
 constexpr int kHandlerSkipFrames = 2;
+
+/// The program counter the signal interrupted, or null where this
+/// platform's ucontext layout is not known here.
+void* InterruptedPc(void* ucontext) {
+  const auto* uc = static_cast<const ucontext_t*>(ucontext);
+#if defined(__x86_64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+  (void)uc;
+  return nullptr;
+#endif
+}
 
 // ---- Process-wide thread-name registry -------------------------------------
 //
@@ -182,9 +202,9 @@ Status Profiler::Start() {
 
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
-  action.sa_handler = &Profiler::SignalHandler;
+  action.sa_sigaction = &Profiler::SignalHandler;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = SA_RESTART;
+  action.sa_flags = SA_RESTART | SA_SIGINFO;
   if (::sigaction(SIGPROF, &action, &g_previous_action) != 0) {
     g_installed.store(nullptr, std::memory_order_release);
     return Status::Internal(std::string("sigaction(SIGPROF): ") +
@@ -287,23 +307,31 @@ Profiler* Profiler::Installed() {
   return g_installed.load(std::memory_order_acquire);
 }
 
-void Profiler::SignalHandler(int /*signum*/) {
+void Profiler::SignalHandler(int /*signum*/, siginfo_t* /*info*/,
+                             void* ucontext) {
   const int saved_errno = errno;
   g_in_handler.fetch_add(1, std::memory_order_acq_rel);
   Profiler* profiler = g_installed.load(std::memory_order_acquire);
-  if (profiler != nullptr) profiler->HandleTick();
+  if (profiler != nullptr) profiler->HandleTick(InterruptedPc(ucontext));
   g_in_handler.fetch_sub(1, std::memory_order_acq_rel);
   errno = saved_errno;
 }
 
-void Profiler::HandleTick() {
+void Profiler::HandleTick(const void* pc) {
   const uint64_t t0 = MonotonicNanos();
   ticks_total_.fetch_add(1, std::memory_order_relaxed);
-  void* frames[kMaxFrameSlots + kHandlerSkipFrames];
-  const int depth =
-      ::backtrace(frames, options_.max_depth + kHandlerSkipFrames);
-  const int skip = std::min(kHandlerSkipFrames,
-                            depth > 0 ? depth - 1 : 0);
+  void* frames[kMaxFrameSlots + kHandlerMaxFrames];
+  const int depth = ::backtrace(frames, options_.max_depth + kHandlerMaxFrames);
+  // The stack starts at the interrupted function: every frame before its
+  // program counter belongs to this handler.
+  int skip = std::min(kHandlerSkipFrames, depth > 0 ? depth - 1 : 0);
+  for (int i = 0; pc != nullptr && i < std::min(depth, kHandlerMaxFrames);
+       ++i) {
+    if (frames[i] == pc) {
+      skip = i;
+      break;
+    }
+  }
   RecordSample(frames + skip, depth - skip);
   handler_ns_.fetch_add(MonotonicNanos() - t0, std::memory_order_relaxed);
 }

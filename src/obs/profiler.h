@@ -1,6 +1,8 @@
 #ifndef CAUSALFORMER_OBS_PROFILER_H_
 #define CAUSALFORMER_OBS_PROFILER_H_
 
+#include <signal.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -175,8 +177,8 @@ class Profiler {
  private:
   struct Sample;
 
-  static void SignalHandler(int signum);
-  void HandleTick();
+  static void SignalHandler(int signum, siginfo_t* info, void* ucontext);
+  void HandleTick(const void* pc);
   void SyncMetrics();
 
   ProfilerOptions options_;

@@ -183,6 +183,10 @@ ScoreCache::Joined ScoreCache::Join(const CacheKey& key,
 void ScoreCache::Complete(const CacheKey& key, uint64_t lead,
                           const DiscoveryResponse& response) {
   std::vector<DiscoveryCallback> followers;
+  // Declared before the lock, so an evicted entry (its result and its map
+  // node) is destroyed after the unlock, off the table mutex that every
+  // Join takes.
+  decltype(index_)::node_type evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
@@ -214,7 +218,7 @@ void ScoreCache::Complete(const CacheKey& key, uint64_t lead,
           ++evictions_;
         }
         lru_.pop_back();
-        index_.erase(victim);
+        evicted = index_.extract(victim);
       }
     } else {
       index_.erase(it);

@@ -99,6 +99,11 @@ int64_t ArgMaxIndex(const Tensor& x);
 /// Sums `t` down to `target` shape (inverse of broadcasting); used by VJPs.
 Tensor ReduceToShape(const Tensor& t, const Shape& target);
 
+/// dst[b][c][r] = src[b][r][c]: the transposes of `batch` row-major
+/// (rows x cols) matrices, written to a [batch, cols, rows] buffer.
+void TransposeMatrices(const float* src, float* dst, int64_t batch,
+                       int64_t rows, int64_t cols);
+
 }  // namespace causalformer
 
 #endif  // CAUSALFORMER_TENSOR_OPS_H_

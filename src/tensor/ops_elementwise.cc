@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <optional>
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -9,25 +10,7 @@ namespace causalformer {
 
 namespace {
 
-// Which arithmetic op a BroadcastBinary call performs, so the contiguous fast
-// paths can dispatch to the vectorized kernel table instead of calling the
-// std::function per element. kGeneric keeps the scalar closure.
-enum class BinKind { kGeneric, kAdd, kSub, kMul, kDiv };
-
-// The kernel-table entry of an arithmetic kind (not kGeneric).
-using ArithKernel = void (*)(const float*, const float*, float*, int64_t);
-ArithKernel KernelFor(const simd::KernelTable& K, BinKind kind) {
-  switch (kind) {
-    case BinKind::kAdd:
-      return K.add;
-    case BinKind::kSub:
-      return K.sub;
-    case BinKind::kMul:
-      return K.mul;
-    default:
-      return K.div;
-  }
-}
+using simd::ArithOp;
 
 // True when b broadcasts along a's leading dims only: b's shape, less any
 // leading 1s, equals a's trailing dims (a bias [d] against [B, T, d], a mask
@@ -44,11 +27,13 @@ bool TrailingBroadcast(const Shape& a, const Shape& b) {
   return true;
 }
 
-// Applies fn(a_i, b_i) with NumPy broadcasting. Fast paths: identical shapes,
-// scalar operands and a trailing-broadcast b (vectorized for the arithmetic
-// kinds); general path walks output indices with stride-0 for broadcast
-// dimensions.
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
+// Applies fn(a_i, b_i) with NumPy broadcasting. `op` names the kernel-table
+// arithmetic that fn performs, so the fast paths (identical shapes, scalar
+// operands, a trailing-broadcast b) run the vectorized table instead of
+// calling fn per element; std::nullopt keeps the closure. The general path
+// walks output indices with stride-0 for broadcast dimensions.
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
+                       std::optional<ArithOp> op,
                        const std::function<float(float, float)>& fn) {
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Empty(out_shape);  // every element written below
@@ -59,8 +44,8 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   const simd::KernelTable& K = simd::Active();
 
   if (a.shape() == b.shape()) {
-    if (kind != BinKind::kGeneric) {
-      KernelFor(K, kind)(pa, pb, o, n);
+    if (op) {
+      K.binary_tiled(*op, pa, pb, n, o, n);
     } else {
       for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], pb[i]);
     }
@@ -68,9 +53,9 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   }
   if (a.numel() == 1) {
     const float va = pa[0];
-    if (kind == BinKind::kAdd) {
+    if (op == ArithOp::kAdd) {
       K.add_scalar(va, pb, o, n);
-    } else if (kind == BinKind::kMul) {
+    } else if (op == ArithOp::kMul) {
       K.scale(va, pb, o, n);
     } else {
       for (int64_t i = 0; i < n; ++i) o[i] = fn(va, pb[i]);
@@ -79,24 +64,22 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   }
   if (b.numel() == 1) {
     const float vb = pb[0];
-    if (kind == BinKind::kAdd) {
+    if (op == ArithOp::kAdd) {
       K.add_scalar(vb, pa, o, n);
-    } else if (kind == BinKind::kSub) {
+    } else if (op == ArithOp::kSub) {
       // x - c == x + (-c) exactly in IEEE-754.
       K.add_scalar(-vb, pa, o, n);
-    } else if (kind == BinKind::kMul) {
+    } else if (op == ArithOp::kMul) {
       K.scale(vb, pa, o, n);
     } else {
       for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], vb);
     }
     return out;
   }
-  if (kind != BinKind::kGeneric && TrailingBroadcast(a.shape(), b.shape())) {
-    // One kernel call per repeat of b; each element still gets exactly
+  if (op && TrailingBroadcast(a.shape(), b.shape())) {
+    // One kernel call with b's period; each element still gets exactly
     // fn(a_i, b_j), so the result equals the general path's bit for bit.
-    const ArithKernel kernel = KernelFor(K, kind);
-    const int64_t m = b.numel();
-    for (int64_t off = 0; off < n; off += m) kernel(pa + off, pb, o + off, m);
+    K.binary_tiled(*op, pa, pb, b.numel(), o, n);
     return out;
   }
 
@@ -208,7 +191,7 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(a, b, BinKind::kAdd,
+  Tensor out = BroadcastBinary(a, b, ArithOp::kAdd,
                                [](float x, float y) { return x + y; });
   return MakeOp("add", {a, b}, out,
                 [a, b](const Tensor&, const Tensor& cot,
@@ -221,7 +204,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(a, b, BinKind::kSub,
+  Tensor out = BroadcastBinary(a, b, ArithOp::kSub,
                                [](float x, float y) { return x - y; });
   return MakeOp("sub", {a, b}, out,
                 [a, b](const Tensor&, const Tensor& cot,
@@ -239,7 +222,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(a, b, BinKind::kMul,
+  Tensor out = BroadcastBinary(a, b, ArithOp::kMul,
                                [](float x, float y) { return x * y; });
   return MakeOp("mul", {a, b}, out,
                 [a, b](const Tensor&, const Tensor& cot,
@@ -248,12 +231,12 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
                   std::vector<Tensor> grads(2);
                   if (needs[0]) {
                     grads[0] = ReduceToShape(
-                        BroadcastBinary(cot, b, BinKind::kMul, times),
+                        BroadcastBinary(cot, b, ArithOp::kMul, times),
                         a.shape());
                   }
                   if (needs[1]) {
                     grads[1] = ReduceToShape(
-                        BroadcastBinary(cot, a, BinKind::kMul, times),
+                        BroadcastBinary(cot, a, ArithOp::kMul, times),
                         b.shape());
                   }
                   return grads;
@@ -261,7 +244,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(a, b, BinKind::kDiv,
+  Tensor out = BroadcastBinary(a, b, ArithOp::kDiv,
                                [](float x, float y) { return x / y; });
   return MakeOp("div", {a, b}, out,
                 [a, b](const Tensor&, const Tensor& cot,
@@ -269,16 +252,16 @@ Tensor Div(const Tensor& a, const Tensor& b) {
                   std::vector<Tensor> grads(2);
                   if (needs[0]) {
                     grads[0] = ReduceToShape(
-                        BroadcastBinary(cot, b, BinKind::kDiv,
+                        BroadcastBinary(cot, b, ArithOp::kDiv,
                                         [](float c, float y) { return c / y; }),
                         a.shape());
                   }
                   if (needs[1]) {
                     Tensor tmp = BroadcastBinary(
-                        a, b, BinKind::kGeneric,
+                        a, b, std::nullopt,
                         [](float x, float y) { return -x / (y * y); });
                     grads[1] = ReduceToShape(
-                        BroadcastBinary(cot, tmp, BinKind::kMul,
+                        BroadcastBinary(cot, tmp, ArithOp::kMul,
                                         [](float c, float t) { return c * t; }),
                         b.shape());
                   }
@@ -337,9 +320,16 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {
-  return UnaryOp("leaky_relu", x,
-                 [slope](float v) { return v > 0.0f ? v : slope * v; },
-                 [slope](float v, float) { return v > 0.0f ? 1.0f : slope; });
+  Tensor out = Tensor::Empty(x.shape());
+  simd::Active().leaky_relu(slope, x.data(), out.data(), x.numel());
+  return MakeOp("leaky_relu", {x}, out,
+                [x, slope](const Tensor&, const Tensor& cot,
+                           const std::vector<bool>&) {
+                  Tensor gx = Tensor::Empty(x.shape());
+                  simd::Active().leaky_relu_vjp(slope, x.data(), cot.data(),
+                                                gx.data(), x.numel());
+                  return std::vector<Tensor>{gx};
+                });
 }
 
 Tensor Pow(const Tensor& x, float exponent) {

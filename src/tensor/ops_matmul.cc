@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -10,37 +12,32 @@ namespace {
 
 // C[b] = A[b] (m x k) @ B[b] (k x n), row-major. `batch_stride_*` of 0
 // broadcasts that operand across batches; with `transpose_a`, A[b] is stored
-// (k x m) and read down its columns. Each output row is one gemm_row.
+// (k x m) and read down its columns. Each ParallelFor chunk makes one
+// gemm_rows call per batch matrix it touches.
 void MatMulKernel(const float* a, const float* b, float* c, int64_t batch,
                   int64_t m, int64_t k, int64_t n, int64_t a_bstride,
                   int64_t b_bstride, int64_t c_bstride, bool transpose_a) {
   const simd::KernelTable& K = simd::Active();
+  const int64_t a_row_step = transpose_a ? 1 : k;
+  const int64_t a_stride = transpose_a ? m : 1;
+  if (b_bstride == 0 && !transpose_a && a_bstride == m * k &&
+      c_bstride == m * n) {
+    // One B for every batch, and A's and C's rows run on across batches: the
+    // batches are one (batch * m) x k matrix.
+    m *= batch;
+    batch = 1;
+  }
   const int64_t row_cost = k * n;  // one output row: n length-k sums
   ParallelFor(batch * m, row_cost, [&](int64_t begin, int64_t end) {
-    for (int64_t r = begin; r < end; ++r) {
+    for (int64_t r = begin; r < end;) {
       const int64_t bi = r / m;
       const int64_t i = r % m;
-      const float* ab = a + bi * a_bstride;
-      K.gemm_row(transpose_a ? ab + i : ab + i * k, transpose_a ? m : 1,
-                 b + bi * b_bstride, c + bi * c_bstride + i * n, k, n);
+      const int64_t rows = std::min(end - r, m - i);
+      K.gemm_rows(a + bi * a_bstride + i * a_row_step, a_row_step, a_stride,
+                  b + bi * b_bstride, c + bi * c_bstride + i * n, rows, k, n);
+      r += rows;
     }
   });
-}
-
-// The transposes of `batch` row-major (rows x cols) matrices, as [batch,
-// cols, rows].
-Tensor PackTranspose(const float* src, int64_t batch, int64_t rows,
-                     int64_t cols) {
-  Tensor out = Tensor::Empty(Shape{batch, cols, rows});
-  float* dst = out.data();
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    const float* s = src + bi * rows * cols;
-    float* d = dst + bi * rows * cols;
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
-    }
-  }
-  return out;
 }
 
 struct MatMulPlan {
@@ -104,11 +101,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       Tensor ga_full =
           Tensor::Empty(a_batched ? a.shape()
                                   : Shape({plan.batch, plan.m, plan.k}));
-      // B^T packed once (per batch when B is batched), so every dA row is one
-      // gemm_row. Under the scalar table each element is still one
+      // B^T packed once (per batch when B is batched), so dA is a plain
+      // product. Under the scalar table each element is still one
       // sequential sum over n, as CF_SIMD=off's bit-identity requires.
-      const Tensor bt = PackTranspose(b.data(), b_batched ? plan.batch : 1,
-                                      plan.k, plan.n);
+      const int64_t b_count = b_batched ? plan.batch : 1;
+      Tensor bt = Tensor::Empty(Shape{b_count, plan.n, plan.k});
+      TransposeMatrices(b.data(), bt.data(), b_count, plan.k, plan.n);
       MatMulKernel(cot.data(), bt.data(), ga_full.data(), plan.batch, plan.m,
                    plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
                    plan.m * plan.k, /*transpose_a=*/false);

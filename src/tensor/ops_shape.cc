@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 
 #include "tensor/ops.h"
@@ -31,33 +32,51 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
                 });
 }
 
+void TransposeMatrices(const float* src, float* dst, int64_t batch,
+                       int64_t rows, int64_t cols) {
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* s = src + bi * rows * cols;
+    float* d = dst + bi * rows * cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      for (int64_t r = 0; r < rows; ++r) d[c * rows + r] = s[r * cols + c];
+    }
+  }
+}
+
 Tensor Transpose(const Tensor& x, int dim0, int dim1) {
   const int d0 = ResolveAxis(dim0, x.ndim());
   const int d1 = ResolveAxis(dim1, x.ndim());
   std::vector<int64_t> out_dims = x.shape().dims();
   std::swap(out_dims[d0], out_dims[d1]);
   const Shape out_shape{std::vector<int64_t>(out_dims)};
-  Tensor out = Tensor::Zeros(out_shape);
-
-  const auto in_strides = ContiguousStrides(x.shape());
-  std::vector<int64_t> perm_strides(x.ndim());
-  for (int i = 0; i < x.ndim(); ++i) perm_strides[i] = in_strides[i];
-  std::swap(perm_strides[d0], perm_strides[d1]);
-
+  Tensor out = Tensor::Empty(out_shape);  // every element written below
+  const int nd = x.ndim();
   const float* px = x.data();
   float* po = out.data();
-  const int nd = x.ndim();
-  std::vector<int64_t> idx(nd, 0);
-  int64_t src = 0;
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    po[i] = px[src];
-    for (int d = nd - 1; d >= 0; --d) {
-      ++idx[d];
-      src += perm_strides[d];
-      if (idx[d] < out_dims[d]) break;
-      src -= perm_strides[d] * out_dims[d];
-      idx[d] = 0;
+
+  if (std::min(d0, d1) == nd - 2 && std::max(d0, d1) == nd - 1) {
+    // The last two dims: a batch of 2-D transposes.
+    const int64_t rows = x.shape()[nd - 2];
+    const int64_t cols = x.shape()[nd - 1];
+    const int64_t batch = rows * cols == 0 ? 0 : x.numel() / (rows * cols);
+    TransposeMatrices(px, po, batch, rows, cols);
+  } else {
+    const auto in_strides = ContiguousStrides(x.shape());
+    std::vector<int64_t> perm_strides(nd);
+    for (int i = 0; i < nd; ++i) perm_strides[i] = in_strides[i];
+    std::swap(perm_strides[d0], perm_strides[d1]);
+    std::vector<int64_t> idx(nd, 0);
+    int64_t src = 0;
+    const int64_t n = x.numel();
+    for (int64_t i = 0; i < n; ++i) {
+      po[i] = px[src];
+      for (int d = nd - 1; d >= 0; --d) {
+        ++idx[d];
+        src += perm_strides[d];
+        if (idx[d] < out_dims[d]) break;
+        src -= perm_strides[d] * out_dims[d];
+        idx[d] = 0;
+      }
     }
   }
   return MakeOp("transpose", {x}, out,

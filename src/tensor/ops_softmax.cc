@@ -1,4 +1,3 @@
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -8,17 +7,6 @@
 #include "util/logging.h"
 
 namespace causalformer {
-
-namespace {
-
-// A row whose max is non-finite (fully masked: every entry -inf) or whose
-// exp-sum vanished has no well-defined softmax; emitting NaN poisons every
-// downstream score, so such rows become the uniform distribution instead.
-inline bool DegenerateRow(float max_v, float sum) {
-  return !std::isfinite(max_v) || sum == 0.0f || !std::isfinite(sum);
-}
-
-}  // namespace
 
 Tensor Softmax(const Tensor& x, int axis) {
   int ax = axis;
@@ -39,19 +27,8 @@ Tensor Softmax(const Tensor& x, int axis) {
   const float uniform = 1.0f / static_cast<float>(len);
 
   if (inner == 1) {
-    // The axis is contiguous: one horizontal max/exp-sum/scale per row.
-    for (int64_t o = 0; o < outer; ++o) {
-      const float* row = px + o * len;
-      float* orow = po + o * len;
-      const float max_v = K.max(row, len);
-      float sum = 0.0f;
-      if (std::isfinite(max_v)) sum = K.exp_shift_sum(row, max_v, orow, len);
-      if (DegenerateRow(max_v, sum)) {
-        for (int64_t l = 0; l < len; ++l) orow[l] = uniform;
-        continue;
-      }
-      K.scale(1.0f / sum, orow, orow, len);
-    }
+    // The axis is contiguous: every row in one call.
+    K.softmax_rows(px, po, outer, len);
   } else {
     // The axis is strided; iterate it outermost and vectorize across the
     // contiguous `inner` lanes (bit-identical per lane to the seed loop).
@@ -70,16 +47,15 @@ Tensor Softmax(const Tensor& x, int axis) {
         K.accumulate(sm.data(), ob + l * inner, inner);
       }
       for (int64_t in = 0; in < inner; ++in) {
-        if (DegenerateRow(mx[in], sm[in])) {
+        if (simd::DegenerateSoftmaxRow(mx[in], sm[in])) {
           for (int64_t l = 0; l < len; ++l) ob[l * inner + in] = uniform;
           sm[in] = 1.0f;  // lane already final; scale below is a no-op
         } else {
           sm[in] = 1.0f / sm[in];
         }
       }
-      for (int64_t l = 0; l < len; ++l) {
-        K.mul(ob + l * inner, sm.data(), ob + l * inner, inner);
-      }
+      K.binary_tiled(simd::ArithOp::kMul, ob, sm.data(), inner, ob,
+                     len * inner);
     }
   }
 

@@ -169,10 +169,21 @@ float Avx2Max(const float* x, int64_t n) {
     for (int64_t i = 1; i < n; ++i) m = std::max(m, x[i]);
     return m;
   }
-  __m256 mv = _mm256_loadu_ps(x);
+  // Four independent max chains: the order of a max changes no finite
+  // result.
+  __m256 m0 = _mm256_loadu_ps(x);
+  __m256 m1 = m0;
+  __m256 m2 = m0;
+  __m256 m3 = m0;
   int64_t i = 8;
-  for (; i + 8 <= n; i += 8) mv = _mm256_max_ps(mv, _mm256_loadu_ps(x + i));
-  float m = Hmax(mv);
+  for (; i + 32 <= n; i += 32) {
+    m0 = _mm256_max_ps(m0, _mm256_loadu_ps(x + i));
+    m1 = _mm256_max_ps(m1, _mm256_loadu_ps(x + i + 8));
+    m2 = _mm256_max_ps(m2, _mm256_loadu_ps(x + i + 16));
+    m3 = _mm256_max_ps(m3, _mm256_loadu_ps(x + i + 24));
+  }
+  for (; i + 8 <= n; i += 8) m0 = _mm256_max_ps(m0, _mm256_loadu_ps(x + i));
+  float m = Hmax(_mm256_max_ps(_mm256_max_ps(m0, m1), _mm256_max_ps(m2, m3)));
   for (; i < n; ++i) m = std::max(m, x[i]);
   return m;
 }
@@ -211,46 +222,6 @@ float Avx2AxpyDot(float alpha, const float* c, float* y, const float* x,
 }
 
 // ---- Elementwise (exact) -----------------------------------------------------
-
-void Avx2Add(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i,
-                     _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] + b[i];
-}
-
-void Avx2Sub(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i,
-                     _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] - b[i];
-}
-
-void Avx2Mul(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i,
-                     _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] * b[i];
-}
-
-void Avx2Div(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i,
-                     _mm256_div_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = a[i] / b[i];
-}
 
 void Avx2Scale(float c, const float* x, float* o, int64_t n) {
   const __m256 vc = _mm256_set1_ps(c);
@@ -298,6 +269,81 @@ void Avx2FmaInto(float* dst, const float* a, const float* b, int64_t n) {
     _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
   }
   for (; i < n; ++i) dst[i] += a[i] * b[i];
+}
+
+// Each repeat of b is one elementwise pass: the vector body, then the scalar
+// tail.
+template <typename VecOp, typename ScalarOp>
+void TiledPasses(const float* a, const float* b, int64_t period, float* o,
+                 int64_t n, VecOp vec_op, ScalarOp scalar_op) {
+  for (int64_t off = 0; off < n; off += period) {
+    const float* ar = a + off;
+    float* orow = o + off;
+    int64_t i = 0;
+    for (; i + 8 <= period; i += 8) {
+      _mm256_storeu_ps(
+          orow + i, vec_op(_mm256_loadu_ps(ar + i), _mm256_loadu_ps(b + i)));
+    }
+    for (; i < period; ++i) orow[i] = scalar_op(ar[i], b[i]);
+  }
+}
+
+void Avx2BinaryTiled(ArithOp op, const float* a, const float* b,
+                     int64_t period, float* o, int64_t n) {
+  switch (op) {
+    case ArithOp::kAdd:
+      TiledPasses(
+          a, b, period, o, n,
+          [](__m256 x, __m256 y) { return _mm256_add_ps(x, y); },
+          [](float x, float y) { return x + y; });
+      break;
+    case ArithOp::kSub:
+      TiledPasses(
+          a, b, period, o, n,
+          [](__m256 x, __m256 y) { return _mm256_sub_ps(x, y); },
+          [](float x, float y) { return x - y; });
+      break;
+    case ArithOp::kMul:
+      TiledPasses(
+          a, b, period, o, n,
+          [](__m256 x, __m256 y) { return _mm256_mul_ps(x, y); },
+          [](float x, float y) { return x * y; });
+      break;
+    case ArithOp::kDiv:
+      TiledPasses(
+          a, b, period, o, n,
+          [](__m256 x, __m256 y) { return _mm256_div_ps(x, y); },
+          [](float x, float y) { return x / y; });
+      break;
+  }
+}
+
+// A compare and a blend instead of a branch per element: x > 0 is false for
+// NaN, so a NaN takes the slope product, as in the scalar form.
+void Avx2LeakyRelu(float slope, const float* x, float* o, int64_t n) {
+  const __m256 vs = _mm256_set1_ps(slope);
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + i);
+    const __m256 pos = _mm256_cmp_ps(xv, zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(o + i, _mm256_blendv_ps(_mm256_mul_ps(vs, xv), xv, pos));
+  }
+  for (; i < n; ++i) o[i] = x[i] > 0.0f ? x[i] : slope * x[i];
+}
+
+void Avx2LeakyReluVjp(float slope, const float* x, const float* c, float* g,
+                      int64_t n) {
+  const __m256 vs = _mm256_set1_ps(slope);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 pos = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(g + i, _mm256_mul_ps(_mm256_blendv_ps(vs, one, pos),
+                                          _mm256_loadu_ps(c + i)));
+  }
+  for (; i < n; ++i) g[i] = (x[i] > 0.0f ? 1.0f : slope) * c[i];
 }
 
 // ---- Softmax rows ------------------------------------------------------------
@@ -355,6 +401,74 @@ void Avx2MulSubScalar(const float* y, const float* c, float d, float* g,
   for (; i < n; ++i) g[i] = y[i] * (c[i] - d);
 }
 
+// One row as the contiguous softmax computed it: Avx2Max, Avx2ExpShiftSum,
+// then Avx2Scale by 1/sum; a degenerate row becomes uniform.
+void SoftmaxRow(const float* x, float* o, int64_t len) {
+  const float max_v = Avx2Max(x, len);
+  float sum = 0.0f;
+  if (std::isfinite(max_v)) sum = Avx2ExpShiftSum(x, max_v, o, len);
+  if (DegenerateSoftmaxRow(max_v, sum)) {
+    const float uniform = 1.0f / static_cast<float>(len);
+    for (int64_t l = 0; l < len; ++l) o[l] = uniform;
+    return;
+  }
+  Avx2Scale(1.0f / sum, o, o, len);
+}
+
+// v is finite (not +-inf, not NaN), lane by lane.
+inline __m256 FiniteLanes(__m256 v) {
+  const __m256 abs = _mm256_and_ps(
+      v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+  return _mm256_cmp_ps(abs, _mm256_set1_ps(INFINITY), _CMP_LT_OQ);
+}
+
+// Eight rows of length len < 8, one per lane. A row that short runs all of
+// SoftmaxRow in scalar code: the max from x[0] up (max_ps(x, m) is
+// std::max(m, x), NaN and signed zeros included), ExpTail per element (which
+// ExpPs equals lane for lane), the sum in ascending order from +0, then the
+// 1/sum scale. Lanes keep exactly that; `ok` is DegenerateSoftmaxRow's
+// negation in mask form.
+void SoftmaxShortRowsInLanes(const float* x, float* o, int64_t len) {
+  const __m256i rows = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+      _mm256_set1_epi32(static_cast<int32_t>(len)));
+  __m256 e[7];
+  e[0] = _mm256_i32gather_ps(x, rows, 4);
+  __m256 m = e[0];
+  for (int64_t l = 1; l < len; ++l) {
+    e[l] = _mm256_i32gather_ps(x + l, rows, 4);
+    m = _mm256_max_ps(e[l], m);
+  }
+  __m256 sum = _mm256_setzero_ps();
+  for (int64_t l = 0; l < len; ++l) {
+    e[l] = ExpPs(_mm256_sub_ps(e[l], m));
+    sum = _mm256_add_ps(sum, e[l]);
+  }
+  const __m256 ok = _mm256_and_ps(
+      _mm256_and_ps(FiniteLanes(m), FiniteLanes(sum)),
+      _mm256_cmp_ps(sum, _mm256_setzero_ps(), _CMP_NEQ_OQ));
+  const __m256 inv = _mm256_div_ps(_mm256_set1_ps(1.0f), sum);
+  const __m256 uniform = _mm256_set1_ps(1.0f / static_cast<float>(len));
+  alignas(32) float out[7][8];
+  for (int64_t l = 0; l < len; ++l) {
+    _mm256_store_ps(out[l],
+                    _mm256_blendv_ps(uniform, _mm256_mul_ps(inv, e[l]), ok));
+  }
+  for (int64_t r = 0; r < 8; ++r) {
+    for (int64_t l = 0; l < len; ++l) o[r * len + l] = out[l][r];
+  }
+}
+
+void Avx2SoftmaxRows(const float* x, float* o, int64_t rows, int64_t len) {
+  int64_t r = 0;
+  if (len < 8) {
+    for (; r + 8 <= rows; r += 8) {
+      SoftmaxShortRowsInLanes(x + r * len, o + r * len, len);
+    }
+  }
+  for (; r < rows; ++r) SoftmaxRow(x + r * len, o + r * len, len);
+}
+
 // ---- Relevance propagation ---------------------------------------------------
 
 void Avx2StabRatio(const float* r, const float* f, float eps, float* o,
@@ -375,46 +489,124 @@ void Avx2StabRatio(const float* r, const float* f, float eps, float* o,
   for (; i < n; ++i) o[i] = r[i] / (f[i] + (f[i] >= 0.0f ? eps : -eps));
 }
 
-// ---- Matmul row --------------------------------------------------------------
+// ---- Matmul rows -------------------------------------------------------------
+//
+// Up to four rows run per pass, so their short FMA chains overlap. Every
+// element keeps a one-row call's arithmetic: columns in 8-wide blocks are one
+// FMA chain over ascending k from +0; the n mod 8 tail columns are a multiply
+// then an add per term from +0, four at a time in 128-bit lanes, then one at
+// a time.
+
+// Columns [j, j + 8 * kVecs) of kRows rows.
+template <int kRows, int kVecs>
+inline void GemmFmaTile(const float* a, int64_t a_row_step, int64_t a_stride,
+                        const float* b, float* c, int64_t k, int64_t n,
+                        int64_t j) {
+  __m256 acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * n + j;
+    __m256 bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * a_row_step + kk * a_stride]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      _mm256_storeu_ps(c + r * n + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+// Columns [j, j + 4) of kRows rows, multiply then add.
+template <int kRows>
+inline void GemmMulAddTile4(const float* a, int64_t a_row_step,
+                            int64_t a_stride, const float* b, float* c,
+                            int64_t k, int64_t n, int64_t j) {
+  __m128 acc[kRows];
+  for (int r = 0; r < kRows; ++r) acc[r] = _mm_setzero_ps();
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const __m128 bv = _mm_loadu_ps(b + kk * n + j);
+    for (int r = 0; r < kRows; ++r) {
+      const __m128 av = _mm_set1_ps(a[r * a_row_step + kk * a_stride]);
+      acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(av, bv));
+    }
+  }
+  for (int r = 0; r < kRows; ++r) _mm_storeu_ps(c + r * n + j, acc[r]);
+}
+
+// Column j of kRows rows, multiply then add.
+template <int kRows>
+inline void GemmMulAddColumn(const float* a, int64_t a_row_step,
+                             int64_t a_stride, const float* b, float* c,
+                             int64_t k, int64_t n, int64_t j) {
+  float acc[kRows] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float bv = b[kk * n + j];
+    for (int r = 0; r < kRows; ++r) {
+      acc[r] += a[r * a_row_step + kk * a_stride] * bv;
+    }
+  }
+  for (int r = 0; r < kRows; ++r) c[r * n + j] = acc[r];
+}
+
+template <int kRows>
+void GemmRowBlock(const float* a, int64_t a_row_step, int64_t a_stride,
+                  const float* b, float* c, int64_t k, int64_t n) {
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GemmFmaTile<kRows, 2>(a, a_row_step, a_stride, b, c, k, n, j);
+  }
+  if (j + 8 <= n) {
+    GemmFmaTile<kRows, 1>(a, a_row_step, a_stride, b, c, k, n, j);
+    j += 8;
+  }
+  if (j + 4 <= n) {
+    GemmMulAddTile4<kRows>(a, a_row_step, a_stride, b, c, k, n, j);
+    j += 4;
+  }
+  for (; j < n; ++j) {
+    GemmMulAddColumn<kRows>(a, a_row_step, a_stride, b, c, k, n, j);
+  }
+}
 
 // Pinned to a 64-byte boundary so that edits elsewhere in this file cannot
 // shift its inner loops across cache lines: one such shift cost matmul_128
 // about 4% in bench_perf_micro with the code unchanged.
-__attribute__((aligned(64))) void Avx2GemmRow(const float* a, int64_t a_stride,
-                                              const float* b, float* crow,
-                                              int64_t k, int64_t n) {
-  int64_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    __m256 c0 = _mm256_setzero_ps();
-    __m256 c1 = _mm256_setzero_ps();
-    __m256 c2 = _mm256_setzero_ps();
-    __m256 c3 = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256 av = _mm256_set1_ps(a[kk * a_stride]);
-      const float* brow = b + kk * n + j;
-      c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), c0);
-      c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), c1);
-      c2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16), c2);
-      c3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24), c3);
-    }
-    _mm256_storeu_ps(crow + j, c0);
-    _mm256_storeu_ps(crow + j + 8, c1);
-    _mm256_storeu_ps(crow + j + 16, c2);
-    _mm256_storeu_ps(crow + j + 24, c3);
+__attribute__((aligned(64))) void Avx2GemmRows(
+    const float* a, int64_t a_row_step, int64_t a_stride, const float* b,
+    float* c, int64_t rows, int64_t k, int64_t n) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    GemmRowBlock<4>(a + r * a_row_step, a_row_step, a_stride, b, c + r * n,
+                    k, n);
   }
-  for (; j + 8 <= n; j += 8) {
-    __m256 c0 = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k; ++kk) {
-      c0 = _mm256_fmadd_ps(_mm256_set1_ps(a[kk * a_stride]),
-                           _mm256_loadu_ps(b + kk * n + j), c0);
-    }
-    _mm256_storeu_ps(crow + j, c0);
+  const float* ar = a + r * a_row_step;
+  float* cr = c + r * n;
+  switch (rows - r) {
+    case 3:
+      GemmRowBlock<3>(ar, a_row_step, a_stride, b, cr, k, n);
+      break;
+    case 2:
+      GemmRowBlock<2>(ar, a_row_step, a_stride, b, cr, k, n);
+      break;
+    case 1:
+      GemmRowBlock<1>(ar, a_row_step, a_stride, b, cr, k, n);
+      break;
+    default:
+      break;
   }
-  for (; j < n; ++j) {
-    float acc = 0.0f;
-    for (int64_t kk = 0; kk < k; ++kk) acc += a[kk * a_stride] * b[kk * n + j];
-    crow[j] = acc;
-  }
+}
+
+void Avx2GemmRow(const float* a, int64_t a_stride, const float* b,
+                 float* crow, int64_t k, int64_t n) {
+  Avx2GemmRows(a, 0, a_stride, b, crow, 1, k, n);
 }
 
 // ---- Causal convolution rows -------------------------------------------------
@@ -555,7 +747,12 @@ void ConvRowChunks(const float* k, const float* x, float* o, int64_t steps,
   }
 }
 
-void Avx2ConvRow(const float* k, const float* x, float* o, int64_t steps) {
+// The two conv entries are pinned to 64-byte boundaries, like Avx2GemmRows:
+// an edit elsewhere in this file that moved Avx2ConvRowVjp, its code
+// unchanged, from a 64-byte boundary to 16 bytes past one cost
+// causal_conv_backward about 5% in bench_perf_micro.
+__attribute__((aligned(64))) void Avx2ConvRow(const float* k, const float* x,
+                                              float* o, int64_t steps) {
   ForEachChunkGroup(steps, [&](auto chunks, int64_t t0) {
     ConvRowChunks<decltype(chunks)::value>(k, x, o, steps, t0);
   });
@@ -651,8 +848,10 @@ void ConvRowVjpHalves(const float* k, const float* x, const float* c,
   });
 }
 
-void Avx2ConvRowVjp(const float* k, const float* x, const float* c, float* gx,
-                    float* gk, int64_t steps) {
+__attribute__((aligned(64))) void Avx2ConvRowVjp(const float* k,
+                                                 const float* x,
+                                                 const float* c, float* gx,
+                                                 float* gk, int64_t steps) {
   if (gx != nullptr && gk != nullptr) {
     ConvRowVjpHalves<true, true>(k, x, c, gx, gk, steps);
   } else if (gx != nullptr) {
@@ -662,18 +861,120 @@ void Avx2ConvRowVjp(const float* k, const float* x, const float* c, float* gx,
   }
 }
 
+// ---- Attention combine -------------------------------------------------------
+//
+// Exact kernels. The forward runs lanes across t, and each lane adds its
+// terms in ascending j as the scalar loop does. In the adjoint, gv runs lanes
+// across t. ga runs lanes across eight j at a time: the products c * v are
+// taken across t, an 8 x 8 transpose turns them to lanes across j, and each
+// lane then adds its t terms in ascending order.
+
+// r[i][l] -> r[l][i].
+inline void Transpose8x8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+void Avx2AttentionCombine(const float* a, const float* v, float* o,
+                          int64_t batch, int64_t n, int64_t steps) {
+  const int64_t j_stride = n * steps;  // v[b, j, i, :] to v[b, j+1, i, :]
+  for (int64_t bi = 0; bi < batch * n; ++bi) {
+    const float* arow = a + bi * n;
+    const float* vi = v + ((bi / n) * n * n + bi % n) * steps;
+    float* orow = o + bi * steps;
+    for (int64_t t0 = 0; t0 < steps; t0 += 8) {
+      const int64_t live = std::min<int64_t>(8, steps - t0);
+      __m256 acc = _mm256_setzero_ps();
+      for (int64_t j = 0; j < n; ++j) {
+        if (arow[j] == 0.0f) continue;
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(_mm256_set1_ps(arow[j]),
+                               LoadRange(vi + j * j_stride, t0, 0, live)));
+      }
+      StoreRange(orow, t0, 0, live, acc);
+    }
+  }
+}
+
+void Avx2AttentionCombineVjp(const float* a, const float* v, const float* c,
+                             float* ga, float* gv, int64_t batch, int64_t n,
+                             int64_t steps) {
+  const int64_t j_stride = n * steps;
+  const __m256 zero = _mm256_setzero_ps();
+  for (int64_t bi = 0; bi < batch * n; ++bi) {
+    const float* arow = a + bi * n;
+    const float* crow = c + bi * steps;
+    const int64_t vi = ((bi / n) * n * n + bi % n) * steps;
+    for (int64_t j = 0; j < n; ++j) {
+      const __m256 aw = _mm256_set1_ps(arow[j]);
+      for (int64_t t0 = 0; t0 < steps; t0 += 8) {
+        const int64_t live = std::min<int64_t>(8, steps - t0);
+        const __m256 prod = _mm256_mul_ps(aw, LoadRange(crow, t0, 0, live));
+        StoreRange(gv + vi + j * j_stride, t0, 0, live,
+                   _mm256_add_ps(zero, prod));
+      }
+    }
+    for (int64_t j0 = 0; j0 < n; j0 += 8) {
+      const int64_t lanes = std::min<int64_t>(8, n - j0);
+      __m256 acc = zero;
+      for (int64_t t0 = 0; t0 < steps; t0 += 8) {
+        const int64_t live = std::min<int64_t>(8, steps - t0);
+        const __m256 cv = LoadRange(crow, t0, 0, live);
+        __m256 p[8];
+        for (int64_t l = 0; l < 8; ++l) {
+          p[l] = zero;
+          if (l < lanes) {
+            const float* vrow = v + vi + (j0 + l) * j_stride;
+            p[l] = _mm256_mul_ps(cv, LoadRange(vrow, t0, 0, live));
+          }
+        }
+        Transpose8x8(p);
+        for (int64_t u = 0; u < live; ++u) acc = _mm256_add_ps(acc, p[u]);
+      }
+      StoreRange(ga + bi * n, j0, 0, lanes, _mm256_add_ps(zero, acc));
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2KernelTable() {
   static const KernelTable table = {
-      Avx2Dot,       Avx2Sum,         Avx2Max,
-      Avx2Axpy,      Avx2AxpyDot,     Avx2Add,
-      Avx2Sub,       Avx2Mul,         Avx2Div,
-      Avx2Scale,     Avx2AddScalar,   Avx2Accumulate,
-      Avx2MaxInto,   Avx2FmaInto,     Avx2ExpShiftSum,
-      Avx2ExpSub,    Avx2MulSub,      Avx2MulSubScalar,
-      Avx2StabRatio, Avx2GemmRow,     Avx2ConvRow,
-      Avx2ConvRowVjp,
+      Avx2Dot,          Avx2Sum,
+      Avx2Max,          Avx2Axpy,
+      Avx2AxpyDot,      Avx2Scale,
+      Avx2AddScalar,    Avx2Accumulate,
+      Avx2MaxInto,      Avx2FmaInto,
+      Avx2BinaryTiled,  Avx2LeakyRelu,
+      Avx2LeakyReluVjp, Avx2ExpShiftSum,
+      Avx2ExpSub,       Avx2MulSub,
+      Avx2MulSubScalar, Avx2SoftmaxRows,
+      Avx2StabRatio,    Avx2GemmRows,
+      Avx2GemmRow,      Avx2ConvRow,
+      Avx2ConvRowVjp,   Avx2AttentionCombine,
+      Avx2AttentionCombineVjp,
   };
   return table;
 }

@@ -44,22 +44,6 @@ float ScalarAxpyDot(float alpha, const float* c, float* y, const float* x,
   return acc;
 }
 
-void ScalarAdd(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
-}
-
-void ScalarSub(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] - b[i];
-}
-
-void ScalarMul(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
-}
-
-void ScalarDiv(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
-}
-
 void ScalarScale(float c, const float* x, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = c * x[i];
 }
@@ -78,6 +62,39 @@ void ScalarMaxInto(float* dst, const float* src, int64_t n) {
 
 void ScalarFmaInto(float* dst, const float* a, const float* b, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
+}
+
+// The seed's elementwise loops, one pass per repeat of b (the seed's
+// trailing-broadcast loop; a single pass when period == n).
+void ScalarBinaryTiled(ArithOp op, const float* a, const float* b,
+                       int64_t period, float* o, int64_t n) {
+  for (int64_t off = 0; off < n; off += period) {
+    const float* ar = a + off;
+    float* orow = o + off;
+    switch (op) {
+      case ArithOp::kAdd:
+        for (int64_t i = 0; i < period; ++i) orow[i] = ar[i] + b[i];
+        break;
+      case ArithOp::kSub:
+        for (int64_t i = 0; i < period; ++i) orow[i] = ar[i] - b[i];
+        break;
+      case ArithOp::kMul:
+        for (int64_t i = 0; i < period; ++i) orow[i] = ar[i] * b[i];
+        break;
+      case ArithOp::kDiv:
+        for (int64_t i = 0; i < period; ++i) orow[i] = ar[i] / b[i];
+        break;
+    }
+  }
+}
+
+void ScalarLeakyRelu(float slope, const float* x, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = x[i] > 0.0f ? x[i] : slope * x[i];
+}
+
+void ScalarLeakyReluVjp(float slope, const float* x, const float* c, float* g,
+                        int64_t n) {
+  for (int64_t i = 0; i < n; ++i) g[i] = (x[i] > 0.0f ? 1.0f : slope) * c[i];
 }
 
 float ScalarExpShiftSum(const float* x, float shift, float* o, int64_t n) {
@@ -104,6 +121,23 @@ void ScalarMulSubScalar(const float* y, const float* c, float d, float* g,
   for (int64_t i = 0; i < n; ++i) g[i] = y[i] * (c[i] - d);
 }
 
+// The seed's contiguous softmax: max, exp-sum and scale, row by row.
+void ScalarSoftmaxRows(const float* x, float* o, int64_t rows, int64_t len) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = x + r * len;
+    float* orow = o + r * len;
+    const float max_v = ScalarMax(row, len);
+    float sum = 0.0f;
+    if (std::isfinite(max_v)) sum = ScalarExpShiftSum(row, max_v, orow, len);
+    if (DegenerateSoftmaxRow(max_v, sum)) {
+      const float uniform = 1.0f / static_cast<float>(len);
+      for (int64_t l = 0; l < len; ++l) orow[l] = uniform;
+      continue;
+    }
+    ScalarScale(1.0f / sum, orow, orow, len);
+  }
+}
+
 void ScalarStabRatio(const float* r, const float* f, float eps, float* o,
                      int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -111,14 +145,24 @@ void ScalarStabRatio(const float* r, const float* f, float eps, float* o,
   }
 }
 
+void ScalarGemmRows(const float* a, int64_t a_row_step, int64_t a_stride,
+                    const float* b, float* c, int64_t rows, int64_t k,
+                    int64_t n) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* arow = a + r * a_row_step;
+    float* crow = c + r * n;
+    for (int64_t j = 0; j < n; ++j) crow[j] = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk * a_stride];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
 void ScalarGemmRow(const float* a, int64_t a_stride, const float* b,
                    float* crow, int64_t k, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) crow[j] = 0.0f;
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = a[kk * a_stride];
-    const float* brow = b + kk * n;
-    for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-  }
+  ScalarGemmRows(a, 0, a_stride, b, crow, 1, k, n);
 }
 
 // The seed's conv row: one sequential dot per output step, then the divide.
@@ -148,18 +192,62 @@ void ScalarConvRowVjp(const float* k, const float* x, const float* c,
   }
 }
 
+// The seed's attention combine: per (b, i) row, an axpy per nonzero weight.
+void ScalarAttentionCombine(const float* a, const float* v, float* o,
+                            int64_t batch, int64_t n, int64_t steps) {
+  for (int64_t bi = 0; bi < batch * n; ++bi) {
+    const int64_t b = bi / n;
+    const int64_t i = bi % n;
+    float* orow = o + bi * steps;
+    for (int64_t t = 0; t < steps; ++t) orow[t] = 0.0f;
+    for (int64_t j = 0; j < n; ++j) {
+      const float aw = a[bi * n + j];
+      if (aw == 0.0f) continue;
+      const float* vrow = v + ((b * n + j) * n + i) * steps;
+      for (int64_t t = 0; t < steps; ++t) orow[t] += aw * vrow[t];
+    }
+  }
+}
+
+// The seed's adjoint: one pass over t per (b, i, j), adding into zeros.
+void ScalarAttentionCombineVjp(const float* a, const float* v, const float* c,
+                               float* ga, float* gv, int64_t batch, int64_t n,
+                               int64_t steps) {
+  for (int64_t bi = 0; bi < batch * n; ++bi) {
+    const int64_t b = bi / n;
+    const int64_t i = bi % n;
+    const float* crow = c + bi * steps;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* vrow = v + ((b * n + j) * n + i) * steps;
+      float* gvrow = gv + ((b * n + j) * n + i) * steps;
+      const float aw = a[bi * n + j];
+      float acc = 0.0f;
+      for (int64_t t = 0; t < steps; ++t) {
+        acc += crow[t] * vrow[t];
+        gvrow[t] = 0.0f + aw * crow[t];
+      }
+      ga[bi * n + j] = 0.0f + acc;
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarKernelTable() {
   static const KernelTable table = {
-      ScalarDot,       ScalarSum,         ScalarMax,
-      ScalarAxpy,      ScalarAxpyDot,     ScalarAdd,
-      ScalarSub,       ScalarMul,         ScalarDiv,
-      ScalarScale,     ScalarAddScalar,   ScalarAccumulate,
-      ScalarMaxInto,   ScalarFmaInto,     ScalarExpShiftSum,
-      ScalarExpSub,    ScalarMulSub,      ScalarMulSubScalar,
-      ScalarStabRatio, ScalarGemmRow,     ScalarConvRow,
-      ScalarConvRowVjp,
+      ScalarDot,          ScalarSum,
+      ScalarMax,          ScalarAxpy,
+      ScalarAxpyDot,      ScalarScale,
+      ScalarAddScalar,    ScalarAccumulate,
+      ScalarMaxInto,      ScalarFmaInto,
+      ScalarBinaryTiled,  ScalarLeakyRelu,
+      ScalarLeakyReluVjp, ScalarExpShiftSum,
+      ScalarExpSub,       ScalarMulSub,
+      ScalarMulSubScalar, ScalarSoftmaxRows,
+      ScalarStabRatio,    ScalarGemmRows,
+      ScalarGemmRow,      ScalarConvRow,
+      ScalarConvRowVjp,   ScalarAttentionCombine,
+      ScalarAttentionCombineVjp,
   };
   return table;
 }

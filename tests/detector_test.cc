@@ -283,5 +283,96 @@ TEST(DetectorTest, ScalarOutputIsPinnedPerVariant) {
   }
 }
 
+// The AVX2 table's detector output, pinned the same way: the six variants
+// above, plus one N = 15, T = 16 request (the stream geometry, whose
+// attention rows straddle the 8-lane width). The constants were recorded
+// before the attention path, the activations and the short matmul rows moved
+// onto exact kernel-table entries; a kernel change that moves any AVX2 bit
+// fails here.
+TEST(DetectorTest, Avx2OutputIsPinnedPerVariant) {
+  if (simd::TableForLevel(simd::IsaLevel::kAvx2) == nullptr) {
+    GTEST_SKIP() << "no AVX2 kernel table in this build or on this CPU";
+  }
+  core::ModelOptions mopt;
+  mopt.num_series = 4;
+  mopt.window = 8;
+  mopt.d_model = 16;
+  mopt.d_qk = 16;
+  mopt.heads = 2;
+  mopt.d_ffn = 16;
+  auto randomize_biases = [](core::CausalityTransformer* model) {
+    Rng brng(42);
+    for (auto& [name, p] : model->NamedParameters()) {
+      if (name.rfind("b_", 0) != 0 && name.find("bias") == std::string::npos) {
+        continue;
+      }
+      for (int64_t i = 0; i < p.numel(); ++i) {
+        p.data()[i] = 0.1f * static_cast<float>(brng.Normal());
+      }
+    }
+  };
+  Rng rng(41);
+  core::CausalityTransformer model(mopt, &rng);
+  randomize_biases(&model);
+  core::ModelOptions shared_opt = mopt;
+  shared_opt.multi_kernel = false;
+  Rng shared_rng(41);
+  core::CausalityTransformer shared_model(shared_opt, &shared_rng);
+  randomize_biases(&shared_model);
+  Rng wrng(43);
+  const std::vector<Tensor> requests = {Tensor::Randn(Shape{3, 4, 8}, &wrng),
+                                        Tensor::Randn(Shape{5, 4, 8}, &wrng)};
+  // The stream geometry: N = 15, T = 16, d = 32.
+  core::ModelOptions wide_opt = mopt;
+  wide_opt.num_series = 15;
+  wide_opt.window = 16;
+  wide_opt.d_model = 32;
+  wide_opt.d_qk = 32;
+  wide_opt.d_ffn = 32;
+  Rng wide_rng(44);
+  core::CausalityTransformer wide_model(wide_opt, &wide_rng);
+  randomize_biases(&wide_model);
+  const std::vector<Tensor> wide_requests = {
+      Tensor::Randn(Shape{6, 15, 16}, &wrng)};
+
+  struct Variant {
+    const char* name;
+    const core::CausalityTransformer* model;
+    const std::vector<Tensor>* requests;
+    DetectorOptions options;
+    uint64_t expected;
+  };
+  std::vector<Variant> variants(7);
+  variants[0] = {"full", &model, &requests, {}, 0x7f4041ea779179d5ull};
+  variants[1] = {"w/o relevance", &model, &requests, {},
+                 0x7c230c249693fdf7ull};
+  variants[1].options.use_relevance = false;
+  variants[2] = {"w/o gradient", &model, &requests, {},
+                 0x09afb96fa94233b0ull};
+  variants[2].options.use_gradient = false;
+  variants[3] = {"w/o bias", &model, &requests, {}, 0x67c914b667b25a14ull};
+  variants[3].options.bias_absorption = false;
+  variants[4] = {"w/o interpretation", &model, &requests, {},
+                 0xce139286d00f58fbull};
+  variants[4].options.use_interpretation = false;
+  variants[5] = {"w/o multi conv kernel", &shared_model, &requests, {},
+                 0x147501fb1aa2ec5aull};
+  variants[6] = {"N=15, T=16", &wide_model, &wide_requests, {},
+                 0x99017ebf85c2310eull};
+
+  const simd::IsaLevel saved = simd::ActiveLevel();
+  simd::SetLevelForTesting(simd::IsaLevel::kAvx2);
+  std::vector<uint64_t> got;
+  for (const Variant& v : variants) {
+    got.push_back(HashResults(
+        core::DetectCausalGraphBatched(*v.model, *v.requests, v.options)));
+  }
+  simd::SetLevelForTesting(saved);
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_EQ(got[i], variants[i].expected)
+        << variants[i].name << ": 0x" << std::hex << got[i];
+  }
+}
+
 }  // namespace
 }  // namespace causalformer

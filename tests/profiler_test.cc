@@ -18,8 +18,8 @@
 // exposed RecordSample/SampleNow paths (overflow drops are exact and
 // never block), render edge cases (zero samples, folded separators),
 // the Start/Stop/Collect lifecycle including the one-installed-profiler
-// invariant, live SIGPROF sampling against a CPU burner, and the
-// cf_profiler_* self-metrics. The TSan CI leg runs this suite: the
+// invariant, live SIGPROF sampling against a CPU burner (whose interrupted
+// function is each sample's leaf), and the cf_profiler_* self-metrics. The TSan CI leg runs this suite: the
 // signal handler's relaxed-atomic buffer discipline is exactly the kind
 // of code a race detector should sit on.
 
@@ -209,6 +209,74 @@ TEST(ProfilerTest, LiveSamplingCapturesBurningThread) {
   EXPECT_GT(report->samples, 5u) << report->folded;
   EXPECT_NE(report->folded.find("cf-burner;"), std::string::npos)
       << report->folded;
+}
+
+}  // namespace
+
+// Busy in registers only: no call and no memory access (which sanitizers
+// would turn into calls), so a tick that lands on this thread interrupts this
+// function itself. Outside the anonymous namespace so dladdr can name it.
+__attribute__((noinline)) double ProfilerTestBusyLeaf(double x,
+                                                      int64_t iterations) {
+  for (int64_t i = 0; i < iterations; ++i) x = x * 0.999999 + 1e-7;
+  return x;
+}
+
+namespace {
+
+TEST(ProfilerTest, InterruptedFunctionIsTheLeaf) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan holds signals until the thread's next intercepted "
+                  "call, so no tick lands inside a call-free function";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "TSan holds signals until the thread's next intercepted "
+                  "call, so no tick lands inside a call-free function";
+#endif
+#endif
+  Profiler profiler;
+  ASSERT_TRUE(profiler.Start().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<double> result{0};
+  // Read at run time, so the compiler makes no constant-argument clone (a
+  // local symbol dladdr cannot name) of the busy function.
+  std::atomic<int64_t> iterations{1 << 20};
+  std::thread burner([&] {
+    RegisterProfilingThread("cf-leaf");
+    double x = 1.0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      x = ProfilerTestBusyLeaf(x, iterations.load(std::memory_order_relaxed));
+    }
+    result.store(x);
+  });
+
+  const auto report = profiler.Collect(0.5);
+  stop.store(true);
+  burner.join();
+  ASSERT_TRUE(profiler.Stop().ok());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // Folded lines run root first, leaf last, then a count.
+  uint64_t samples = 0;
+  uint64_t in_leaf = 0;
+  size_t pos = 0;
+  while (pos < report->folded.size()) {
+    const size_t eol = report->folded.find('\n', pos);
+    const std::string line = report->folded.substr(pos, eol - pos);
+    pos = eol == std::string::npos ? report->folded.size() : eol + 1;
+    if (line.rfind("cf-leaf;", 0) != 0) continue;
+    const size_t count_at = line.rfind(' ');
+    const uint64_t count = std::stoull(line.substr(count_at + 1));
+    const std::string stack = line.substr(0, count_at);
+    const std::string leaf = stack.substr(stack.rfind(';') + 1);
+    samples += count;
+    if (leaf.find("ProfilerTestBusyLeaf") != std::string::npos) {
+      in_leaf += count;
+    }
+  }
+  EXPECT_GT(samples, 5u) << report->folded;
+  EXPECT_GT(2 * in_leaf, samples) << report->folded;
 }
 
 TEST(ProfilerTest, CollectSyncsSelfMetrics) {

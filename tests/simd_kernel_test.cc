@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,10 +17,12 @@
 // Exhaustive tail sweep: every kernel in each built vectorized table is
 // compared against the scalar reference over sizes 1..67, so every
 // vector-width remainder path (0..width-1 tail lanes, the blocked and
-// unblocked main loops) is exercised. Elementwise/accumulate/max kernels and
-// the causal-conv rows must match the scalar table exactly; horizontal
-// reductions, the matmul row and the polynomial exp carry the tolerance
-// documented in tensor/simd.h.
+// unblocked main loops) is exercised. Elementwise/accumulate/max kernels,
+// the leaky ReLU, the causal-conv rows and the attention combine must match
+// the scalar table exactly; horizontal reductions, the matmul rows and the
+// polynomial exp carry the tolerance documented in tensor/simd.h, and the
+// row-batched entries (gemm_rows, softmax_rows) equal their own table's
+// row-at-a-time form bit for bit.
 
 namespace causalformer {
 namespace {
@@ -79,22 +82,6 @@ TEST_F(SimdKernelTest, ExactKernelsMatchScalarAtEverySize) {
       Fill(&base, static_cast<uint32_t>(n) + 2000);
 
       std::vector<float> want(n), got(n);
-
-      ref.add(a.data(), b.data(), want.data(), n);
-      vec->add(a.data(), b.data(), got.data(), n);
-      for (int64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], want[i]) << "add " << i;
-
-      ref.sub(a.data(), b.data(), want.data(), n);
-      vec->sub(a.data(), b.data(), got.data(), n);
-      for (int64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], want[i]) << "sub " << i;
-
-      ref.mul(a.data(), b.data(), want.data(), n);
-      vec->mul(a.data(), b.data(), got.data(), n);
-      for (int64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], want[i]) << "mul " << i;
-
-      ref.div(a.data(), b.data(), want.data(), n);
-      vec->div(a.data(), b.data(), got.data(), n);
-      for (int64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], want[i]) << "div " << i;
 
       ref.scale(-1.5f, a.data(), want.data(), n);
       vec->scale(-1.5f, a.data(), got.data(), n);
@@ -425,7 +412,7 @@ TEST_F(SimdKernelTest, ConvRowsMatchScalarExactlyWithNonFiniteValues) {
 
 // The scalar rows give the seed's bits: a per-step dot then one divide pass
 // for the forward, and per-step axpys (skipping zero steps) for the adjoint,
-// all through the scalar table's own dot, div and axpy.
+// all through the scalar table's own dot, divide and axpy.
 TEST_F(SimdKernelTest, ScalarConvRowsMatchTheSeedLoops) {
   const simd::KernelTable& ref = Scalar();
   for (const int64_t steps : ConvSteps()) {
@@ -439,11 +426,13 @@ TEST_F(SimdKernelTest, ScalarConvRowsMatchTheSeedLoops) {
     for (int64_t t = 0; t < steps; ++t) {
       want_o[t] = ref.dot(cc.k.data() + steps - 1 - t, cc.x.data(), t + 1);
     }
-    ref.div(want_o.data(), denom.data(), want_o.data(), steps);
+    ref.binary_tiled(simd::ArithOp::kDiv, want_o.data(), denom.data(), steps,
+                     want_o.data(), steps);
     ref.conv_row(cc.k.data(), cc.x.data(), got_o.data(), steps);
 
     std::vector<float> cs(steps);
-    ref.div(cc.c.data(), denom.data(), cs.data(), steps);
+    ref.binary_tiled(simd::ArithOp::kDiv, cc.c.data(), denom.data(), steps,
+                     cs.data(), steps);
     std::vector<float> want_gx(steps), want_gk(steps);
     Fill(&want_gx, seed + 1);
     Fill(&want_gk, seed + 2);
@@ -460,6 +449,408 @@ TEST_F(SimdKernelTest, ScalarConvRowsMatchTheSeedLoops) {
       ASSERT_TRUE(SameFloat(got_o[t], want_o[t])) << "conv_row " << t;
       ASSERT_TRUE(SameFloat(got_gx[t], want_gx[t])) << "gx " << t;
       ASSERT_TRUE(SameFloat(got_gk[t], want_gk[t])) << "gk " << t;
+    }
+  }
+}
+
+// ---- Entries of the serving detect ---------------------------------------------
+
+// Row counts of the row-block sweeps: every count up to 9 (one partial and
+// one full four-row block, one partial and one full group of eight lanes),
+// then counts on both sides of 16 and the sweep's end.
+std::vector<int64_t> RowCounts() {
+  std::vector<int64_t> rows;
+  for (int64_t r = 1; r <= 9; ++r) rows.push_back(r);
+  for (const int64_t r : {15, 16, 17, 33, 67}) rows.push_back(r);
+  return rows;
+}
+
+// A guarded row of n values in [-2, 2) with +0, -0, +inf, -inf and NaN
+// spread over it (every `gap`-th position from `phase`) when `specials`.
+GuardedRow SpecialRow(int64_t n, uint32_t seed, bool specials,
+                      int64_t gap = 7, int64_t phase = 0) {
+  GuardedRow row = FilledRow(n, seed, kInCanary);
+  if (!specials) return row;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {0.0f, -0.0f, inf, -inf,
+                          std::numeric_limits<float>::quiet_NaN()};
+  for (int64_t i = phase; i < n; i += gap) row[i] = values[(i / gap) % 5];
+  return row;
+}
+
+// `got` equals `want` bit for bit (NaN payloads aside) and kept its
+// canaries.
+void ExpectSameRow(const GuardedRow& want, const GuardedRow& got, int64_t n,
+                   const char* what) {
+  ASSERT_TRUE(got.CanariesIntact()) << what << " wrote outside its output";
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(SameFloat(got[i], want[i]))
+        << what << " [" << i << "] got " << got[i] << " want " << want[i];
+  }
+}
+
+constexpr simd::ArithOp kArithOps[] = {simd::ArithOp::kAdd,
+                                       simd::ArithOp::kSub,
+                                       simd::ArithOp::kMul,
+                                       simd::ArithOp::kDiv};
+
+float Arith(simd::ArithOp op, float x, float y) {
+  switch (op) {
+    case simd::ArithOp::kAdd:
+      return x + y;
+    case simd::ArithOp::kSub:
+      return x - y;
+    case simd::ArithOp::kMul:
+      return x * y;
+    case simd::ArithOp::kDiv:
+      return x / y;
+  }
+  return 0.0f;
+}
+
+TEST_F(SimdKernelTest, BinaryTiledMatchesScalarAndPerRepeatCalls) {
+  for (const auto& [name, table] : AllTables()) {
+    for (int64_t period = 1; period <= kMaxN; ++period) {
+      for (const int64_t repeats : {1, 2, 3, 7}) {
+        for (const bool specials : {false, true}) {
+          const int64_t n = period * repeats;
+          SCOPED_TRACE(name + " period=" + std::to_string(period) +
+                       " repeats=" + std::to_string(repeats) +
+                       (specials ? " specials" : ""));
+          const uint32_t seed = static_cast<uint32_t>(n * 13 + period);
+          const GuardedRow a = SpecialRow(n, seed, specials);
+          const GuardedRow b = SpecialRow(period, seed + 1, specials, 5, 2);
+          for (const simd::ArithOp op : kArithOps) {
+            // The scalar table, and this table's elementwise pass run once
+            // per repeat of b (the trailing-broadcast loop it replaces).
+            GuardedRow want(n, kOutCanary), per_repeat(n, kOutCanary);
+            GuardedRow got(n, kOutCanary);
+            Scalar().binary_tiled(op, a.data(), b.data(), period, want.data(),
+                                  n);
+            for (int64_t off = 0; off < n; off += period) {
+              table->binary_tiled(op, a.data() + off, b.data(), period,
+                                  per_repeat.data() + off, period);
+            }
+            table->binary_tiled(op, a.data(), b.data(), period, got.data(),
+                                n);
+            ExpectSameRow(want, got, n, "binary_tiled vs scalar");
+            ExpectSameRow(per_repeat, got, n, "binary_tiled vs per repeat");
+            // The reference is the plain a[i] op b[i % period].
+            GuardedRow direct(n, kOutCanary);
+            for (int64_t i = 0; i < n; ++i) {
+              direct[i] = Arith(op, a[i], b[i % period]);
+            }
+            ExpectSameRow(direct, want, n, "scalar binary_tiled vs a op b");
+            // In place (o == a), as the strided softmax scales its rows.
+            GuardedRow in_place = a;
+            table->binary_tiled(op, in_place.data(), b.data(), period,
+                                in_place.data(), n);
+            ExpectSameRow(want, in_place, n, "binary_tiled in place");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, LeakyReluAndAdjointMatchScalarExactly) {
+  std::vector<int64_t> sizes;
+  for (int64_t n = 1; n <= kMaxN; ++n) sizes.push_back(n);
+  sizes.push_back(64 * 4 * 16);  // the cold batch's ffn1 output
+  for (const auto& [name, table] : VectorTables()) {
+    for (const int64_t n : sizes) {
+      for (const bool specials : {false, true}) {
+        for (const float slope : {0.01f, 0.3f}) {
+          SCOPED_TRACE(name + " n=" + std::to_string(n) +
+                       (specials ? " specials" : "") +
+                       " slope=" + std::to_string(slope));
+          const uint32_t seed = static_cast<uint32_t>(n * 17);
+          const GuardedRow x = SpecialRow(n, seed, specials);
+          const GuardedRow c = SpecialRow(n, seed + 1, specials, 6, 3);
+          GuardedRow want(n, kOutCanary), got(n, kOutCanary);
+          Scalar().leaky_relu(slope, x.data(), want.data(), n);
+          table->leaky_relu(slope, x.data(), got.data(), n);
+          ExpectSameRow(want, got, n, "leaky_relu");
+          GuardedRow want_g(n, kOutCanary), got_g(n, kOutCanary);
+          Scalar().leaky_relu_vjp(slope, x.data(), c.data(), want_g.data(), n);
+          table->leaky_relu_vjp(slope, x.data(), c.data(), got_g.data(), n);
+          ExpectSameRow(want_g, got_g, n, "leaky_relu_vjp");
+        }
+      }
+    }
+  }
+}
+
+// gemm_rows, block by block: every table's block call equals its one-row
+// gemm_row calls, so row blocks are invisible. Under a vector table each
+// element of an 8-column block is one FMA chain over ascending k from +0
+// (std::fma rounds once, as the vector FMA does), and every tail column
+// equals the scalar table's multiply-then-add sum.
+void ExpectGemmRowsExact(const std::string& name, const simd::KernelTable& t,
+                         int64_t rows, int64_t k, int64_t n, bool transpose_a) {
+  SCOPED_TRACE(name + " rows=" + std::to_string(rows) + " k=" +
+               std::to_string(k) + " n=" + std::to_string(n) +
+               (transpose_a ? " A^T" : ""));
+  const bool fused = &t != &Scalar();
+  // Row r of A at a + r * row_step, its terms a_stride apart.
+  const int64_t row_step = transpose_a ? 1 : k;
+  const int64_t a_stride = transpose_a ? rows : 1;
+  const uint32_t seed = static_cast<uint32_t>((rows * 71 + k) * 67 + n);
+  const GuardedRow a = FilledRow(rows * k, seed, kInCanary);
+  const GuardedRow b = FilledRow(k * n, seed + 1, kInCanary);
+  GuardedRow got(rows * n, kOutCanary), one_row(rows * n, kOutCanary);
+  GuardedRow scalar(rows * n, kOutCanary);
+  t.gemm_rows(a.data(), row_step, a_stride, b.data(), got.data(), rows, k, n);
+  Scalar().gemm_rows(a.data(), row_step, a_stride, b.data(), scalar.data(),
+                     rows, k, n);
+  for (int64_t r = 0; r < rows; ++r) {
+    t.gemm_row(a.data() + r * row_step, a_stride, b.data(),
+               one_row.data() + r * n, k, n);
+  }
+  ExpectSameRow(one_row, got, rows * n, "gemm_rows vs gemm_row");
+  ASSERT_TRUE(scalar.CanariesIntact());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < n; ++j) {
+      float want = scalar[r * n + j];
+      if (fused && j < n / 8 * 8) {
+        want = 0.0f;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          want = std::fma(a[r * row_step + kk * a_stride], b[kk * n + j],
+                          want);
+        }
+      }
+      ASSERT_TRUE(SameFloat(got[r * n + j], want))
+          << "c[" << r << "," << j << "] got " << got[r * n + j] << " want "
+          << want;
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, GemmRowsEqualOneRowCallsBitForBit) {
+  for (const auto& [name, table] : AllTables()) {
+    for (int64_t n = 1; n <= kMaxN; ++n) {
+      for (const int64_t rows : RowCounts()) {
+        for (const int64_t k : {int64_t{1}, int64_t{7}, int64_t{16}}) {
+          for (const bool transpose_a : {false, true}) {
+            ExpectGemmRowsExact(name, *table, rows, k, n, transpose_a);
+          }
+        }
+      }
+    }
+    for (int64_t rows = 1; rows <= kMaxN; ++rows) {
+      for (const int64_t n : {int64_t{4}, int64_t{8}, int64_t{15}}) {
+        ExpectGemmRowsExact(name, *table, rows, 17, n, false);
+      }
+    }
+    // The cold batch: the folded Linear rows and a logits matrix.
+    ExpectGemmRowsExact(name, *table, 256, 8, 16, false);
+    ExpectGemmRowsExact(name, *table, 256, 16, 16, false);
+    ExpectGemmRowsExact(name, *table, 4, 16, 4, false);
+    ExpectGemmRowsExact(name, *table, 16, 256, 8, true);
+  }
+}
+
+// softmax_rows equals its table's row-at-a-time form: max, exp_shift_sum
+// and scale per row, with degenerate rows made uniform, as the contiguous
+// softmax ran it before it took all rows in one call.
+void ExpectSoftmaxRowsExact(const std::string& name,
+                            const simd::KernelTable& t, int64_t rows,
+                            int64_t len) {
+  SCOPED_TRACE(name + " rows=" + std::to_string(rows) +
+               " len=" + std::to_string(len));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  GuardedRow x = FilledRow(rows * len, static_cast<uint32_t>(rows * 97 + len),
+                           kInCanary);
+  for (int64_t i = 0; i < rows * len; ++i) x[i] *= 4.0f;  // [-8, 8)
+  // Degenerate and edge rows at lane positions that move with `rows`: all
+  // -inf, one +inf, one NaN, some -inf entries, signed zeros, deep
+  // negatives that flush to 0.
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = x.data() + r * len;
+    switch (r % 7) {
+      case 1:
+        for (int64_t l = 0; l < len; ++l) row[l] = -inf;
+        break;
+      case 2:
+        row[len / 2] = inf;
+        break;
+      case 3:
+        row[len - 1] = nan;
+        break;
+      case 4:
+        for (int64_t l = 0; l < len; l += 2) row[l] = -inf;
+        break;
+      case 5:
+        row[0] = -0.0f;
+        row[len - 1] = 0.0f;
+        break;
+      case 6:
+        for (int64_t l = 1; l < len; l += 2) row[l] = -200.0f;
+        break;
+      default:
+        break;
+    }
+  }
+  GuardedRow want(rows * len, kOutCanary), got(rows * len, kOutCanary);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = x.data() + r * len;
+    float* orow = want.data() + r * len;
+    const float max_v = t.max(row, len);
+    float sum = 0.0f;
+    if (std::isfinite(max_v)) sum = t.exp_shift_sum(row, max_v, orow, len);
+    if (!std::isfinite(max_v) || sum == 0.0f || !std::isfinite(sum)) {
+      for (int64_t l = 0; l < len; ++l) {
+        orow[l] = 1.0f / static_cast<float>(len);
+      }
+    } else {
+      t.scale(1.0f / sum, orow, orow, len);
+    }
+  }
+  t.softmax_rows(x.data(), got.data(), rows, len);
+  ExpectSameRow(want, got, rows * len, "softmax_rows");
+}
+
+TEST_F(SimdKernelTest, SoftmaxRowsEqualTheRowAtATimeForm) {
+  for (const auto& [name, table] : AllTables()) {
+    for (int64_t len = 1; len <= kMaxN; ++len) {
+      for (const int64_t rows : RowCounts()) {
+        ExpectSoftmaxRowsExact(name, *table, rows, len);
+      }
+    }
+    for (int64_t rows = 1; rows <= kMaxN; ++rows) {
+      for (const int64_t len : {int64_t{4}, int64_t{7}, int64_t{8}}) {
+        ExpectSoftmaxRowsExact(name, *table, rows, len);
+      }
+    }
+    ExpectSoftmaxRowsExact(name, *table, 64 * 4, 4);    // the cold batch
+    ExpectSoftmaxRowsExact(name, *table, 6 * 15, 15);  // the stream
+  }
+}
+
+// One attention-combine case: a [batch, n, n] with exact zeros of both
+// signs among its weights, v [batch, n, n, steps], cotangent [batch, n,
+// steps]; with `specials`, +-inf and NaN too.
+struct AttentionCase {
+  int64_t batch, n, steps;
+  GuardedRow a, v, c;
+};
+
+AttentionCase MakeAttentionCase(int64_t batch, int64_t n, int64_t steps,
+                                bool specials) {
+  const uint32_t seed = static_cast<uint32_t>((batch * 89 + n) * 83 + steps);
+  AttentionCase ac{batch,
+                   n,
+                   steps,
+                   SpecialRow(batch * n * n, seed, specials, 5, 1),
+                   SpecialRow(batch * n * n * steps, seed + 1, specials, 11, 4),
+                   SpecialRow(batch * n * steps, seed + 2, specials, 9, 2)};
+  for (int64_t i = 0; i < batch * n * n; i += 3) {
+    ac.a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  return ac;
+}
+
+void ExpectAttentionExact(const std::string& name, const simd::KernelTable& t,
+                          const AttentionCase& ac) {
+  SCOPED_TRACE(name + " batch=" + std::to_string(ac.batch) +
+               " n=" + std::to_string(ac.n) +
+               " steps=" + std::to_string(ac.steps));
+  const simd::KernelTable& ref = Scalar();
+  const int64_t out_n = ac.batch * ac.n * ac.steps;
+  const int64_t ga_n = ac.batch * ac.n * ac.n;
+  const int64_t gv_n = ga_n * ac.steps;
+  GuardedRow want_o(out_n, kOutCanary), got_o(out_n, kOutCanary);
+  ref.attention_combine(ac.a.data(), ac.v.data(), want_o.data(), ac.batch,
+                        ac.n, ac.steps);
+  t.attention_combine(ac.a.data(), ac.v.data(), got_o.data(), ac.batch, ac.n,
+                      ac.steps);
+  ExpectSameRow(want_o, got_o, out_n, "attention_combine");
+  GuardedRow want_ga(ga_n, kOutCanary), got_ga(ga_n, kOutCanary);
+  GuardedRow want_gv(gv_n, kOutCanary), got_gv(gv_n, kOutCanary);
+  ref.attention_combine_vjp(ac.a.data(), ac.v.data(), ac.c.data(),
+                            want_ga.data(), want_gv.data(), ac.batch, ac.n,
+                            ac.steps);
+  t.attention_combine_vjp(ac.a.data(), ac.v.data(), ac.c.data(),
+                          got_ga.data(), got_gv.data(), ac.batch, ac.n,
+                          ac.steps);
+  ExpectSameRow(want_ga, got_ga, ga_n, "attention_combine_vjp ga");
+  ExpectSameRow(want_gv, got_gv, gv_n, "attention_combine_vjp gv");
+}
+
+TEST_F(SimdKernelTest, AttentionCombineMatchesScalarExactly) {
+  for (const auto& [name, table] : VectorTables()) {
+    for (const bool specials : {false, true}) {
+      for (int64_t steps = 1; steps <= kMaxN; ++steps) {
+        for (const int64_t n : {1, 3, 4, 8, 9, 15, 16}) {
+          ExpectAttentionExact(name, *table,
+                               MakeAttentionCase(2, n, steps, specials));
+        }
+      }
+      for (int64_t n = 1; n <= kMaxN; ++n) {
+        for (const int64_t steps : {1, 4, 8, 15, 16}) {
+          ExpectAttentionExact(name, *table,
+                               MakeAttentionCase(1, n, steps, specials));
+        }
+      }
+      ExpectAttentionExact(name, *table,
+                           MakeAttentionCase(64, 4, 8, specials));  // cold
+      ExpectAttentionExact(name, *table,
+                           MakeAttentionCase(6, 15, 16, specials));  // stream
+    }
+  }
+}
+
+// The scalar entries keep the seed's AttentionCombine loops: outputs that
+// start at zero, an axpy per nonzero weight in ascending j, and in the
+// adjoint one pass over t per (b, i, j) adding into zeros.
+TEST_F(SimdKernelTest, ScalarAttentionCombineMatchesTheSeedLoops) {
+  for (const auto& [batch, n, steps] :
+       std::vector<std::tuple<int64_t, int64_t, int64_t>>{
+           {1, 1, 1}, {2, 3, 5}, {64, 4, 8}, {3, 15, 16}, {2, 9, 67}}) {
+    for (const bool specials : {false, true}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) + " n=" +
+                   std::to_string(n) + " steps=" + std::to_string(steps));
+      const AttentionCase ac = MakeAttentionCase(batch, n, steps, specials);
+      std::vector<float> want_o(batch * n * steps, 0.0f);
+      std::vector<float> want_ga(batch * n * n, 0.0f);
+      std::vector<float> want_gv(batch * n * n * steps, 0.0f);
+      for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t i = 0; i < n; ++i) {
+          const float* crow = ac.c.data() + (b * n + i) * steps;
+          float* orow = want_o.data() + (b * n + i) * steps;
+          for (int64_t j = 0; j < n; ++j) {
+            const float aw = ac.a[(b * n + i) * n + j];
+            const float* vrow = ac.v.data() + ((b * n + j) * n + i) * steps;
+            float* gvrow = want_gv.data() + ((b * n + j) * n + i) * steps;
+            if (aw != 0.0f) {
+              for (int64_t t = 0; t < steps; ++t) orow[t] += aw * vrow[t];
+            }
+            float acc = 0.0f;
+            for (int64_t t = 0; t < steps; ++t) {
+              acc += crow[t] * vrow[t];
+              gvrow[t] += aw * crow[t];
+            }
+            want_ga[(b * n + i) * n + j] += acc;
+          }
+        }
+      }
+      std::vector<float> got_o(want_o.size()), got_ga(want_ga.size());
+      std::vector<float> got_gv(want_gv.size());
+      Scalar().attention_combine(ac.a.data(), ac.v.data(), got_o.data(),
+                                 batch, n, steps);
+      Scalar().attention_combine_vjp(ac.a.data(), ac.v.data(), ac.c.data(),
+                                     got_ga.data(), got_gv.data(), batch, n,
+                                     steps);
+      for (size_t i = 0; i < want_o.size(); ++i) {
+        ASSERT_TRUE(SameFloat(got_o[i], want_o[i])) << "o " << i;
+      }
+      for (size_t i = 0; i < want_ga.size(); ++i) {
+        ASSERT_TRUE(SameFloat(got_ga[i], want_ga[i])) << "ga " << i;
+      }
+      for (size_t i = 0; i < want_gv.size(); ++i) {
+        ASSERT_TRUE(SameFloat(got_gv[i], want_gv[i])) << "gv " << i;
+      }
     }
   }
 }

@@ -6,14 +6,18 @@
 // checks that every case below is present).
 //
 // Self-contained (no google-benchmark): each case runs for a fixed iteration
-// budget, best-of-3 repetitions, single-threaded (CF_NUM_THREADS is pinned to
-// 1 before the pool spins up so ParallelFor runs inline).
+// budget, 10 repetitions, single-threaded (CF_NUM_THREADS is pinned to 1
+// before the pool spins up so ParallelFor runs inline). Each table reports
+// the best repetition, which the gated geomean is computed from, and the
+// 10th percentile of the repetitions: on a shared host whole runs fall into
+// modes about 2x apart, so the best alone can hide which mode a run was in.
 //
 // Results are printed as a table and written to BENCH_perf.json.
 //
 // Environment knobs: CF_BENCH_PERF_ITERS scales the per-case iteration
-// budget (percent, default 100), CF_FAST=1 (smoke: 1 rep, 10% iterations).
+// budget (percent, default 100), CF_FAST=1 (smoke: 10% iterations).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -52,22 +56,35 @@ struct BenchCase {
   std::function<void()> fn;        // one iteration of the workload
 };
 
-// Best-of-reps time for `iters` iterations of fn, in milliseconds per iter.
-double TimeCase(const BenchCase& c, int iters, int reps) {
-  double best = 1e300;
+// Milliseconds per iteration of the best repetition and of the 10th
+// percentile (linear between the two nearest ranks) over `reps` repetitions
+// of `iters` iterations.
+struct Timing {
+  double best_ms = 0;
+  double p10_ms = 0;
+};
+
+Timing TimeCase(const BenchCase& c, int iters, int reps) {
+  std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
     cf::Stopwatch sw;
     for (int i = 0; i < iters; ++i) c.fn();
-    const double s = sw.ElapsedSeconds();
-    if (s < best) best = s;
+    ms.push_back(sw.ElapsedSeconds() * 1000.0 / iters);
   }
-  return best * 1000.0 / iters;
+  std::sort(ms.begin(), ms.end());
+  const double rank = 0.1 * static_cast<double>(ms.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, ms.size() - 1);
+  Timing t;
+  t.best_ms = ms.front();
+  t.p10_ms = ms[lo] + (rank - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
+  return t;
 }
 
 struct Result {
   std::string name;
-  double scalar_ms = 0;
-  double simd_ms = 0;
+  Timing scalar;
+  Timing simd;
   double speedup = 1;
 };
 
@@ -79,7 +96,7 @@ int main() {
   setenv("CF_NUM_THREADS", "1", /*overwrite=*/0);
   const bool fast = std::getenv("CF_FAST") != nullptr;
   const int pct = EnvInt("CF_BENCH_PERF_ITERS", fast ? 10 : 100);
-  const int reps = fast ? 1 : 3;
+  constexpr int reps = 10;
 
   // Run under the detect arena, as the serving path does: intermediate
   // tensors recycle instead of round-tripping through malloc (and its page
@@ -215,8 +232,9 @@ int main() {
   const char* level_name = cf::simd::LevelName(best_level);
   std::vector<Result> results;
 
-  std::printf("%-26s %12s %12s %9s\n", "kernel", "scalar ms/it",
-              (std::string(level_name) + " ms/it").c_str(), "speedup");
+  std::printf("%-26s %12s %12s %12s %12s %9s\n", "kernel", "scalar ms/it",
+              "scalar p10", (std::string(level_name) + " ms/it").c_str(),
+              (std::string(level_name) + " p10").c_str(), "speedup");
   for (const BenchCase& c : cases) {
     const int iters = std::max(1, c.iters * pct / 100);
     Result r;
@@ -224,14 +242,15 @@ int main() {
     // Warm the arena/pool and the instruction cache once per table.
     cf::simd::SetLevelForTesting(cf::simd::IsaLevel::kScalar);
     c.fn();
-    r.scalar_ms = TimeCase(c, iters, reps);
+    r.scalar = TimeCase(c, iters, reps);
     cf::simd::SetLevelForTesting(best_level);
     c.fn();
-    r.simd_ms = TimeCase(c, iters, reps);
-    r.speedup = r.simd_ms > 0 ? r.scalar_ms / r.simd_ms : 1.0;
+    r.simd = TimeCase(c, iters, reps);
+    r.speedup = r.simd.best_ms > 0 ? r.scalar.best_ms / r.simd.best_ms : 1.0;
     results.push_back(r);
-    std::printf("%-26s %12.4f %12.4f %8.2fx\n", r.name.c_str(), r.scalar_ms,
-                r.simd_ms, r.speedup);
+    std::printf("%-26s %12.4f %12.4f %12.4f %12.4f %8.2fx\n", r.name.c_str(),
+                r.scalar.best_ms, r.scalar.p10_ms, r.simd.best_ms,
+                r.simd.p10_ms, r.speedup);
   }
 
   double log_sum = 0.0;
@@ -239,7 +258,7 @@ int main() {
   const double geomean =
       results.empty() ? 1.0
                       : std::exp(log_sum / static_cast<double>(results.size()));
-  std::printf("%-26s %34.2fx\n", "geomean", geomean);
+  std::printf("%-26s %60.2fx\n", "geomean", geomean);
 
   FILE* f = std::fopen("BENCH_perf.json", "w");
   if (f != nullptr) {
@@ -250,8 +269,10 @@ int main() {
       const Result& r = results[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"scalar_ms\": %.6f, "
-                   "\"simd_ms\": %.6f, \"speedup\": %.4f}%s\n",
-                   r.name.c_str(), r.scalar_ms, r.simd_ms, r.speedup,
+                   "\"scalar_p10_ms\": %.6f, \"simd_ms\": %.6f, "
+                   "\"simd_p10_ms\": %.6f, \"speedup\": %.4f}%s\n",
+                   r.name.c_str(), r.scalar.best_ms, r.scalar.p10_ms,
+                   r.simd.best_ms, r.simd.p10_ms, r.speedup,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

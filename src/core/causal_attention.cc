@@ -32,15 +32,18 @@ Tensor AttentionCombine(const Tensor& attention, const Tensor& value) {
   }
 
   return MakeOp(
-      "attention_combine", {attention, value}, out,
-      [attention, value](const Tensor&, const Tensor& cot,
-                         const std::vector<bool>&) {
+      "attention_combine", {attention, value}, std::move(out),
+      [](const Node& node, const Tensor&, const Tensor& cot, InputMask,
+         Tensor* grads) {
+        const Tensor& attention = node.inputs[0];
+        const Tensor& value = node.inputs[1];
         Tensor ga = Tensor::Empty(attention.shape());
         Tensor gv = Tensor::Empty(value.shape());
         simd::Active().attention_combine_vjp(
             attention.data(), value.data(), cot.data(), ga.data(), gv.data(),
             attention.dim(0), attention.dim(1), value.dim(3));
-        return std::vector<Tensor>{ga, gv};
+        grads[0] = std::move(ga);
+        grads[1] = std::move(gv);
       });
 }
 

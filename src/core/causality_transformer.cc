@@ -96,6 +96,7 @@ ForwardResult CausalityTransformer::ForwardFromConv(const Tensor& x,
   const float inv_scale =
       1.0f / (options_.tau * std::sqrt(static_cast<float>(options_.d_qk)));
   Tensor att;  // aggregated [B, N, T]
+  result.attention.reserve(static_cast<size_t>(options_.heads));
   for (int64_t h = 0; h < options_.heads; ++h) {
     const Tensor q = Add(MatMul(x_emb, w_q_[h]), b_q_[h]);  // [B, N, d_qk]
     const Tensor k = Add(MatMul(x_emb, w_k_[h]), b_k_[h]);

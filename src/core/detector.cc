@@ -1,5 +1,6 @@
 #include "core/detector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -39,21 +40,20 @@ Tensor CombineScores(const Tensor& relevance, const Tensor& gradient,
                                        or_zeros(gradient));
 }
 
-// Mean over batch rows [begin, end) of a [B, N, N] tensor -> [N, N] raw
-// buffer. Rows are summed in ascending order from zero so the result for a
+// Mean over batch rows [begin, end) of a [B, N, N] tensor -> out[N * N].
+// Rows are summed in ascending order from zero so the result for a
 // sub-range matches a standalone run over exactly those rows.
-std::vector<double> BatchMeanMatrixRange(const Tensor& t, int64_t begin,
-                                         int64_t end) {
+void BatchMeanMatrixRange(const Tensor& t, int64_t begin, int64_t end,
+                          std::vector<double>* out) {
   const int64_t n = t.dim(1);
-  std::vector<double> out(static_cast<size_t>(n) * n, 0.0);
+  out->assign(static_cast<size_t>(n) * n, 0.0);
+  double* acc = out->data();
   const float* p = t.data();
   for (int64_t bi = begin; bi < end; ++bi) {
-    for (int64_t k = 0; k < n * n; ++k) {
-      out[static_cast<size_t>(k)] += p[bi * n * n + k];
-    }
+    for (int64_t k = 0; k < n * n; ++k) acc[k] += p[bi * n * n + k];
   }
-  for (auto& v : out) v /= static_cast<double>(end - begin);
-  return out;
+  const double rows = static_cast<double>(end - begin);
+  for (int64_t k = 0; k < n * n; ++k) acc[k] /= rows;
 }
 
 // Kernel tap index (0-based argmax over taps) -> delay (Eq. 20).
@@ -86,8 +86,11 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
   if (window_batches.empty()) return results;
 
   // Per-request tensors recur with the same geometries, so draw them from the
-  // process-wide arena: after the first request warms the size-class pools,
-  // steady-state detection performs zero mallocs on this thread.
+  // thread's arena: after the first request warms the size-class pools,
+  // steady-state detection takes no tensor buffer from the heap. The tensor
+  // objects come from the thread's tensor pool, and the walks keep their
+  // values by plan step, so a warm detect allocates only per-batch
+  // bookkeeping and the results (tests/alloc_budget_test.cc).
   ScopedAllocator arena_guard(DetectArena());
 
   const ModelOptions& mopt = model.options();
@@ -99,7 +102,6 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
   // requests into one batch with a row -> request map.
   std::vector<int64_t> offsets(num_requests, 0);
   std::vector<int64_t> counts(num_requests, 0);
-  std::vector<int> row_groups;
   int64_t total_rows = 0;
   for (int r = 0; r < num_requests; ++r) {
     const Tensor& w = window_batches[r];
@@ -111,7 +113,10 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     offsets[r] = total_rows;
     counts[r] = use;
     total_rows += use;
-    row_groups.insert(row_groups.end(), static_cast<size_t>(use), r);
+  }
+  std::vector<int> row_groups(static_cast<size_t>(total_rows));
+  for (int r = 0; r < num_requests; ++r) {
+    std::fill_n(row_groups.begin() + offsets[r], counts[r], r);
   }
   // Each request's first `use` windows, copied once into the batch.
   const int64_t window_floats = n * t_window;
@@ -132,11 +137,24 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
 
   // Causal scores per head S(A) ([B, N, N]) and for the kernels S(K)
   // ([G, N, N, T]); target i reads row i of each S(A) and column i of S(K).
-  std::vector<Tensor> score_a;
+  const size_t heads = fwd.attention.size();
+  std::vector<double> mean;  // one request's batch mean of one head's S(A)
+  auto add_head_scores = [&](const Tensor& s) {
+    for (int r = 0; r < num_requests; ++r) {
+      BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r], &mean);
+      for (int to = 0; to < n; ++to) {
+        for (int from = 0; from < n; ++from) {
+          results[r].scores.add(from, to,
+                                mean[static_cast<size_t>(to) * n + from] /
+                                    static_cast<double>(heads));
+        }
+      }
+    }
+  };
   Tensor score_k;
   if (!options.use_interpretation) {
     // Ablation "w/o interpretation": attention weights and raw |K| scores.
-    score_a = fwd.attention;
+    for (const Tensor& a : fwd.attention) add_head_scores(a);
     score_k = interpret::AbsGradientScore(fwd.kernel_groups);
   } else {
     // Full detector: one all-ones seed stands for the one-hot seed of every
@@ -145,7 +163,9 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     // arithmetic as a walk seeded for that target alone. Each walk is skipped
     // when the ablation variant discards it; both read only A and K, so they
     // share one plan of the tape's live part.
-    std::vector<Tensor> wanted = fwd.attention;
+    std::vector<Tensor> wanted;
+    wanted.reserve(heads + 1);
+    wanted.assign(fwd.attention.begin(), fwd.attention.end());
     wanted.push_back(fwd.kernel_groups);
     const WalkPlan plan = PlanWalk(fwd.prediction, wanted);
     const Tensor seed = Tensor::Ones(fwd.prediction.shape());
@@ -163,9 +183,9 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
       relevance = interpret::PropagateRelevance(plan, seed, ropts);
     }
     for (const Tensor& a : fwd.attention) {
-      score_a.push_back(CombineScores(interpret::RelevanceOf(relevance, a),
-                                      GradientOf(grads, a), a.shape(),
-                                      options));
+      add_head_scores(CombineScores(interpret::RelevanceOf(relevance, a),
+                                    GradientOf(grads, a), a.shape(),
+                                    options));
     }
     score_k = CombineScores(
         interpret::RelevanceOf(relevance, fwd.kernel_groups),
@@ -173,19 +193,6 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
         options);
   }
 
-  for (const Tensor& s : score_a) {
-    for (int r = 0; r < num_requests; ++r) {
-      const std::vector<double> mean =
-          BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r]);
-      for (int to = 0; to < n; ++to) {
-        for (int from = 0; from < n; ++from) {
-          results[r].scores.add(from, to,
-                                mean[static_cast<size_t>(to) * n + from] /
-                                    static_cast<double>(score_a.size()));
-        }
-      }
-    }
-  }
   // Delays (Eq. 20) from the argmax tap of each request's kernel group.
   for (int r = 0; r < num_requests; ++r) {
     for (int from = 0; from < n; ++from) {

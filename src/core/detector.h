@@ -71,9 +71,9 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
 ///    else rides in the batch: no model op mixes batch rows, and the grouped
 ///    kernel path (ForwardGrouped) keeps per-request parameter gradients and
 ///    relevance separate.
-///  * Re-entrancy — gradients go to a per-call map (ComputeGradients), never
-///    into shared .grad buffers, and no model state is written, so any number
-///    of threads may detect on the same model concurrently.
+///  * Re-entrancy — gradients go to per-call walk values (ComputeGradients),
+///    never into shared .grad buffers, and no model state is written, so any
+///    number of threads may detect on the same model concurrently.
 std::vector<DetectionResult> DetectCausalGraphBatched(
     const CausalityTransformer& model,
     const std::vector<Tensor>& window_batches,

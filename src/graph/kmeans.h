@@ -29,6 +29,28 @@ KMeans1dResult KMeans1d(const std::vector<double>& values, int k,
 std::vector<int> TopClusterIndices(const std::vector<double>& values, int k,
                                    int top_m);
 
+/// The buffers KMeans1d works in, kept between calls by a caller that
+/// clusters repeatedly (the detector, once per target of every request), so
+/// a warm call allocates nothing.
+struct KMeans1dScratch {
+  std::vector<double> sorted;
+  std::vector<double> centroids;
+  std::vector<double> sum;
+  std::vector<int> count;
+  std::vector<int> order;
+  std::vector<int> rank;
+  KMeans1dResult result;
+};
+
+/// KMeans1d over values[0, n) in `scratch`, leaving the answer in
+/// scratch->result.
+void KMeans1dInto(const double* values, int n, int k, int max_iterations,
+                  KMeans1dScratch* scratch);
+
+/// Whether value i of the last KMeans1dInto(..., k, ...) on `scratch` lies
+/// in the top `top_m` clusters: TopClusterIndices' test, one index at a time.
+bool InTopClusters(const KMeans1dScratch& scratch, int i, int top_m);
+
 }  // namespace causalformer
 
 #endif  // CAUSALFORMER_GRAPH_KMEANS_H_

@@ -70,11 +70,17 @@ CausalGraph GraphFromScores(const ScoreMatrix& scores,
                             const std::vector<std::vector<int>>* delays) {
   const int n = scores.num_series();
   CausalGraph graph(n);
+  // TopClusterIndices per target on buffers the thread keeps, so a warm call
+  // allocates only the graph it returns.
+  thread_local std::vector<double> incoming;
+  thread_local KMeans1dScratch scratch;
+  incoming.resize(static_cast<size_t>(n));
   for (int to = 0; to < n; ++to) {
-    const std::vector<double> incoming = scores.IncomingScores(to);
-    const std::vector<int> selected =
-        TopClusterIndices(incoming, options.num_clusters, options.top_clusters);
-    for (const int from : selected) {
+    for (int from = 0; from < n; ++from) incoming[from] = scores.at(from, to);
+    KMeans1dInto(incoming.data(), n, options.num_clusters,
+                 /*max_iterations=*/100, &scratch);
+    for (int from = 0; from < n; ++from) {
+      if (!InTopClusters(scratch, from, options.top_clusters)) continue;
       const int delay = delays != nullptr ? (*delays)[from][to] : 1;
       graph.AddEdge(from, to, delay, incoming[from]);
     }

@@ -1,6 +1,7 @@
 #include "interpret/relevance.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -32,7 +33,7 @@ Tensor HadamardRaw(const Tensor& a, const Tensor& b) {
 // A "bias add": Add(h, b) where b is a leaf parameter broadcast against h.
 // Used by the w/o-bias ablation to route relevance past biases.
 bool IsBiasAdd(const Node& node) {
-  if (node.op != "add" || node.inputs.size() != 2) return false;
+  if (std::strcmp(node.op, "add") != 0 || node.num_inputs != 2) return false;
   const Tensor& data = node.inputs[0];
   const Tensor& bias = node.inputs[1];
   if (!bias.defined() || !data.defined()) return false;
@@ -51,32 +52,28 @@ RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
 RelevanceMap PropagateRelevance(const WalkPlan& plan, const Tensor& seed,
                                 const RelevanceOptions& options) {
   return WalkTape(plan, seed, [&options](const WalkStep& step,
-                                         const Tensor& r_out) {
+                                         const Tensor& r_out,
+                                         Tensor* contributions) {
     const Node& fn = *step.tensor.grad_fn();
-    std::vector<Tensor> contributions(fn.inputs.size());
     if (!options.bias_absorption && IsBiasAdd(fn)) {
       // Route everything through the data operand; the bias gets nothing.
-      if (step.needs[0]) {
+      if (HasInput(step.needs, 0)) {
         contributions[0] = ReduceToShape(r_out, fn.inputs[0].shape());
       }
-      return contributions;
+      return;
     }
     // Generic Eq. (17)/(18): R_in = x ⊙ vjp(R_out / f_out).
     const Tensor s = SafeRatio(r_out, step.tensor, options.epsilon);
-    const std::vector<Tensor> cots = fn.vjp(step.tensor, s, step.needs);
-    CF_CHECK_EQ(cots.size(), fn.inputs.size());
-    for (size_t i = 0; i < fn.inputs.size(); ++i) {
-      if (!step.needs[i] || !cots[i].defined()) continue;
-      contributions[i] = HadamardRaw(fn.inputs[i], cots[i]);
+    fn.vjp(fn, step.tensor, s, step.needs, contributions);
+    for (int i = 0; i < fn.num_inputs; ++i) {
+      if (!HasInput(step.needs, i) || !contributions[i].defined()) continue;
+      contributions[i] = HadamardRaw(fn.inputs[i], contributions[i]);
     }
-    return contributions;
   });
 }
 
 Tensor RelevanceOf(const RelevanceMap& map, const Tensor& t) {
-  const auto it = map.find(t.impl());
-  if (it == map.end()) return Tensor();
-  return it->second;
+  return map.Of(t);
 }
 
 }  // namespace interpret

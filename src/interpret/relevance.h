@@ -1,7 +1,6 @@
 #ifndef CAUSALFORMER_INTERPRET_RELEVANCE_H_
 #define CAUSALFORMER_INTERPRET_RELEVANCE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/autograd.h"
@@ -45,8 +44,8 @@ struct RelevanceOptions {
   bool bias_absorption = true;
 };
 
-/// Relevance per tape tensor, keyed by tensor identity.
-using RelevanceMap = std::unordered_map<internal::TensorImpl*, Tensor>;
+/// Relevance per tape tensor (what the walk kept; see TapeValues).
+using RelevanceMap = TapeValues;
 
 /// Runs RRP from `output` seeded with `seed` (same shape; the one-hot row
 /// selection of Fig. 6a, or all ones, which the detector uses to walk every

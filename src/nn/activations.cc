@@ -35,18 +35,26 @@ Tensor Clamp(const Tensor& x, float lo, float hi) {
   for (int64_t i = 0; i < x.numel(); ++i) {
     po[i] = px[i] < lo ? lo : (px[i] > hi ? hi : px[i]);
   }
-  return MakeOp("clamp", {x}, out,
-                [x, lo, hi](const Tensor&, const Tensor& cot,
-                            const std::vector<bool>&) {
+  struct Bounds {
+    float lo, hi;
+  };
+  return MakeOp("clamp", {x}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask, Tensor* grads) {
+                  const Bounds bounds = node.attr<Bounds>();
+                  const Tensor& x = node.inputs[0];
                   Tensor g = Tensor::Zeros(x.shape());
                   const float* px = x.data();
                   const float* pc = cot.data();
                   float* pg = g.data();
                   for (int64_t i = 0; i < x.numel(); ++i) {
-                    pg[i] = (px[i] >= lo && px[i] <= hi) ? pc[i] : 0.0f;
+                    pg[i] = (px[i] >= bounds.lo && px[i] <= bounds.hi)
+                                ? pc[i]
+                                : 0.0f;
                   }
-                  return std::vector<Tensor>{g};
-                });
+                  grads[0] = std::move(g);
+                },
+                Bounds{lo, hi});
 }
 
 }  // namespace nn

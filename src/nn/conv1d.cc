@@ -52,62 +52,69 @@ Tensor CausalConv1d(const Tensor& x, const Tensor& weight, const Tensor& bias,
     }
   }
 
-  std::vector<Tensor> inputs = {x, weight};
-  if (bias.defined()) inputs.push_back(bias);
-  return MakeOp(
-      "causal_conv1d", inputs, out,
-      [x, weight, bias, dilation, groups, shift](
-          const Tensor&, const Tensor& cot, const std::vector<bool>&) {
-        const int64_t batch = x.dim(0);
-        const int64_t c_in = x.dim(1);
-        const int64_t steps = x.dim(2);
-        const int64_t c_out = weight.dim(0);
-        const int64_t c_in_per_group = weight.dim(1);
-        const int64_t kernel = weight.dim(2);
-        const int64_t out_per_group = c_out / groups;
+  struct Attrs {
+    int64_t dilation, groups, shift;
+  };
+  const Tensor inputs[] = {x, weight, bias};
+  const Attrs attrs{dilation, groups, shift};
+  const VjpFn vjp = [](const Node& node, const Tensor&, const Tensor& cot,
+                       InputMask, Tensor* grads) {
+    const Attrs at = node.attr<Attrs>();
+    const Tensor& x = node.inputs[0];
+    const Tensor& weight = node.inputs[1];
+    const int64_t batch = x.dim(0);
+    const int64_t c_in = x.dim(1);
+    const int64_t steps = x.dim(2);
+    const int64_t c_out = weight.dim(0);
+    const int64_t c_in_per_group = weight.dim(1);
+    const int64_t kernel = weight.dim(2);
+    const int64_t out_per_group = c_out / at.groups;
 
-        Tensor gx = Tensor::Zeros(x.shape());
-        Tensor gw = Tensor::Zeros(weight.shape());
-        const float* px = x.data();
-        const float* pw = weight.data();
-        const float* pc = cot.data();
-        float* pgx = gx.data();
-        float* pgw = gw.data();
-        for (int64_t b = 0; b < batch; ++b) {
-          for (int64_t oc = 0; oc < c_out; ++oc) {
-            const int64_t g = oc / out_per_group;
-            const float* crow = pc + (b * c_out + oc) * steps;
-            for (int64_t icl = 0; icl < c_in_per_group; ++icl) {
-              const int64_t ic = g * c_in_per_group + icl;
-              const float* xrow = px + (b * c_in + ic) * steps;
-              float* gxrow = pgx + (b * c_in + ic) * steps;
-              const float* wrow = pw + (oc * c_in_per_group + icl) * kernel;
-              float* gwrow = pgw + (oc * c_in_per_group + icl) * kernel;
-              for (int64_t k = 0; k < kernel; ++k) {
-                const int64_t back = (kernel - 1 - k) * dilation + shift;
-                if (back >= steps) continue;
-                // Fused: gx accumulation and the weight-grad dot share one
-                // pass over the cotangent row.
-                gwrow[k] += simd::Active().axpy_dot(
-                    wrow[k], crow + back, gxrow, xrow, steps - back);
-              }
-            }
+    Tensor gx = Tensor::Zeros(x.shape());
+    Tensor gw = Tensor::Zeros(weight.shape());
+    const float* px = x.data();
+    const float* pw = weight.data();
+    const float* pc = cot.data();
+    float* pgx = gx.data();
+    float* pgw = gw.data();
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t oc = 0; oc < c_out; ++oc) {
+        const int64_t g = oc / out_per_group;
+        const float* crow = pc + (b * c_out + oc) * steps;
+        for (int64_t icl = 0; icl < c_in_per_group; ++icl) {
+          const int64_t ic = g * c_in_per_group + icl;
+          const float* xrow = px + (b * c_in + ic) * steps;
+          float* gxrow = pgx + (b * c_in + ic) * steps;
+          const float* wrow = pw + (oc * c_in_per_group + icl) * kernel;
+          float* gwrow = pgw + (oc * c_in_per_group + icl) * kernel;
+          for (int64_t k = 0; k < kernel; ++k) {
+            const int64_t back = (kernel - 1 - k) * at.dilation + at.shift;
+            if (back >= steps) continue;
+            // Fused: gx accumulation and the weight-grad dot share one
+            // pass over the cotangent row.
+            gwrow[k] += simd::Active().axpy_dot(wrow[k], crow + back, gxrow,
+                                                xrow, steps - back);
           }
         }
-        std::vector<Tensor> grads = {gx, gw};
-        if (bias.defined()) {
-          Tensor gb = Tensor::Zeros(bias.shape());
-          float* pgb = gb.data();
-          for (int64_t b = 0; b < batch; ++b) {
-            for (int64_t oc = 0; oc < c_out; ++oc) {
-              const float* crow = pc + (b * c_out + oc) * steps;
-              pgb[oc] += simd::Active().sum(crow, steps);
-            }
-          }
-          grads.push_back(gb);
+      }
+    }
+    grads[0] = std::move(gx);
+    grads[1] = std::move(gw);
+    if (node.num_inputs == 3) {
+      const Tensor& bias = node.inputs[2];
+      Tensor gb = Tensor::Zeros(bias.shape());
+      float* pgb = gb.data();
+      for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t oc = 0; oc < c_out; ++oc) {
+          const float* crow = pc + (b * c_out + oc) * steps;
+          pgb[oc] += simd::Active().sum(crow, steps);
         }
-        return grads;
-      });
+      }
+      grads[2] = std::move(gb);
+    }
+  };
+  return MakeOp("causal_conv1d", inputs, bias.defined() ? 3 : 2,
+                std::move(out), vjp, &attrs, sizeof(attrs), Tensor());
 }
 
 Conv1dCausal::Conv1dCausal(int64_t in_channels, int64_t out_channels,

@@ -92,10 +92,11 @@ Status LoadParameters(Module* module, const std::string& path) {
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
     uint32_t ndim = 0;
-    if (!in.good() || !ReadPod(in, &ndim) || ndim > 16) {
+    if (!in.good() || !ReadPod(in, &ndim) ||
+        ndim > static_cast<uint32_t>(kMaxRank)) {
       return Status::InvalidArgument("corrupt parameter record: " + name);
     }
-    std::vector<int64_t> dims(ndim);
+    int64_t dims[kMaxRank];
     for (uint32_t d = 0; d < ndim; ++d) {
       uint64_t v = 0;
       if (!ReadPod(in, &v)) {
@@ -103,7 +104,7 @@ Status LoadParameters(Module* module, const std::string& path) {
       }
       dims[d] = static_cast<int64_t>(v);
     }
-    const Shape shape{std::vector<int64_t>(dims)};
+    const Shape shape(dims, static_cast<int>(ndim));
 
     const auto it = params.find(name);
     if (it == params.end()) {

@@ -1,7 +1,10 @@
 #include "tensor/allocator.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -87,6 +90,7 @@ void* ArenaAllocator::Allocate(size_t bytes) {
       list.pop_back();
       ++stats_.pool_hits;
       stats_.pooled_bytes -= static_cast<int64_t>(cls_bytes);
+      ASAN_UNPOISON_MEMORY_REGION(ptr, cls_bytes);
       return ptr;
     }
     ++stats_.parent_allocs;
@@ -102,6 +106,8 @@ void ArenaAllocator::Deallocate(void* ptr, size_t bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     --stats_.outstanding;
     if (stats_.pooled_bytes + cls_bytes <= kArenaMaxPooledBytes) {
+      // Parked until a same-class Allocate hands it out again.
+      ASAN_POISON_MEMORY_REGION(ptr, static_cast<size_t>(cls_bytes));
       free_[static_cast<size_t>(cls)].push_back(ptr);
       stats_.pooled_bytes += cls_bytes;
       return;
@@ -121,6 +127,7 @@ void ArenaAllocator::Reset() {
   }
   for (int cls = 0; cls < kNumClasses; ++cls) {
     for (void* ptr : drained[static_cast<size_t>(cls)]) {
+      ASAN_UNPOISON_MEMORY_REGION(ptr, ClassBytes(cls));
       parent_->Deallocate(ptr, ClassBytes(cls));
     }
   }
@@ -213,5 +220,10 @@ TensorBuffer::~TensorBuffer() {
     alloc_->Deallocate(ptr_, static_cast<size_t>(count_) * sizeof(float));
   }
 }
+
+TensorBuffer::TensorBuffer(TensorBuffer&& other) noexcept
+    : alloc_(std::move(other.alloc_)),
+      ptr_(std::exchange(other.ptr_, nullptr)),
+      count_(std::exchange(other.count_, 0)) {}
 
 }  // namespace causalformer

@@ -18,14 +18,19 @@
 /// allocator is a process-wide aligned CPU allocator; hot paths (the batched
 /// detector, the trainer) install their thread's DetectArena() via
 /// ScopedAllocator so the per-request batch tensors are recycled through
-/// size-class free lists and steady-state serving performs zero mallocs on
-/// the detect path. Each thread has its own arena, so concurrent executors
-/// never share an allocator lock.
+/// size-class free lists. Each thread has its own arena, so concurrent
+/// executors never share an allocator lock. The tensor objects themselves
+/// (shape, buffer handle and tape node) come from a per-thread pool in
+/// tensor.cc, so a warm detect takes neither a buffer nor a tensor object
+/// from the heap: what it still allocates is per-batch bookkeeping and the
+/// DetectionResults it returns, which tests/alloc_budget_test.cc holds to a
+/// budget.
 ///
 /// Buffers keep a shared_ptr to the allocator they came from, so a buffer may
 /// be released from any thread and at any time after its allocating scope
 /// ended — it returns to the arena that allocated it, and the allocator
-/// outlives its last buffer by construction.
+/// outlives its last buffer by construction. A block parked in an arena's
+/// free list is poisoned for AddressSanitizer until it is handed out again.
 
 namespace causalformer {
 
@@ -88,7 +93,9 @@ struct ArenaStats {
 /// same-class request reuses it, so a steady-state workload that allocates
 /// recurring tensor geometries (the serving detect path) stops calling the
 /// parent allocator entirely after warm-up. Parked bytes are capped at
-/// kArenaMaxPooledBytes; releases past the cap free to the parent.
+/// kArenaMaxPooledBytes; releases past the cap free to the parent. A parked
+/// block is poisoned for AddressSanitizer, so a read through a released
+/// tensor's buffer is reported instead of seeing recycled data.
 /// Thread-safe: blocks may be allocated and released from different threads
 /// (each arena has its own mutex, uncontended when one thread owns it).
 class ArenaAllocator : public Allocator {
@@ -122,7 +129,7 @@ class ArenaAllocator : public Allocator {
 };
 
 /// Pass-through allocator that counts the calls reaching its parent — test
-/// instrumentation for "steady-state detect does zero mallocs" assertions.
+/// instrumentation for what reaches an allocator's parent.
 class TrackingAllocator : public Allocator {
  public:
   explicit TrackingAllocator(
@@ -183,8 +190,8 @@ struct ArenaTotals {
 /// created or destroyed, plus each arena's own mutex in turn.
 ArenaTotals TotalArenaStats();
 
-/// A contiguous float32 block owned by an Allocator. Not copyable; Tensor
-/// handles share one buffer through shared_ptr.
+/// A contiguous float32 block owned by an Allocator. Move-constructible, not
+/// copyable: each tensor object holds its own buffer inline.
 class TensorBuffer {
  public:
   /// Allocates room for `count` floats from `alloc` (checked: count >= 0 and
@@ -192,6 +199,8 @@ class TensorBuffer {
   TensorBuffer(std::shared_ptr<Allocator> alloc, int64_t count);
   ~TensorBuffer();
 
+  TensorBuffer(TensorBuffer&& other) noexcept;
+  TensorBuffer& operator=(TensorBuffer&&) = delete;
   TensorBuffer(const TensorBuffer&) = delete;
   TensorBuffer& operator=(const TensorBuffer&) = delete;
 

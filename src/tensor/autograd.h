@@ -1,49 +1,60 @@
 #ifndef CAUSALFORMER_TENSOR_AUTOGRAD_H_
 #define CAUSALFORMER_TENSOR_AUTOGRAD_H_
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <unordered_map>
+#include <initializer_list>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/function_ref.h"
 
 /// \file
 /// Define-by-run reverse-mode automatic differentiation.
 ///
 /// Each differentiable op calls MakeOp() with a vector-Jacobian-product (VJP)
-/// closure: given the op's output value, an output cotangent and which inputs
-/// need one, the closure returns one cotangent per input (an undefined Tensor
-/// marks an input that gets none). A WalkPlan lists the part of the tape a
-/// reverse walk must visit; RunBackward() walks the full plan and accumulates
-/// gradients into every tensor that requires them — including intermediates.
+/// function (see VjpFn in tensor/tensor.h): given the op's node, output value,
+/// an output cotangent and which inputs need one, it writes one cotangent per
+/// needed input. The node lives inline in the output tensor and holds the
+/// inputs, the op's constants and any side data, so recording an op takes
+/// nothing from the heap. A WalkPlan lists the part of the tape a reverse
+/// walk must visit, numbered by plan step; RunBackward() walks the full plan
+/// and accumulates gradients into every tensor that requires them —
+/// including intermediates.
 ///
 /// The same tape and plans drive regression relevance propagation: Eq. (17)
 /// of the paper, R_in = x ⊙ (∂f/∂x)ᵀ s with s = R_out / f_out, reuses exactly
-/// these VJP closures (see interpret/relevance.h).
+/// these VJP functions (see interpret/relevance.h).
 
 namespace causalformer {
 
-/// VJP: (output value, output cotangent, needs) -> cotangent per input.
-/// `needs` holds one flag per input (PyTorch's needs_input_grad); a VJP may
-/// skip the work for an input whose flag is false and return an undefined
-/// Tensor in its place.
-using VjpFn = std::function<std::vector<Tensor>(
-    const Tensor& out, const Tensor& cot, const std::vector<bool>& needs)>;
+/// Wires `out` as the result of op `name` (a static string) over the
+/// `num_inputs` (<= kMaxNodeInputs) tensors at `inputs`: if any input
+/// requires grad, marks `out` as requiring grad and fills its node with the
+/// inputs, the VJP, `attr_bytes` bytes of constants from `attrs` and the side
+/// tensor `aux`. Returns `out` for chaining.
+Tensor MakeOp(const char* name, const Tensor* inputs, int num_inputs,
+              Tensor out, VjpFn vjp, const void* attrs, size_t attr_bytes,
+              Tensor aux);
 
-/// A recorded op on the tape, owned by its output tensor.
-struct Node {
-  std::string op;              ///< op name, for debugging and relevance hooks
-  std::vector<Tensor> inputs;  ///< inputs in call order
-  VjpFn vjp;                   ///< reverse rule
-};
+/// An op without constants.
+inline Tensor MakeOp(const char* name, std::initializer_list<Tensor> inputs,
+                     Tensor out, VjpFn vjp) {
+  return MakeOp(name, inputs.begin(), static_cast<int>(inputs.size()),
+                std::move(out), vjp, nullptr, 0, Tensor());
+}
 
-/// Wires `out` as the result of op `name` over `inputs`: if any input requires
-/// grad, marks `out` as requiring grad and attaches a Node with the given VJP.
-/// Returns `out` for chaining.
-Tensor MakeOp(const std::string& name, std::vector<Tensor> inputs, Tensor out,
-              VjpFn vjp);
+/// An op whose VJP reads `attrs` back through Node::attr<Attrs>().
+template <typename Attrs>
+Tensor MakeOp(const char* name, std::initializer_list<Tensor> inputs,
+              Tensor out, VjpFn vjp, const Attrs& attrs,
+              Tensor aux = Tensor()) {
+  static_assert(std::is_trivially_copyable<Attrs>::value &&
+                    sizeof(Attrs) <= kNodeAttrBytes && alignof(Attrs) <= 8,
+                "node attributes must be small trivially copyable values");
+  return MakeOp(name, inputs.begin(), static_cast<int>(inputs.size()),
+                std::move(out), vjp, &attrs, sizeof(Attrs), std::move(aux));
+}
 
 /// Tensors reachable from `root` through grad_fn edges, in an order where
 /// every tensor appears before any of its inputs (reverse topological order
@@ -53,17 +64,20 @@ std::vector<Tensor> ReverseTopoOrder(const Tensor& root);
 /// One tensor a reverse walk delivers a cotangent to.
 struct WalkStep {
   Tensor tensor;
-  /// One flag per input of tensor.grad_fn(): whether the walk needs that
-  /// input's cotangent. Empty when the walk does not run this tensor's VJP:
-  /// a leaf, or a wanted tensor with nothing wanted below it.
-  std::vector<bool> needs;
+  /// The inputs of tensor.grad_fn() whose cotangent the walk needs. Zero
+  /// when the walk does not run this tensor's VJP: a leaf, or a wanted
+  /// tensor with nothing wanted below it.
+  InputMask needs = 0;
   /// Whether the walk's result keeps this tensor's cotangent. A pruned walk
   /// drops an intermediate's cotangent as soon as its VJP has consumed it.
   bool keep = true;
+  /// The plan step of each input in `needs`; -1 for the others.
+  int input_steps[kMaxNodeInputs] = {-1, -1, -1, -1};
 };
 
 /// The live part of the tape under `root`, root first: each step precedes
-/// the steps of its inputs, in ReverseTopoOrder(root) order.
+/// the steps of its inputs, in ReverseTopoOrder(root) order. A walk keeps
+/// its values in a vector indexed by step.
 struct WalkPlan {
   Tensor root;
   std::vector<WalkStep> steps;
@@ -81,21 +95,39 @@ struct WalkPlan {
 /// the same order as under the full walk: the two agree bit for bit.
 WalkPlan PlanWalk(const Tensor& root, const std::vector<Tensor>& wanted = {});
 
-/// Gradient per tape tensor, keyed by tensor identity (same convention as
-/// interpret::RelevanceMap).
-using GradientMap = std::unordered_map<internal::TensorImpl*, Tensor>;
+/// What a walk hands back: the cotangent (or relevance) of each tensor its
+/// plan keeps and the walk reached, in plan-step order.
+class TapeValues {
+ public:
+  /// The value of `t`, or an undefined Tensor when the walk kept none.
+  Tensor Of(const Tensor& t) const;
+  /// Number of tensors holding a value.
+  size_t size() const { return entries_.size(); }
+
+  /// (tensor identity, value) pairs in plan-step order.
+  auto begin() const { return entries_.begin(); }
+  auto end() const { return entries_.end(); }
+
+ private:
+  friend TapeValues CollectKept(const WalkPlan& plan,
+                                std::vector<Tensor> values);
+  std::vector<std::pair<const internal::TensorImpl*, Tensor>> entries_;
+};
+
+/// Gradient per tape tensor (same convention as interpret::RelevanceMap).
+using GradientMap = TapeValues;
 
 /// A walk's per-node rule: given a step whose tensor has a grad_fn and that
-/// tensor's complete cotangent, returns one contribution per grad_fn input
-/// (undefined for none; flags false in step.needs are ignored).
-using WalkRule =
-    std::function<std::vector<Tensor>(const WalkStep& step, const Tensor& cot)>;
+/// tensor's complete cotangent, writes the contribution of each input in
+/// step.needs into contributions[i] (kMaxNodeInputs undefined tensors on
+/// entry; one left undefined contributes nothing).
+using WalkRule = FunctionRef<void(const WalkStep& step, const Tensor& cot,
+                                  Tensor* contributions)>;
 
 /// The one reverse walk: seeds plan.root with a copy of `seed`, then visits
 /// the plan's steps in order, summing each rule contribution into its input's
-/// entry. Returns the entries of the steps marked keep.
-GradientMap WalkTape(const WalkPlan& plan, const Tensor& seed,
-                     const WalkRule& rule);
+/// step. Returns the values of the steps marked keep.
+TapeValues WalkTape(const WalkPlan& plan, const Tensor& seed, WalkRule rule);
 
 /// Pure variant of RunBackward: returns the cotangent of every tensor reached
 /// on the tape instead of accumulating into shared impl->grad buffers. Because

@@ -1,5 +1,5 @@
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
 
 #include "tensor/ops.h"
@@ -32,9 +32,9 @@ bool TrailingBroadcast(const Shape& a, const Shape& b) {
 // operands, a trailing-broadcast b) run the vectorized table instead of
 // calling fn per element; std::nullopt keeps the closure. The general path
 // walks output indices with stride-0 for broadcast dimensions.
+template <typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
-                       std::optional<ArithOp> op,
-                       const std::function<float(float, float)>& fn) {
+                       std::optional<ArithOp> op, Fn fn) {
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Empty(out_shape);  // every element written below
   float* o = out.data();
@@ -85,10 +85,10 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
 
   // General case: per-dimension strides, 0 where the operand broadcasts.
   const int nd = out_shape.ndim();
-  std::vector<int64_t> sa(nd, 0), sb(nd, 0), idx(nd, 0);
+  DimArray sa{}, sb{}, idx{}, od{};
   {
-    const auto stra = ContiguousStrides(a.shape());
-    const auto strb = ContiguousStrides(b.shape());
+    const DimArray stra = ContiguousStrides(a.shape());
+    const DimArray strb = ContiguousStrides(b.shape());
     for (int i = 1; i <= nd; ++i) {
       if (i <= a.ndim() && a.shape()[a.ndim() - i] != 1) {
         sa[nd - i] = stra[a.ndim() - i];
@@ -97,8 +97,8 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
         sb[nd - i] = strb[b.ndim() - i];
       }
     }
+    std::copy(out_shape.begin(), out_shape.end(), od.begin());
   }
-  const std::vector<int64_t>& od = out_shape.dims();
   int64_t oa = 0, ob = 0;
   for (int64_t i = 0; i < n; ++i) {
     o[i] = fn(pa[oa], pb[ob]);
@@ -116,44 +116,66 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
   return out;
 }
 
-// Elementwise unary with VJP dX = dfn(x, y) * cot. The element functions are
-// template parameters, so both loops inline them instead of making an
-// indirect call per element.
-template <typename Fn, typename DFn>
-Tensor UnaryOp(const std::string& name, const Tensor& x, Fn fn, DFn dfn_xy) {
+// The VJP of UnaryOp: dX = DFn(x, y, c) * cot, with the op's constant c kept
+// in the node. DFn is a template argument, so the loop inlines it instead of
+// making an indirect call per element.
+template <float (*DFn)(float x, float y, float c)>
+void UnaryVjp(const Node& node, const Tensor& y, const Tensor& cot, InputMask,
+              Tensor* grads) {
+  const Tensor& x = node.inputs[0];
+  const float c = node.attr<float>();
+  Tensor gx = Tensor::Empty(x.shape());
+  const float* px = x.data();
+  const float* py = y.data();
+  const float* pc = cot.data();
+  float* pg = gx.data();
+  const int64_t n = x.numel();
+  for (int64_t i = 0; i < n; ++i) pg[i] = DFn(px[i], py[i], c) * pc[i];
+  grads[0] = std::move(gx);
+}
+
+// Elementwise unary y = fn(x) with VJP dX = DFn(x, y, c) * cot. The element
+// functions are template parameters, so both loops inline them.
+template <float (*DFn)(float, float, float), typename Fn>
+Tensor UnaryOp(const char* name, const Tensor& x, Fn fn, float c = 0.0f) {
   Tensor out = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* po = out.data();
   const int64_t n = x.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(px[i]);
-  return MakeOp(name, {x}, out,
-                [x, dfn_xy](const Tensor& y, const Tensor& cot,
-                            const std::vector<bool>&) {
-                  Tensor gx = Tensor::Empty(x.shape());
-                  const float* px = x.data();
-                  const float* py = y.data();
-                  const float* pc = cot.data();
-                  float* pg = gx.data();
-                  const int64_t n = x.numel();
-                  for (int64_t i = 0; i < n; ++i) {
-                    pg[i] = dfn_xy(px[i], py[i]) * pc[i];
-                  }
-                  return std::vector<Tensor>{gx};
-                });
+  return MakeOp(name, {x}, std::move(out), &UnaryVjp<DFn>, c);
+}
+
+// Derivatives for UnaryOp: (x, y = f(x), the op's constant) -> f'(x).
+float UnitGrad(float, float, float) { return 1.0f; }
+float ExpGrad(float, float y, float) { return y; }
+float LogGrad(float v, float, float) { return 1.0f / v; }
+float SqrtGrad(float, float y, float) { return 0.5f / y; }
+float AbsGrad(float v, float, float) {
+  return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
+}
+float SquareGrad(float v, float, float) { return 2.0f * v; }
+float TanhGrad(float, float y, float) { return 1.0f - y * y; }
+float SigmoidGrad(float, float y, float) { return y * (1.0f - y); }
+float ReluGrad(float v, float, float) { return v > 0.0f ? 1.0f : 0.0f; }
+float PowGrad(float v, float, float exponent) {
+  return exponent * std::pow(v, exponent - 1.0f);
 }
 
 // Unary op whose forward is o = c * x and whose VJP is g = c * cot — Neg and
 // Scale, which ride the vectorized scale kernel on both passes.
-Tensor ScaleOp(const std::string& name, const Tensor& x, float c) {
+Tensor ScaleOp(const char* name, const Tensor& x, float c) {
   Tensor out = Tensor::Empty(x.shape());
   simd::Active().scale(c, x.data(), out.data(), x.numel());
-  return MakeOp(name, {x}, out,
-                [c](const Tensor&, const Tensor& cot,
-                    const std::vector<bool>&) {
+  return MakeOp(name, {x}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask, Tensor* grads) {
+                  const float c = node.attr<float>();
                   Tensor gx = Tensor::Empty(cot.shape());
                   simd::Active().scale(c, cot.data(), gx.data(), cot.numel());
-                  return std::vector<Tensor>{gx};
-                });
+                  grads[0] = std::move(gx);
+                },
+                c);
 }
 
 }  // namespace
@@ -167,19 +189,34 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   const float* pt = t.data();
   const int nd = t.ndim();
   // Output strides aligned to t's trailing dims; 0 where target broadcasts.
-  std::vector<int64_t> so(nd, 0), idx(nd, 0);
-  const auto stro = ContiguousStrides(target);
+  DimArray so{}, idx{}, td{};
+  const DimArray stro = ContiguousStrides(target);
   for (int i = 1; i <= nd; ++i) {
     if (i <= target.ndim() && target[target.ndim() - i] != 1) {
       so[nd - i] = stro[target.ndim() - i];
     }
   }
-  const std::vector<int64_t>& td = t.shape().dims();
-  const int64_t n = t.numel();
+  std::copy(t.shape().begin(), t.shape().end(), td.begin());
+  // t's rows in row-major order, each added into its output row (the last
+  // dim kept) or summed into one output element (the last dim reduced), in
+  // ascending order: every output element sums its terms in the order of
+  // an element-by-element pass over t.
+  const int64_t row = nd == 0 ? 1 : td[nd - 1];
+  const bool kept = nd > 0 && so[nd - 1] != 0;
+  const int64_t rows = row == 0 ? 0 : t.numel() / row;
+  const simd::KernelTable& K = simd::Active();
   int64_t oo = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    po[oo] += pt[i];
-    for (int d = nd - 1; d >= 0; --d) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* src = pt + r * row;
+    if (kept) {
+      K.accumulate(po + oo, src, row);
+    } else {
+      float acc = po[oo];
+      for (int64_t j = 0; j < row; ++j) acc += src[j];
+      po[oo] = acc;
+    }
+    // Odometer over the dims before the last.
+    for (int d = nd - 2; d >= 0; --d) {
       ++idx[d];
       oo += so[d];
       if (idx[d] < td[d]) break;
@@ -193,70 +230,72 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, ArithOp::kAdd,
                                [](float x, float y) { return x + y; });
-  return MakeOp("add", {a, b}, out,
-                [a, b](const Tensor&, const Tensor& cot,
-                       const std::vector<bool>& needs) {
-                  std::vector<Tensor> grads(2);
-                  if (needs[0]) grads[0] = ReduceToShape(cot, a.shape());
-                  if (needs[1]) grads[1] = ReduceToShape(cot, b.shape());
-                  return grads;
+  return MakeOp("add", {a, b}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask needs, Tensor* grads) {
+                  for (int i = 0; i < 2; ++i) {
+                    if (HasInput(needs, i)) {
+                      grads[i] = ReduceToShape(cot, node.inputs[i].shape());
+                    }
+                  }
                 });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, ArithOp::kSub,
                                [](float x, float y) { return x - y; });
-  return MakeOp("sub", {a, b}, out,
-                [a, b](const Tensor&, const Tensor& cot,
-                       const std::vector<bool>& needs) {
-                  std::vector<Tensor> grads(2);
-                  if (needs[0]) grads[0] = ReduceToShape(cot, a.shape());
-                  if (needs[1]) {
+  return MakeOp("sub", {a, b}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask needs, Tensor* grads) {
+                  if (HasInput(needs, 0)) {
+                    grads[0] = ReduceToShape(cot, node.inputs[0].shape());
+                  }
+                  if (HasInput(needs, 1)) {
                     Tensor gb = Tensor::Empty(cot.shape());
                     simd::Active().scale(-1.0f, cot.data(), gb.data(),
                                          cot.numel());
-                    grads[1] = ReduceToShape(gb, b.shape());
+                    grads[1] = ReduceToShape(gb, node.inputs[1].shape());
                   }
-                  return grads;
                 });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, ArithOp::kMul,
                                [](float x, float y) { return x * y; });
-  return MakeOp("mul", {a, b}, out,
-                [a, b](const Tensor&, const Tensor& cot,
-                       const std::vector<bool>& needs) {
+  return MakeOp("mul", {a, b}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask needs, Tensor* grads) {
                   auto times = [](float c, float v) { return c * v; };
-                  std::vector<Tensor> grads(2);
-                  if (needs[0]) {
+                  const Tensor& a = node.inputs[0];
+                  const Tensor& b = node.inputs[1];
+                  if (HasInput(needs, 0)) {
                     grads[0] = ReduceToShape(
                         BroadcastBinary(cot, b, ArithOp::kMul, times),
                         a.shape());
                   }
-                  if (needs[1]) {
+                  if (HasInput(needs, 1)) {
                     grads[1] = ReduceToShape(
                         BroadcastBinary(cot, a, ArithOp::kMul, times),
                         b.shape());
                   }
-                  return grads;
                 });
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, ArithOp::kDiv,
                                [](float x, float y) { return x / y; });
-  return MakeOp("div", {a, b}, out,
-                [a, b](const Tensor&, const Tensor& cot,
-                       const std::vector<bool>& needs) {
-                  std::vector<Tensor> grads(2);
-                  if (needs[0]) {
+  return MakeOp("div", {a, b}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask needs, Tensor* grads) {
+                  const Tensor& a = node.inputs[0];
+                  const Tensor& b = node.inputs[1];
+                  if (HasInput(needs, 0)) {
                     grads[0] = ReduceToShape(
                         BroadcastBinary(cot, b, ArithOp::kDiv,
                                         [](float c, float y) { return c / y; }),
                         a.shape());
                   }
-                  if (needs[1]) {
+                  if (HasInput(needs, 1)) {
                     Tensor tmp = BroadcastBinary(
                         a, b, std::nullopt,
                         [](float x, float y) { return -x / (y * y); });
@@ -265,7 +304,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
                                         [](float c, float t) { return c * t; }),
                         b.shape());
                   }
-                  return grads;
                 });
 }
 
@@ -274,70 +312,63 @@ Tensor Neg(const Tensor& x) { return ScaleOp("neg", x, -1.0f); }
 Tensor Scale(const Tensor& x, float c) { return ScaleOp("scale", x, c); }
 
 Tensor AddScalar(const Tensor& x, float c) {
-  return UnaryOp("add_scalar", x, [c](float v) { return v + c; },
-                 [](float, float) { return 1.0f; });
+  return UnaryOp<UnitGrad>("add_scalar", x, [c](float v) { return v + c; });
 }
 
 Tensor Exp(const Tensor& x) {
-  return UnaryOp("exp", x, [](float v) { return std::exp(v); },
-                 [](float, float y) { return y; });
+  return UnaryOp<ExpGrad>("exp", x, [](float v) { return std::exp(v); });
 }
 
 Tensor Log(const Tensor& x) {
-  return UnaryOp("log", x, [](float v) { return std::log(v); },
-                 [](float v, float) { return 1.0f / v; });
+  return UnaryOp<LogGrad>("log", x, [](float v) { return std::log(v); });
 }
 
 Tensor Sqrt(const Tensor& x) {
-  return UnaryOp("sqrt", x, [](float v) { return std::sqrt(v); },
-                 [](float, float y) { return 0.5f / y; });
+  return UnaryOp<SqrtGrad>("sqrt", x, [](float v) { return std::sqrt(v); });
 }
 
 Tensor Abs(const Tensor& x) {
-  return UnaryOp("abs", x, [](float v) { return std::fabs(v); },
-                 [](float v, float) { return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f); });
+  return UnaryOp<AbsGrad>("abs", x, [](float v) { return std::fabs(v); });
 }
 
 Tensor Square(const Tensor& x) {
-  return UnaryOp("square", x, [](float v) { return v * v; },
-                 [](float v, float) { return 2.0f * v; });
+  return UnaryOp<SquareGrad>("square", x, [](float v) { return v * v; });
 }
 
 Tensor Tanh(const Tensor& x) {
-  return UnaryOp("tanh", x, [](float v) { return std::tanh(v); },
-                 [](float, float y) { return 1.0f - y * y; });
+  return UnaryOp<TanhGrad>("tanh", x, [](float v) { return std::tanh(v); });
 }
 
 Tensor Sigmoid(const Tensor& x) {
-  return UnaryOp("sigmoid", x,
-                 [](float v) { return 1.0f / (1.0f + std::exp(-v)); },
-                 [](float, float y) { return y * (1.0f - y); });
+  return UnaryOp<SigmoidGrad>(
+      "sigmoid", x, [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
 }
 
 Tensor Relu(const Tensor& x) {
-  return UnaryOp("relu", x, [](float v) { return v > 0.0f ? v : 0.0f; },
-                 [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; });
+  return UnaryOp<ReluGrad>("relu", x,
+                           [](float v) { return v > 0.0f ? v : 0.0f; });
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {
   Tensor out = Tensor::Empty(x.shape());
   simd::Active().leaky_relu(slope, x.data(), out.data(), x.numel());
-  return MakeOp("leaky_relu", {x}, out,
-                [x, slope](const Tensor&, const Tensor& cot,
-                           const std::vector<bool>&) {
+  return MakeOp("leaky_relu", {x}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask, Tensor* grads) {
+                  const Tensor& x = node.inputs[0];
                   Tensor gx = Tensor::Empty(x.shape());
-                  simd::Active().leaky_relu_vjp(slope, x.data(), cot.data(),
-                                                gx.data(), x.numel());
-                  return std::vector<Tensor>{gx};
-                });
+                  simd::Active().leaky_relu_vjp(node.attr<float>(), x.data(),
+                                                cot.data(), gx.data(),
+                                                x.numel());
+                  grads[0] = std::move(gx);
+                },
+                slope);
 }
 
 Tensor Pow(const Tensor& x, float exponent) {
-  return UnaryOp("pow", x,
-                 [exponent](float v) { return std::pow(v, exponent); },
-                 [exponent](float v, float) {
-                   return exponent * std::pow(v, exponent - 1.0f);
-                 });
+  return UnaryOp<PowGrad>(
+      "pow", x, [exponent](float v) { return std::pow(v, exponent); },
+      exponent);
 }
 
 }  // namespace causalformer

@@ -58,22 +58,71 @@ MatMulPlan PlanMatMul(const Shape& a, const Shape& b) {
   CF_CHECK_EQ(plan.k, k2) << "MatMul inner dims: " << a.ToString() << " @ "
                           << b.ToString();
 
-  std::vector<int64_t> a_batch(a.dims().begin(), a.dims().end() - 2);
-  std::vector<int64_t> b_batch(b.dims().begin(), b.dims().end() - 2);
-  CF_CHECK(a_batch.empty() || b_batch.empty() || a_batch == b_batch)
+  const int a_batch = a.ndim() - 2;
+  const int b_batch = b.ndim() - 2;
+  CF_CHECK(a_batch == 0 || b_batch == 0 ||
+           (a_batch == b_batch &&
+            std::equal(a.begin(), a.end() - 2, b.begin())))
       << "MatMul batch dims must match or one operand must be 2-D: "
       << a.ToString() << " @ " << b.ToString();
-  const std::vector<int64_t>& batch_dims = a_batch.empty() ? b_batch : a_batch;
+  const Shape& batched = a_batch == 0 ? b : a;
+  int64_t out_dims[kMaxRank];
+  const int nd = batched.ndim();
+  std::copy(batched.begin(), batched.end() - 2, out_dims);
   plan.batch = 1;
-  for (const int64_t d : batch_dims) plan.batch *= d;
-  plan.a_bstride = a_batch.empty() ? 0 : plan.m * plan.k;
-  plan.b_bstride = b_batch.empty() ? 0 : plan.k * plan.n;
+  for (int i = 0; i < nd - 2; ++i) plan.batch *= out_dims[i];
+  plan.a_bstride = a_batch == 0 ? 0 : plan.m * plan.k;
+  plan.b_bstride = b_batch == 0 ? 0 : plan.k * plan.n;
 
-  std::vector<int64_t> out_dims = batch_dims;
-  out_dims.push_back(plan.m);
-  out_dims.push_back(plan.n);
-  plan.out_shape = Shape(std::move(out_dims));
+  out_dims[nd - 2] = plan.m;
+  out_dims[nd - 1] = plan.n;
+  plan.out_shape = Shape(out_dims, nd);
   return plan;
+}
+
+// dA = cot @ B^T, dB = A^T @ cot; broadcast batches reduce by summation.
+void MatMulVjp(const Node& node, const Tensor&, const Tensor& cot,
+               InputMask needs, Tensor* grads) {
+  obs::ScopedPhaseTimer timer("kernel.matmul", /*kernel=*/true);
+  const Tensor& a = node.inputs[0];
+  const Tensor& b = node.inputs[1];
+  const MatMulPlan plan = PlanMatMul(a.shape(), b.shape());
+  const bool a_batched = plan.a_bstride != 0;
+  const bool b_batched = plan.b_bstride != 0;
+
+  if (HasInput(needs, 0)) {
+    Tensor ga_full =
+        Tensor::Empty(a_batched ? a.shape()
+                                : Shape({plan.batch, plan.m, plan.k}));
+    // B^T packed once (per batch when B is batched), so dA is a plain
+    // product. Under the scalar table each element is still one sequential
+    // sum over n, as CF_SIMD=off's bit-identity requires.
+    const int64_t b_count = b_batched ? plan.batch : 1;
+    Tensor bt = Tensor::Empty(Shape{b_count, plan.n, plan.k});
+    TransposeMatrices(b.data(), bt.data(), b_count, plan.k, plan.n);
+    MatMulKernel(cot.data(), bt.data(), ga_full.data(), plan.batch, plan.m,
+                 plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
+                 plan.m * plan.k, /*transpose_a=*/false);
+    Tensor ga = a_batched || plan.batch == 1
+                    ? (a_batched ? ga_full : Reshape(ga_full, a.shape()))
+                    : ReduceToShape(ga_full, Shape({1, plan.m, plan.k}));
+    if (!a_batched && plan.batch > 1) ga = Reshape(ga, a.shape());
+    grads[0] = std::move(ga);
+  }
+
+  if (HasInput(needs, 1)) {
+    Tensor gb_full =
+        Tensor::Empty(b_batched ? b.shape()
+                                : Shape({plan.batch, plan.k, plan.n}));
+    MatMulKernel(a.data(), cot.data(), gb_full.data(), plan.batch, plan.k,
+                 plan.m, plan.n, plan.a_bstride, plan.m * plan.n,
+                 plan.k * plan.n, /*transpose_a=*/true);
+    Tensor gb = b_batched || plan.batch == 1
+                    ? (b_batched ? gb_full : Reshape(gb_full, b.shape()))
+                    : ReduceToShape(gb_full, Shape({1, plan.k, plan.n}));
+    if (!b_batched && plan.batch > 1) gb = Reshape(gb, b.shape());
+    grads[1] = std::move(gb);
+  }
 }
 
 }  // namespace
@@ -87,51 +136,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                  plan.n, plan.a_bstride, plan.b_bstride, plan.m * plan.n,
                  /*transpose_a=*/false);
   }
-
-  return MakeOp("matmul", {a, b}, out, [a, b, plan](
-                                           const Tensor&, const Tensor& cot,
-                                           const std::vector<bool>& needs) {
-    // dA = cot @ B^T, dB = A^T @ cot; broadcast batches reduce by summation.
-    obs::ScopedPhaseTimer timer("kernel.matmul", /*kernel=*/true);
-    const bool a_batched = plan.a_bstride != 0;
-    const bool b_batched = plan.b_bstride != 0;
-
-    Tensor ga;
-    if (needs[0]) {
-      Tensor ga_full =
-          Tensor::Empty(a_batched ? a.shape()
-                                  : Shape({plan.batch, plan.m, plan.k}));
-      // B^T packed once (per batch when B is batched), so dA is a plain
-      // product. Under the scalar table each element is still one
-      // sequential sum over n, as CF_SIMD=off's bit-identity requires.
-      const int64_t b_count = b_batched ? plan.batch : 1;
-      Tensor bt = Tensor::Empty(Shape{b_count, plan.n, plan.k});
-      TransposeMatrices(b.data(), bt.data(), b_count, plan.k, plan.n);
-      MatMulKernel(cot.data(), bt.data(), ga_full.data(), plan.batch, plan.m,
-                   plan.n, plan.k, plan.m * plan.n, plan.b_bstride,
-                   plan.m * plan.k, /*transpose_a=*/false);
-      ga = a_batched || plan.batch == 1
-               ? (a_batched ? ga_full : Reshape(ga_full, a.shape()))
-               : ReduceToShape(ga_full, Shape({1, plan.m, plan.k}));
-      if (!a_batched && plan.batch > 1) ga = Reshape(ga, a.shape());
-    }
-
-    Tensor gb;
-    if (needs[1]) {
-      Tensor gb_full =
-          Tensor::Empty(b_batched ? b.shape()
-                                  : Shape({plan.batch, plan.k, plan.n}));
-      MatMulKernel(a.data(), cot.data(), gb_full.data(), plan.batch, plan.k,
-                   plan.m, plan.n, plan.a_bstride, plan.m * plan.n,
-                   plan.k * plan.n, /*transpose_a=*/true);
-      gb = b_batched || plan.batch == 1
-               ? (b_batched ? gb_full : Reshape(gb_full, b.shape()))
-               : ReduceToShape(gb_full, Shape({1, plan.k, plan.n}));
-      if (!b_batched && plan.batch > 1) gb = Reshape(gb, b.shape());
-    }
-
-    return std::vector<Tensor>{ga, gb};
-  });
+  return MakeOp("matmul", {a, b}, std::move(out), MatMulVjp);
 }
 
 }  // namespace causalformer

@@ -28,13 +28,7 @@ void AxisDecompose(const Shape& shape, int axis, int64_t* outer, int64_t* len,
 }
 
 Shape ReducedShape(const Shape& shape, int axis, bool keepdim) {
-  std::vector<int64_t> dims = shape.dims();
-  if (keepdim) {
-    dims[axis] = 1;
-  } else {
-    dims.erase(dims.begin() + axis);
-  }
-  return Shape(std::move(dims));
+  return keepdim ? shape.WithDim(axis, 1) : shape.Erased(axis);
 }
 
 }  // namespace
@@ -44,11 +38,10 @@ Tensor Sum(const Tensor& x) {
   const float* p = x.data();
   for (int64_t i = 0; i < x.numel(); ++i) acc += p[i];
   Tensor out = Tensor::Scalar(static_cast<float>(acc));
-  return MakeOp("sum", {x}, out,
-                [x](const Tensor&, const Tensor& cot,
-                    const std::vector<bool>&) {
-                  Tensor g = Tensor::Full(x.shape(), cot.item());
-                  return std::vector<Tensor>{g};
+  return MakeOp("sum", {x}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask, Tensor* grads) {
+                  grads[0] = Tensor::Full(node.inputs[0].shape(), cot.item());
                 });
 }
 
@@ -70,9 +63,13 @@ Tensor Sum(const Tensor& x, int axis, bool keepdim) {
       }
     }
   }
-  return MakeOp("sum_axis", {x}, out,
-                [x, ax, outer, len, inner](const Tensor&, const Tensor& cot,
-                                           const std::vector<bool>&) {
+  return MakeOp("sum_axis", {x}, std::move(out),
+                [](const Node& node, const Tensor&, const Tensor& cot,
+                   InputMask, Tensor* grads) {
+                  const Tensor& x = node.inputs[0];
+                  int64_t outer, len, inner;
+                  AxisDecompose(x.shape(), node.attr<int>(), &outer, &len,
+                                &inner);
                   Tensor g = Tensor::Empty(x.shape());
                   const float* pc = cot.data();
                   float* pg = g.data();
@@ -82,8 +79,9 @@ Tensor Sum(const Tensor& x, int axis, bool keepdim) {
                                   static_cast<size_t>(inner) * sizeof(float));
                     }
                   }
-                  return std::vector<Tensor>{g};
-                });
+                  grads[0] = std::move(g);
+                },
+                ax);
 }
 
 Tensor Mean(const Tensor& x) {

@@ -60,11 +60,16 @@ Tensor Softmax(const Tensor& x, int axis) {
   }
 
   return MakeOp(
-      "softmax", {x}, out,
-      [outer, inner, len](const Tensor& y, const Tensor& cot,
-                          const std::vector<bool>&) {
+      "softmax", {x}, std::move(out),
+      [](const Node& node, const Tensor& y, const Tensor& cot, InputMask,
+         Tensor* grads) {
         // dX = y * (cot - sum(cot * y, axis)).
         obs::ScopedPhaseTimer timer("kernel.softmax", /*kernel=*/true);
+        const int ax = node.attr<int>();
+        int64_t outer = 1, inner = 1;
+        for (int i = 0; i < ax; ++i) outer *= y.shape()[i];
+        for (int i = ax + 1; i < y.ndim(); ++i) inner *= y.shape()[i];
+        const int64_t len = y.shape()[ax];
         Tensor g = Tensor::Empty(y.shape());
         const float* py = y.data();
         const float* pc = cot.data();
@@ -92,8 +97,9 @@ Tensor Softmax(const Tensor& x, int axis) {
             }
           }
         }
-        return std::vector<Tensor>{g};
-      });
+        grads[0] = std::move(g);
+      },
+      ax);
 }
 
 }  // namespace causalformer

@@ -6,6 +6,15 @@
 
 namespace causalformer {
 
+Shape::Shape(std::initializer_list<int64_t> dims)
+    : Shape(dims.begin(), static_cast<int>(dims.size())) {}
+
+Shape::Shape(const int64_t* dims, int ndim) : ndim_(ndim) {
+  CF_CHECK_GE(ndim, 0);
+  CF_CHECK_LE(ndim, kMaxRank) << "tensor rank above the cap of " << kMaxRank;
+  std::copy(dims, dims + ndim, dims_);
+}
+
 int64_t Shape::dim(int i) const {
   if (i < 0) i += ndim();
   CF_CHECK_GE(i, 0);
@@ -15,7 +24,7 @@ int64_t Shape::dim(int i) const {
 
 int64_t Shape::numel() const {
   int64_t n = 1;
-  for (const int64_t d : dims_) {
+  for (const int64_t d : *this) {
     CF_CHECK_GE(d, 0) << "negative dimension in shape " << ToString();
     CF_CHECK(!__builtin_mul_overflow(n, d, &n))
         << "element count overflows int64 for shape " << ToString();
@@ -23,9 +32,43 @@ int64_t Shape::numel() const {
   return n;
 }
 
+Shape Shape::WithDim(int axis, int64_t size) const {
+  CF_CHECK_GE(axis, 0);
+  CF_CHECK_LT(axis, ndim_);
+  Shape out = *this;
+  out.dims_[axis] = size;
+  return out;
+}
+
+Shape Shape::Inserted(int axis, int64_t size) const {
+  CF_CHECK_GE(axis, 0);
+  CF_CHECK_LE(axis, ndim_);
+  CF_CHECK_LT(ndim_, kMaxRank) << "tensor rank above the cap of " << kMaxRank;
+  Shape out;
+  out.ndim_ = ndim_ + 1;
+  std::copy(dims_, dims_ + axis, out.dims_);
+  out.dims_[axis] = size;
+  std::copy(dims_ + axis, dims_ + ndim_, out.dims_ + axis + 1);
+  return out;
+}
+
+Shape Shape::Erased(int axis) const {
+  CF_CHECK_GE(axis, 0);
+  CF_CHECK_LT(axis, ndim_);
+  Shape out;
+  out.ndim_ = ndim_ - 1;
+  std::copy(dims_, dims_ + axis, out.dims_);
+  std::copy(dims_ + axis + 1, dims_ + ndim_, out.dims_ + axis);
+  return out;
+}
+
+bool Shape::operator==(const Shape& other) const {
+  return ndim_ == other.ndim_ && std::equal(begin(), end(), other.begin());
+}
+
 std::string Shape::ToString() const {
   std::string out = "[";
-  for (size_t i = 0; i < dims_.size(); ++i) {
+  for (int i = 0; i < ndim_; ++i) {
     if (i > 0) out += ", ";
     out += std::to_string(dims_[i]);
   }
@@ -33,11 +76,11 @@ std::string Shape::ToString() const {
   return out;
 }
 
-std::vector<int64_t> ContiguousStrides(const Shape& shape) {
-  std::vector<int64_t> strides(shape.ndim());
+DimArray ContiguousStrides(const Shape& shape) {
+  DimArray strides{};
   int64_t acc = 1;
   for (int i = shape.ndim() - 1; i >= 0; --i) {
-    strides[i] = acc;
+    strides[static_cast<size_t>(i)] = acc;
     acc *= shape[i];
   }
   return strides;
@@ -55,7 +98,7 @@ bool BroadcastableTo(const Shape& from, const Shape& to) {
 
 Shape BroadcastShapes(const Shape& a, const Shape& b) {
   const int nd = std::max(a.ndim(), b.ndim());
-  std::vector<int64_t> out(nd);
+  int64_t out[kMaxRank];
   for (int i = 1; i <= nd; ++i) {
     const int64_t da = i <= a.ndim() ? a[a.ndim() - i] : 1;
     const int64_t db = i <= b.ndim() ? b[b.ndim() - i] : 1;
@@ -63,7 +106,7 @@ Shape BroadcastShapes(const Shape& a, const Shape& b) {
         << "shapes not broadcastable: " << a.ToString() << " vs " << b.ToString();
     out[nd - i] = std::max(da, db);
   }
-  return Shape(std::move(out));
+  return Shape(out, nd);
 }
 
 }  // namespace causalformer

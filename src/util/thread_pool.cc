@@ -104,7 +104,7 @@ struct Latch {
 }  // namespace
 
 void ParallelFor(int64_t n, int64_t item_cost,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+                 FunctionRef<void(int64_t, int64_t)> fn) {
   if (n <= 0) return;
   // Items one task needs to reach kMinTaskWork, and how many such tasks the
   // range holds (computed by division, so huge costs cannot overflow).
@@ -129,7 +129,7 @@ void ParallelFor(int64_t n, int64_t item_cost,
       latch.CountDown();  // rounding left this chunk empty
       continue;
     }
-    pool.Schedule([&fn, &latch, begin, end] {
+    pool.Schedule([fn, &latch, begin, end] {
       fn(begin, end);
       latch.CountDown();
     });

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/function_ref.h"
+
 /// \file
 /// A small fixed-size thread pool plus a ParallelFor helper used by the heavy
 /// tensor kernels (matmul, causal convolution, attention combine). The pool
@@ -60,9 +62,10 @@ extern const int64_t kMinTaskWork;
 /// and a per-call latch tracks the rest, so the call is safe from any number
 /// of concurrent threads. Otherwise — and for nested calls from a pool
 /// worker, or on a one-worker pool — it is a single inline fn(0, n) on the
-/// caller.
+/// caller. `fn` is borrowed for the call, so passing a lambda allocates
+/// nothing.
 void ParallelFor(int64_t n, int64_t item_cost,
-                 const std::function<void(int64_t, int64_t)>& fn);
+                 FunctionRef<void(int64_t, int64_t)> fn);
 
 }  // namespace causalformer
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -231,12 +234,13 @@ TEST(DetectArenaTest, CrossThreadFreeReturnsToOwningArena) {
   arena_a->Deallocate(again, 4000);
 }
 
-// The tentpole acceptance test: after a warm-up request, a steady-state
-// detect performs zero allocations through to the parent allocator — every
-// tensor the pass creates recycles through DetectArena()'s free lists. The
-// detector installs DetectArena() itself, so the assertion reads that arena's
-// parent_allocs counter directly.
-TEST(DetectArenaTest, SteadyStateDetectDoesZeroMallocs) {
+// After a warm-up request, a steady-state detect takes nothing from its
+// pools' parents: every tensor buffer the pass creates recycles through
+// DetectArena()'s free lists and every tensor object through the thread's
+// tensor pool. (What the detect still allocates on the heap is counted in
+// alloc_budget_test.) The detector installs DetectArena() itself, so the
+// assertion reads that arena's parent_allocs counter directly.
+TEST(DetectArenaTest, SteadyStateDetectRefillsNoPool) {
   Rng rng(7);
   data::SyntheticOptions sopt;
   sopt.length = 80;
@@ -264,9 +268,12 @@ TEST(DetectArenaTest, SteadyStateDetectDoesZeroMallocs) {
   ASSERT_GT(first.scores.num_series(), 0);
 
   const int64_t warm = DetectArena()->stats().parent_allocs;
+  const int64_t warm_objects = TensorPoolStats().parent_allocs;
   const auto second = core::DetectCausalGraph(model, windows, dopts);
   EXPECT_EQ(DetectArena()->stats().parent_allocs, warm)
       << "steady-state detect reached the parent allocator";
+  EXPECT_EQ(TensorPoolStats().parent_allocs, warm_objects)
+      << "steady-state detect allocated a tensor object";
 
   // Same request, same result: recycled (dirty) arena blocks must not leak
   // stale values into a repeated detection.
@@ -277,6 +284,122 @@ TEST(DetectArenaTest, SteadyStateDetectDoesZeroMallocs) {
       EXPECT_EQ(first.scores.at(from, to), second.scores.at(from, to));
     }
   }
+}
+
+// The server's shape of cross-thread traffic: its poll thread decodes each
+// request's windows into a tensor, and an executor drops the tensor after the
+// detect. The objects go back to the poll thread's pool, which reuses them
+// once its own free list runs dry, and a pool whose thread exits is adopted
+// by the next thread, so a late release still parks. Run under TSan in CI.
+TEST(TensorPoolTest, WindowsDecodedOnOneThreadAndDroppedOnAnother) {
+  constexpr int kRounds = 6;
+  constexpr int kWindows = 40;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Tensor> queue;  // decoded, not yet detected
+  int dropped = 0;
+  bool done = false;
+
+  std::thread exec([&] {
+    for (;;) {
+      Tensor window;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return done || !queue.empty(); });
+        if (queue.empty()) return;
+        window = std::move(queue.front());
+        queue.pop_front();
+      }
+      EXPECT_EQ(window.data()[0], window.data()[window.numel() - 1]);
+      window = Tensor();  // released on this thread
+      std::lock_guard<std::mutex> lock(mu);
+      ++dropped;
+      cv.notify_all();
+    }
+  });
+
+  int64_t refills_after_first_round = -1;
+  std::thread poll([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      if (round == 1) {
+        refills_after_first_round = TensorPoolStats().parent_allocs;
+      }
+      // A round's windows are all live at once before the executor sees
+      // them, so the first round leaves enough objects for every later one.
+      std::vector<Tensor> decoded;
+      for (int w = 0; w < kWindows; ++w) {
+        decoded.push_back(Tensor::Full(Shape{4, 4, 8}, static_cast<float>(w)));
+      }
+      std::unique_lock<std::mutex> lock(mu);
+      for (Tensor& window : decoded) queue.push_back(std::move(window));
+      cv.notify_all();
+      // Wait for the executor, so the next round reuses what it released.
+      cv.wait(lock, [&] { return dropped == (round + 1) * kWindows; });
+    }
+    // Outlive this thread: the executor drops these after it exits.
+    std::lock_guard<std::mutex> lock(mu);
+    for (int w = 0; w < kWindows; ++w) {
+      queue.push_back(Tensor::Full(Shape{4, 4, 8}, 1.0f));
+    }
+    cv.notify_all();
+  });
+  poll.join();
+  // The later rounds ran on released objects alone.
+  EXPECT_EQ(TensorPoolStats().parent_allocs, refills_after_first_round);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  }
+  exec.join();
+  EXPECT_EQ(dropped, (kRounds + 1) * kWindows);
+
+  // A new thread adopts the exited one's pool and its parked objects.
+  const int64_t before = TensorPoolStats().parent_allocs;
+  std::thread([] {
+    std::vector<Tensor> held;
+    for (int w = 0; w < kWindows; ++w) held.push_back(Tensor::Zeros(Shape{8}));
+  }).join();
+  EXPECT_EQ(TensorPoolStats().parent_allocs, before);
+}
+
+// AddressSanitizer sees pooled memory: a parked arena block and a parked
+// tensor object are poisoned, so reading one through a stale pointer is a
+// reported use-after-poison, not a silent read of recycled data.
+#if defined(__SANITIZE_ADDRESS__)
+#define CF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CF_TEST_ASAN 1
+#endif
+#endif
+
+TEST(ArenaAllocatorDeathTest, ReadingAReleasedBufferIsReported) {
+#ifndef CF_TEST_ASAN
+  GTEST_SKIP() << "only AddressSanitizer builds see poisoned blocks";
+#else
+  auto arena = std::make_shared<ArenaAllocator>();
+  const float* stale_data = nullptr;
+  const Shape* stale_shape = nullptr;
+  {
+    ScopedAllocator guard(arena);
+    Tensor t = Tensor::Full(Shape{64}, 2.0f);
+    stale_data = t.data();
+    stale_shape = &t.impl()->shape;
+  }  // t released: its buffer parks in the arena, its object in the pool
+  EXPECT_DEATH(
+      {
+        const volatile float v = stale_data[3];
+        (void)v;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        const volatile int rank = stale_shape->ndim();
+        (void)rank;
+      },
+      "use-after-poison");
+#endif
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(WalkPlanTest, PrunedPlanStopsAtWantedTensor) {
   ASSERT_EQ(plan.steps.size(), 3u);
   EXPECT_EQ(plan.steps.front().tensor.impl(), y.impl());
   EXPECT_EQ(plan.steps.back().tensor.impl(), mid.impl());
-  EXPECT_TRUE(plan.steps.back().needs.empty());
+  EXPECT_EQ(plan.steps.back().needs, 0u);
   EXPECT_TRUE(plan.steps.back().keep);
   for (const WalkStep& step : plan.steps) {
     EXPECT_NE(step.tensor.impl(), x.impl());
@@ -184,25 +184,26 @@ TEST(WalkPlanTest, FullPlanFlagsOnlyInputsThatCarryGradients) {
   Tensor y = Mul(a, data);
   const WalkPlan plan = PlanWalk(y);
   ASSERT_EQ(plan.steps.size(), 2u);  // y and a; never the plain input
-  EXPECT_EQ(plan.steps[0].needs, (std::vector<bool>{true, false}));
+  EXPECT_EQ(plan.steps[0].needs, 0b01u);  // input 0 only
   EXPECT_EQ(plan.steps[1].tensor.impl(), a.impl());
 }
 
 // Runs out's vjp once with every input flagged and once with input `skip`
 // unflagged: the skipped cotangent must be undefined and the others
 // unchanged bit for bit.
-void ExpectVjpSkipsInput(const Tensor& out, size_t skip) {
-  SCOPED_TRACE(out.grad_fn()->op + " skip=" + std::to_string(skip));
+void ExpectVjpSkipsInput(const Tensor& out, int skip) {
+  SCOPED_TRACE(std::string(out.grad_fn()->op) + " skip=" +
+               std::to_string(skip));
   Rng rng(9);
   const Tensor cot = Tensor::Randn(out.shape(), &rng);
   const Node& fn = *out.grad_fn();
-  const std::vector<bool> all(fn.inputs.size(), true);
-  std::vector<bool> some = all;
-  some[skip] = false;
-  const std::vector<Tensor> full = fn.vjp(out, cot, all);
-  const std::vector<Tensor> part = fn.vjp(out, cot, some);
-  ASSERT_EQ(part.size(), fn.inputs.size());
-  for (size_t i = 0; i < part.size(); ++i) {
+  const InputMask all = (InputMask{1} << fn.num_inputs) - 1;
+  const InputMask some = all & ~(InputMask{1} << skip);
+  Tensor full[kMaxNodeInputs];
+  Tensor part[kMaxNodeInputs];
+  fn.vjp(fn, out, cot, all, full);
+  fn.vjp(fn, out, cot, some, part);
+  for (int i = 0; i < fn.num_inputs; ++i) {
     if (i == skip) {
       EXPECT_FALSE(part[i].defined());
     } else {
@@ -218,7 +219,7 @@ TEST(WalkPlanTest, VjpsSkipUnneededInputs) {
   Tensor a = Tensor::Randn(Shape{3, 2, 4}, &rng, true);
   Tensor b = Tensor::Randn(Shape{4, 5}, &rng, true);
   Tensor row = Tensor::Randn(Shape{4}, &rng, true);
-  for (size_t skip : {0u, 1u}) {
+  for (int skip : {0, 1}) {
     ExpectVjpSkipsInput(MatMul(a, b), skip);
     ExpectVjpSkipsInput(Add(a, row), skip);
     ExpectVjpSkipsInput(Mul(a, row), skip);
@@ -227,7 +228,7 @@ TEST(WalkPlanTest, VjpsSkipUnneededInputs) {
   Tensor x = Tensor::Randn(Shape{3, 2, 5}, &rng, true);
   Tensor kernel = Tensor::Randn(Shape{2, 2, 2, 5}, &rng, true);
   const Tensor conv = core::GroupedMultiKernelCausalConv(x, kernel, {0, 1, 1});
-  for (size_t skip : {0u, 1u}) ExpectVjpSkipsInput(conv, skip);
+  for (int skip : {0, 1}) ExpectVjpSkipsInput(conv, skip);
 }
 
 }  // namespace

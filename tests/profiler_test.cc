@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +29,32 @@ namespace {
 // Synthetic leaf-first stacks for the deterministic buffer tests; the
 // addresses need not symbolize (unresolvable frames render as hex).
 void* FakeFrame(uintptr_t v) { return reinterpret_cast<void*>(v); }
+
+// The first `[object+0xOFFSET]` frame in `folded`: a name holding neither
+// `]` nor `+`, then `+0x`, lowercase hex digits and `]`.
+bool FindObjectFrame(const std::string& folded, std::string* object,
+                     std::string* offset) {
+  const auto is_hex = [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+  };
+  for (size_t open = folded.find('['); open != std::string::npos;
+       open = folded.find('[', open + 1)) {
+    size_t plus = open + 1;
+    while (plus < folded.size() && folded[plus] != ']' && folded[plus] != '+') {
+      ++plus;
+    }
+    if (plus == open + 1 || folded.compare(plus, 3, "+0x") != 0) continue;
+    size_t close = plus + 3;
+    while (close < folded.size() && is_hex(folded[close])) ++close;
+    if (close == plus + 3 || close == folded.size() || folded[close] != ']') {
+      continue;
+    }
+    *object = folded.substr(open + 1, plus - open - 1);
+    *offset = folded.substr(plus + 3, close - plus - 3);
+    return true;
+  }
+  return false;
+}
 
 TEST(ProfilingThreadRegistryTest, RegistersAndReadsBack) {
   std::string seen;
@@ -132,13 +157,11 @@ TEST(ProfilerTest, UnnamedFrameRendersObjectAndOffset) {
 
   // `[object+0xOFFSET]`, OFFSET from the object's load base: what
   // `addr2line -e object 0xOFFSET` resolves.
-  std::smatch match;
-  ASSERT_TRUE(std::regex_search(
-      folded, match, std::regex(R"(\[([^\]+]+)\+0x([0-9a-f]+)\])")))
-      << folded;
+  std::string object, offset;
+  ASSERT_TRUE(FindObjectFrame(folded, &object, &offset)) << folded;
   const char* slash = std::strrchr(info.dli_fname, '/');
-  EXPECT_EQ(match[1].str(), slash != nullptr ? slash + 1 : info.dli_fname);
-  EXPECT_EQ(std::stoull(match[2].str(), nullptr, 16),
+  EXPECT_EQ(object, slash != nullptr ? slash + 1 : info.dli_fname);
+  EXPECT_EQ(std::stoull(offset, nullptr, 16),
             static_cast<unsigned long long>(
                 static_cast<const char*>(pc) -
                 static_cast<const char*>(info.dli_fbase)));

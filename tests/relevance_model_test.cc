@@ -195,7 +195,7 @@ TEST(WalkPlanTest, PrunedPlanMatchesFullWalkBitForBit) {
     // head sum; then the shift and the grouped convolution; plus the seven
     // nodes of the output, FFN and LeakyReLU layers.
     int live = 0;
-    for (const WalkStep& step : pruned.steps) live += !step.needs.empty();
+    for (const WalkStep& step : pruned.steps) live += step.needs != 0;
     EXPECT_EQ(live, 14);
 
     for (const bool absorb : {true, false}) {
